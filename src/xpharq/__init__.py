@@ -1,8 +1,9 @@
 """Outage probability and throughput of cross-packet HARQ over Rayleigh fading.
 
-Exact closed forms (K <= 2), high-SNR asymptotics for general K, lower and
-upper bounds, nested-quadrature oracles, and a deterministic parallel Monte
-Carlo engine, plus a CLI for single-point queries and CSV sweeps.
+Exact closed forms (K <= 2), an exact backward recursion for any K, high-SNR
+asymptotics, lower and upper bounds, nested-quadrature references, and a
+deterministic parallel Monte Carlo engine, plus a CLI for single-point
+queries and CSV sweeps.
 """
 
 from .core import (
@@ -45,7 +46,8 @@ from .asymptotic import (
     outage_k2_asymptotic,
     phi_asymptotic,
 )
-from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf
+from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf,
+                     xp_outage, xp_outage_chain)
 from .simulate import (
     SimConfig,
     SimSummary,
@@ -54,7 +56,6 @@ from .simulate import (
     estimate_throughput,
     sample_snr,
     throughput_analytical,
-    xp_outage_chain,
 )
 from .sweep import (
     ConfigError,

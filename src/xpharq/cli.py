@@ -23,7 +23,7 @@ from .asymptotic import (
     hbar_eval,
     outage_asymptotic_general,
 )
-from .bounds import ir_outage_chain, outage_lower, outage_upper_ir
+from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, xp_outage, xp_outage_chain
 from .core import PowerProfile, RateSchedule
 from .exact import (
     outage_k1,
@@ -31,14 +31,8 @@ from .exact import (
     outage_k2_via_foxh,
     upper_incomplete_gamma_complex,
 )
-from .quadrature import hbar_quadrature, xp_outage_quadrature
-from .simulate import (
-    SimConfig,
-    estimate_outage,
-    estimate_throughput,
-    throughput_analytical,
-    xp_outage_chain,
-)
+from .quadrature import hbar_quadrature
+from .simulate import SimConfig, estimate_outage, estimate_throughput, throughput_analytical
 from .sweep import ConfigError, db_to_linear, emit_gnuplot, parse_config, run_sweep, write_csv
 
 _RARE_EVENT_FLOOR = 100
@@ -51,16 +45,36 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("XPHARQ_SEED")
-    if env is not None:
+def _bounded(convert, ok, requirement: str):
+    """An argparse type: convert the text and require ok(value)."""
+
+    def parse(text: str):
         try:
-            return int(env)
+            value = convert(text)
         except ValueError:
-            raise SystemExit(f"XPHARQ_SEED must be an integer, got {env!r}")
-    return 0
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _bounded(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2**64)")
+_positive_float = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
+
+
+def _resolve_seed(parser: argparse.ArgumentParser, flag_value) -> int:
+    if flag_value is not None:
+        return flag_value
+    env = os.environ.get("XPHARQ_SEED")
+    if env is None:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"XPHARQ_SEED {exc}")
 
 
 def _point(parser: argparse.ArgumentParser, args) -> tuple[RateSchedule, PowerProfile]:
@@ -74,7 +88,10 @@ def _point(parser: argparse.ArgumentParser, args) -> tuple[RateSchedule, PowerPr
     if len(snr_db) != rates.K:
         parser.error(f"--snr-db needs 1 or {rates.K} entries, got {len(snr_db)}")
     args.snr_db = snr_db  # echo the per-round values in the output record
-    return rates, PowerProfile([db_to_linear(v) for v in snr_db])
+    try:
+        return rates, PowerProfile([db_to_linear(v) for v in snr_db])
+    except (ValueError, OverflowError) as exc:
+        parser.error(f"--snr-db: {exc}")
 
 
 def _fmt(x: float) -> str:
@@ -91,10 +108,8 @@ def _cmd_outage(parser, args) -> int:
         parser.error(f"method exact supports K <= 2, got K={k_rounds}")
     if method == "asymptotic" and k_rounds < 2:
         parser.error("method asymptotic needs K >= 2")
-    if method in ("oracle", "upper") and k_rounds > 4:
-        parser.error(f"method {method} supports K <= 4, got K={k_rounds}")
 
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(parser, args.seed)
     start = time.perf_counter()
     if method == "exact":
         if k_rounds == 1:
@@ -110,7 +125,7 @@ def _cmd_outage(parser, args) -> int:
         est = outage_upper_ir(rates, powers)
         value, unc = est.value, est.uncertainty
     elif method == "oracle":
-        est = xp_outage_quadrature(rates, powers, tol=args.tol)
+        est = xp_outage(rates, powers, tol=args.tol)
         value, unc = est.value, est.uncertainty
     else:
         cfg = SimConfig(
@@ -147,11 +162,9 @@ def _cmd_outage(parser, args) -> int:
 
 def _cmd_throughput(parser, args) -> int:
     rates, powers = _point(parser, args)
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(parser, args.seed)
     start = time.perf_counter()
     if args.method == "analytical":
-        if rates.K > 4:
-            parser.error("analytical throughput chain supports K <= 4")
         if args.scheme == "xp":
             chain = xp_outage_chain(rates, powers)
         else:
@@ -191,8 +204,7 @@ def _cmd_sweep(parser, args) -> int:
         parser.error(str(exc))
     if args.gnuplot is not None and args.out == "-":
         parser.error("--gnuplot needs a real --out path for the script to reference")
-    seed = int(args.seed) if args.seed is not None else None
-    rows = run_sweep(cfg, workers=args.workers, seed=seed)
+    rows = run_sweep(cfg, workers=args.workers, seed=args.seed)
     if args.out == "-":
         write_csv(rows, sys.stdout)
     else:
@@ -256,7 +268,7 @@ def _cmd_selftest(parser, args) -> int:
     rates = RateSchedule([1.0, 1.0])
     powers = PowerProfile([10.0, 10.0])
     p_exact = outage_k2_exact(rates, powers).value
-    p_oracle = xp_outage_quadrature(rates, powers).value
+    p_oracle = xp_outage(rates, powers).value
     p_foxh = outage_k2_via_foxh(rates, powers).value
     spread = max(p_exact, p_oracle, p_foxh) - min(p_exact, p_oracle, p_foxh)
     check(
@@ -278,7 +290,7 @@ def _cmd_selftest(parser, args) -> int:
 
     g3 = PowerProfile([10.0, 10.0, 10.0])
     low = outage_lower(r3, g3)
-    mid = xp_outage_quadrature(r3, g3).value
+    mid = xp_outage(r3, g3).value
     up = outage_upper_ir(r3, g3).value
     check(
         "bound-sandwich",
@@ -314,14 +326,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-round rates, comma-separated (bits/channel-use)")
         p.add_argument("--snr-db", type=_float_list, required=True,
                        help="per-round average SNR in dB (single value broadcasts)")
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--trials", type=_positive_int, default=100_000)
+        p.add_argument("--seed", type=_seed, default=None,
                        help="Monte Carlo seed (default: $XPHARQ_SEED, else 0)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
 
     p_out = sub.add_parser("outage", help="single-point outage probability")
     add_point_args(p_out, ("exact", "asymptotic", "lower", "upper", "mc", "oracle"), "exact")
-    p_out.add_argument("--tol", type=float, default=1e-10)
+    p_out.add_argument("--tol", type=_positive_float, default=1e-10)
 
     p_thr = sub.add_parser("throughput", help="single-point throughput")
     add_point_args(p_thr, ("analytical", "mc"), "analytical")
@@ -329,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="config-driven CSV sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
+    p_sweep.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p_sweep.add_argument("--gnuplot", default=None, metavar="PATH",
                          help="also write a gnuplot script that plots the CSV")
 

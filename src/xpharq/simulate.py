@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OutageEstimate, PowerProfile, RateSchedule
-from .exact import outage_k1, outage_k2_exact
 
 __all__ = [
     "SimConfig",
@@ -40,7 +39,6 @@ __all__ = [
     "estimate_outage",
     "estimate_throughput",
     "throughput_analytical",
-    "xp_outage_chain",
 ]
 
 _BLOCK = 65536
@@ -255,31 +253,3 @@ def throughput_analytical(
         reward = rates.rates[0] * (1.0 - chain[-1])
     return reward / expected_slots
 
-
-def xp_outage_chain(
-    rates: RateSchedule,
-    powers: PowerProfile,
-    tol: float = 1e-10,
-) -> list[float]:
-    """XP outage probabilities of every truncated schedule, k = 1..K.
-
-    Uses the closed forms for one and two rounds and nested quadrature
-    beyond, so K is capped at 4 like the oracle.
-    """
-    from .quadrature import xp_outage_quadrature
-
-    if rates.K != powers.K:
-        raise ValueError(f"schedule has {rates.K} rounds but profile has {powers.K}")
-    if rates.K > 4:
-        raise ValueError("analytical XP chain supports K <= 4")
-    chain: list[float] = []
-    for k in range(1, rates.K + 1):
-        if k == 1:
-            chain.append(outage_k1(rates.rates[0], powers.snr_bars[0]))
-        elif k == 2:
-            chain.append(outage_k2_exact(rates.prefix(2), powers.prefix(2), tol).value)
-        else:
-            chain.append(
-                xp_outage_quadrature(rates.prefix(k), powers.prefix(k), tol).value
-            )
-    return chain

@@ -14,22 +14,16 @@ scale happens exactly once, at the row boundary.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, TextIO
 
 from .asymptotic import outage_asymptotic_general
-from .bounds import ir_outage_chain, outage_lower, outage_upper_ir
+from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, xp_outage, xp_outage_chain
 from .core import PowerProfile, RateSchedule, XpharqError
 from .exact import outage_k1, outage_k2_exact
-from .quadrature import xp_outage_quadrature
-from .simulate import (
-    SimConfig,
-    estimate_outage,
-    estimate_throughput,
-    throughput_analytical,
-    xp_outage_chain,
-)
+from .simulate import SimConfig, estimate_outage, estimate_throughput, throughput_analytical
 
 __all__ = [
     "SweepConfig",
@@ -122,6 +116,8 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(f"axis must be snr_db or r1, got {cfg.axis!r}")
     if not cfg.values:
         raise ConfigError("values must be nonempty")
+    if not all(math.isfinite(v) for v in cfg.values + cfg.rates + cfg.snr_db):
+        raise ConfigError("values, rates and snr_db must be finite")
     if any(r <= 0 for r in cfg.rates):
         raise ConfigError("rates must be positive")
     if cfg.axis == "r1":
@@ -153,10 +149,6 @@ def _validate_config(cfg: SweepConfig) -> None:
             raise ConfigError("method exact supports K <= 2")
         if "asymptotic" in cfg.methods and k_rounds < 2:
             raise ConfigError("method asymptotic needs K >= 2")
-        if ("oracle" in cfg.methods or "upper" in cfg.methods) and k_rounds > 4:
-            raise ConfigError("oracle and upper quadrature support K <= 4")
-    if cfg.quantity == "throughput" and "analytical" in cfg.methods and k_rounds > 4:
-        raise ConfigError("analytical throughput chain supports K <= 4")
 
 
 def emit_config(cfg: SweepConfig) -> str:
@@ -234,7 +226,7 @@ def _outage_value(cfg, scheme, method, rates, powers):
         est = outage_upper_ir(rates, powers)
         return est.value, est.uncertainty
     if method == "oracle":
-        est = xp_outage_quadrature(rates, powers)
+        est = xp_outage(rates, powers)
         return est.value, est.uncertainty
     est = estimate_outage(
         SimConfig(scheme=scheme, rates=rates, powers=powers, trials=cfg.trials, seed=cfg.seed)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +17,7 @@ from xpharq import (
     outage_lower,
     outage_upper_ir,
     sum_info_cdf,
+    xp_outage,
     xp_outage_quadrature,
 )
 
@@ -127,25 +129,59 @@ def test_outage_upper_snr_permutation_invariance():
     assert a == pytest.approx(c, rel=1e-9)
 
 
-def test_outage_upper_monte_carlo_delegation():
+def _mp_two_rounds(a1: float, big_z: float, gbar: float):
+    """Pr(gamma_1 < a1 and (1 + gamma_1)(1 + gamma_2) < big_z), 40 digits."""
+    with mp.workdps(40):
+        g = mp.mpf(gbar)
+        return float(mp.quad(
+            lambda x: mp.exp(-x / g) / g * -mp.expm1(-(big_z / (1 + x) - 1) / g), [0, a1]
+        ))
+
+
+def _mp_xp_three_rounds(limits, gbar: float):
+    """XP outage of three equal-SNR rounds as a 2-D integral over x_1, x_2."""
+    with mp.workdps(25):
+        g = mp.mpf(gbar)
+        u1, u2, u3 = (mp.mpf(u) for u in limits)
+
+        def given_x1(x1):
+            return mp.quad(
+                lambda x2: mp.exp(-(x2 / x1 - 1) / g) / (g * x1) * -mp.expm1(-(u3 / x2 - 1) / g),
+                [x1, u2], method="gauss-legendre",
+            )
+
+        return float(mp.quad(
+            lambda x1: mp.exp(-(x1 - 1) / g) / g * given_x1(x1), [1, u1],
+            method="gauss-legendre",
+        ))
+
+
+def test_recursion_uncertainty_calibrated():
+    # K = 2, R = (1, 1): XP outage is Pr(x_1 < 2, x_2 < 4), the IR bound
+    # Pr(x_2 < 4).  Above 160 dB mp.quad drifts, so the reference there is
+    # the leading high-SNR term, whose relative error O(1/gbar) is < 1e-16.
     rates = RateSchedule((1.0, 1.0))
-    powers = PowerProfile((10.0, 10.0))
-    est = outage_upper_ir(rates, powers, method="monte-carlo", budget=300_000, seed=5)
-    direct = estimate_outage(
-        SimConfig(scheme="inr", rates=rates, powers=powers, trials=300_000, seed=5)
-    )
-    assert est.method == "mc-inr"
-    assert est.value == direct.value
-    assert est.uncertainty == direct.uncertainty
+    for snr_db in list(range(-10, 161, 10)) + [200, 250, 300]:
+        gbar = 10.0 ** (snr_db / 10.0)
+        powers = PowerProfile((gbar, gbar))
+        if snr_db <= 160:
+            refs = (_mp_two_rounds(1.0, 4.0, gbar), _mp_two_rounds(3.0, 4.0, gbar))
+        else:
+            refs = ((4.0 * math.log(2.0) - 1.0) / gbar**2,
+                    (8.0 * math.log(2.0) - 3.0) / gbar**2)
+        for est, ref in zip((xp_outage(rates, powers), outage_upper_ir(rates, powers)), refs):
+            err = abs(est.value - ref)
+            assert err <= est.uncertainty, (snr_db, est, ref)
+            assert err <= 1e-12 * est.value, (snr_db, est, ref)
+    rates = RateSchedule((1.0, 1.0, 1.0))
+    est = xp_outage(rates, PowerProfile((0.1,) * 3))
+    ref = _mp_xp_three_rounds((2.0, 4.0, 8.0), 0.1)
+    assert abs(est.value - ref) <= min(est.uncertainty, 1e-12 * est.value), (est, ref)
 
 
 def test_outage_upper_validation():
-    rates = RateSchedule((1.0, 1.0))
-    powers = PowerProfile((10.0, 10.0))
     with pytest.raises(ValueError):
-        outage_upper_ir(rates, powers, method="bogus")
-    with pytest.raises(ValueError):
-        outage_upper_ir(RateSchedule((1.0,) * 5), PowerProfile((10.0,) * 5))
+        outage_upper_ir(RateSchedule((1.0, 1.0)), PowerProfile((10.0,) * 3))
 
 
 # ---------------------------------------------------------------------------

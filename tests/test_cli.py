@@ -15,8 +15,11 @@ from xpharq import (
     ConfigError,
     PowerProfile,
     RateSchedule,
+    SimConfig,
     SweepConfig,
     emit_config,
+    estimate_outage,
+    estimate_throughput,
     outage_k2_exact,
     outage_lower,
     parse_config,
@@ -76,17 +79,28 @@ def test_outage_broadcasts_single_snr(capsys):
     assert _field(out, "snr_db") == "10,10"
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(monkeypatch):
     for argv in (
         ["outage", "--rates", "1,1,1", "--snr-db", "10", "--method", "exact"],
         ["outage", "--rates", "1,1", "--snr-db", "10", "--scheme", "inr", "--method", "exact"],
         ["outage", "--rates", "1,-1", "--snr-db", "10"],
         ["outage", "--rates", "1,1", "--snr-db", "10,10,10"],
-        ["outage", "--rates", "1,1,1,1,1", "--snr-db", "10", "--method", "oracle"],
+        ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--seed", "-1"],
+        ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--workers", "0"],
+        ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--trials", "0"],
+        ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--trials", "-5"],
+        ["outage", "--rates", "1,1", "--snr-db", "10", "--tol", "0"],
+        ["outage", "--rates", "1,1", "--snr-db", "nan"],
+        ["outage", "--rates", "1,1", "--snr-db", "inf"],
+        ["sweep", "--config", "unused.cfg", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
+    monkeypatch.setenv("XPHARQ_SEED", "-3")
+    with pytest.raises(SystemExit) as info:
+        main(["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc"])
+    assert info.value.code == 2
 
 
 def test_outage_mc_rare_event_warning(capsys):
@@ -285,6 +299,30 @@ def test_config_rejects_incompatible_combinations():
         parse_config(_SWEEP_CONFIG.replace("axis = snr_db", "axis = r1"))
     with pytest.raises(ConfigError):
         parse_config(_SWEEP_CONFIG.replace("schemes = xp", "schemes = inr"))
+    with pytest.raises(ConfigError):
+        parse_config(_SWEEP_CONFIG.replace("values = 0,5,10", "values = 0,nan"))
+
+
+@pytest.mark.parametrize("k_rounds", [5, 8])
+def test_recursion_methods_have_no_round_cap(capsys, k_rounds):
+    rates, powers = RateSchedule((1.0,) * k_rounds), PowerProfile((1.0,) * k_rounds)
+    point = ["--rates", ",".join(["1"] * k_rounds), "--snr-db", "0"]
+    for argv, estimate, scheme in (
+        (["outage", "--method", "oracle"], estimate_outage, "xp"),
+        (["outage", "--method", "upper"], estimate_outage, "inr"),
+        (["throughput", "--method", "analytical"], estimate_throughput, "xp"),
+        (["throughput", "--scheme", "inr", "--method", "analytical"], estimate_throughput, "inr"),
+    ):
+        assert main(argv + point) == 0
+        value = float(_field(capsys.readouterr().out, "value"))
+        mc = estimate(SimConfig(scheme=scheme, rates=rates, powers=powers,
+                                trials=1_000_000, seed=k_rounds))
+        assert abs(value - mc.value) <= 4.0 * mc.uncertainty / 1.96, (argv, value, mc)
+    cfg = parse_config(
+        _SWEEP_CONFIG.replace("rates = 1,1", "rates = 1,1,1,1,1")
+        .replace("methods = exact,mc", "methods = oracle,upper")
+    )
+    assert cfg.methods == ("oracle", "upper")
 
 
 def test_sweep_csv_deterministic_across_workers(tmp_path):

@@ -256,4 +256,4 @@ def test_xp_outage_chain_matches_per_prefix_solvers():
         xp_outage_quadrature(rates, powers).value, rel=1e-8
     )
     with pytest.raises(ValueError):
-        xp_outage_chain(RateSchedule((1.0,) * 5), PowerProfile((10.0,) * 5))
+        xp_outage_chain(rates, PowerProfile((10.0, 20.0)))
