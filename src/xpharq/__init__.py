@@ -9,7 +9,7 @@ queries and CSV sweeps.
 from .core import (
     ConsistencyError,
     ConvergenceError,
-    OutageEstimate,
+    Estimate,
     PowerProfile,
     RateSchedule,
     SnrRealization,
@@ -51,7 +51,6 @@ from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cd
 from .simulate import (
     SimConfig,
     SimSummary,
-    ThroughputEstimate,
     estimate_outage,
     estimate_throughput,
     sample_snr,

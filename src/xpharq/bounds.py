@@ -42,7 +42,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .core import (
     ConvergenceError,
-    OutageEstimate,
+    Estimate,
     PowerProfile,
     RateSchedule,
     clamp_probability,
@@ -162,7 +162,7 @@ def outage_upper_ir(
     rates: RateSchedule,
     powers: PowerProfile,
     budget: float | None = None,
-) -> OutageEstimate:
+) -> Estimate:
     """HARQ-IR outage at the total rate R_K^sum: the XP upper bound.
 
     ``budget`` is the relative tolerance (default 1e-9).
@@ -170,7 +170,7 @@ def outage_upper_ir(
     _check_rounds(rates, powers)
     rel = 1e-9 if budget is None else float(budget)
     value, err = sum_info_cdf(rates.cumulative(rates.K), powers, rel_tol=rel)
-    return OutageEstimate(value, "ir-quadrature", err)
+    return Estimate(value, "ir-quadrature", err)
 
 
 def ir_outage_chain(
@@ -195,7 +195,7 @@ def xp_outage(
     powers: PowerProfile,
     tol: float = 1e-10,
     rel_tol: float = 1e-9,
-) -> OutageEstimate:
+) -> Estimate:
     """Exact XP outage probability for any K.
 
     Converges until two passes differ by at most max(tol, rel_tol * value);
@@ -205,7 +205,7 @@ def xp_outage(
     _check_rounds(rates, powers)
     limits = [2.0 ** c for c in rates.cumulative()]
     value, err = _nested_probability(limits, powers.snr_bars, tol, rel_tol, "XP outage")
-    return OutageEstimate(value, "xp-recursion", err)
+    return Estimate(value, "xp-recursion", err)
 
 
 def xp_outage_chain(

@@ -18,22 +18,14 @@ import os
 import sys
 import time
 
-from .asymptotic import (
-    build_hbar_table,
-    hbar_eval,
-    outage_asymptotic_general,
-)
-from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, xp_outage, xp_outage_chain
-from .core import PowerProfile, RateSchedule
-from .exact import (
-    outage_k1,
-    outage_k2_exact,
-    outage_k2_via_foxh,
-    upper_incomplete_gamma_complex,
-)
+from .asymptotic import build_hbar_table, hbar_eval
+from .bounds import outage_lower, outage_upper_ir, xp_outage
+from .core import PowerProfile, RateSchedule, XpharqError
+from .exact import outage_k2_exact, outage_k2_via_foxh, upper_incomplete_gamma_complex
 from .quadrature import hbar_quadrature
-from .simulate import SimConfig, estimate_outage, estimate_throughput, throughput_analytical
-from .sweep import ConfigError, db_to_linear, emit_gnuplot, parse_config, run_sweep, write_csv
+from .simulate import SimConfig, estimate_outage
+from .sweep import (METHODS, ConfigError, db_to_linear, emit_gnuplot, evaluate, method_error,
+                    parse_config, run_sweep, write_csv)
 
 _RARE_EVENT_FLOOR = 100
 
@@ -90,7 +82,7 @@ def _point(parser: argparse.ArgumentParser, args) -> tuple[RateSchedule, PowerPr
     args.snr_db = snr_db  # echo the per-round values in the output record
     try:
         return rates, PowerProfile([db_to_linear(v) for v in snr_db])
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         parser.error(f"--snr-db: {exc}")
 
 
@@ -98,47 +90,22 @@ def _fmt(x: float) -> str:
     return "%.9g" % x
 
 
-def _cmd_outage(parser, args) -> int:
+def _cmd_point(parser, args) -> int:
     rates, powers = _point(parser, args)
-    k_rounds = rates.K
-    method = args.method
-    if args.scheme == "inr" and method not in ("upper", "mc"):
-        parser.error(f"scheme inr supports methods upper and mc, not {method}")
-    if method == "exact" and k_rounds > 2:
-        parser.error(f"method exact supports K <= 2, got K={k_rounds}")
-    if method == "asymptotic" and k_rounds < 2:
-        parser.error("method asymptotic needs K >= 2")
-
+    error = method_error(args.command, args.scheme, args.method, rates.K)
+    if error is not None:
+        parser.error(error)
     seed = _resolve_seed(parser, args.seed)
+    tol = {"tol": args.tol} if "tol" in args else {}  # throughput has no --tol
     start = time.perf_counter()
-    if method == "exact":
-        if k_rounds == 1:
-            value, unc = outage_k1(rates.rates[0], powers.snr_bars[0]), 0.0
-        else:
-            est = outage_k2_exact(rates, powers, tol=args.tol)
-            value, unc = est.value, est.uncertainty
-    elif method == "asymptotic":
-        value, unc = outage_asymptotic_general(rates, powers), 0.0
-    elif method == "lower":
-        value, unc = outage_lower(rates, powers), 0.0
-    elif method == "upper":
-        est = outage_upper_ir(rates, powers)
-        value, unc = est.value, est.uncertainty
-    elif method == "oracle":
-        est = xp_outage(rates, powers, tol=args.tol)
-        value, unc = est.value, est.uncertainty
-    else:
-        cfg = SimConfig(
-            scheme=args.scheme,
-            rates=rates,
-            powers=powers,
-            trials=args.trials,
-            seed=seed,
-            workers=args.workers,
-        )
-        est = estimate_outage(cfg)
-        value, unc = est.value, est.uncertainty
-        failures = round(value * args.trials)
+    try:
+        est = evaluate(args.command, args.scheme, args.method, rates, powers, trials=args.trials,
+                       seed=seed, workers=args.workers, **tol)
+    except XpharqError as exc:
+        print(f"xpharq {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    if args.command == "outage" and args.method == "mc":
+        failures = round(est.value * args.trials)
         if failures < _RARE_EVENT_FLOOR:
             print(
                 f"warning: only {failures} outage events observed (<{_RARE_EVENT_FLOOR}); "
@@ -147,50 +114,18 @@ def _cmd_outage(parser, args) -> int:
                 file=sys.stderr,
             )
     elapsed = time.perf_counter() - start
+    chain = " chain=" + ",".join(_fmt(p) for p in est.chain) if est.chain else ""
     print(
-        f"outage scheme={args.scheme} method={method} K={k_rounds} "
+        f"{args.command} scheme={args.scheme} method={args.method} K={rates.K} "
         f"rates={','.join(_fmt(r) for r in rates.rates)} "
         f"snr_db={','.join(_fmt(v) for v in args.snr_db)} "
-        f"value={_fmt(value)} uncertainty={_fmt(unc)} seconds={elapsed:.3f}"
+        f"value={_fmt(est.value)} uncertainty={_fmt(est.uncertainty)} seconds={elapsed:.3f}"
+        f"{chain}"
     )
-    if method == "upper":
+    if args.method == "upper":
         low = outage_lower(rates, powers)
-        gap = (value - low) / value if value > 0 else math.nan
-        print(f"bound-gap lower={_fmt(low)} upper={_fmt(value)} relative_gap={_fmt(gap)}")
-    return 0
-
-
-def _cmd_throughput(parser, args) -> int:
-    rates, powers = _point(parser, args)
-    seed = _resolve_seed(parser, args.seed)
-    start = time.perf_counter()
-    if args.method == "analytical":
-        if args.scheme == "xp":
-            chain = xp_outage_chain(rates, powers)
-        else:
-            chain = ir_outage_chain(rates, powers)
-        value, unc = throughput_analytical(args.scheme, rates, powers, chain), 0.0
-        provenance = " chain=" + ",".join(_fmt(p) for p in chain)
-    else:
-        cfg = SimConfig(
-            scheme=args.scheme,
-            rates=rates,
-            powers=powers,
-            trials=args.trials,
-            seed=seed,
-            workers=args.workers,
-        )
-        est = estimate_throughput(cfg)
-        value, unc = est.value, est.uncertainty
-        provenance = ""
-    elapsed = time.perf_counter() - start
-    print(
-        f"throughput scheme={args.scheme} method={args.method} K={rates.K} "
-        f"rates={','.join(_fmt(r) for r in rates.rates)} "
-        f"snr_db={','.join(_fmt(v) for v in args.snr_db)} "
-        f"value={_fmt(value)} uncertainty={_fmt(unc)} seconds={elapsed:.3f}"
-        f"{provenance}"
-    )
+        gap = (est.value - low) / est.value if est.value > 0 else math.nan
+        print(f"bound-gap lower={_fmt(low)} upper={_fmt(est.value)} relative_gap={_fmt(gap)}")
     return 0
 
 
@@ -204,7 +139,11 @@ def _cmd_sweep(parser, args) -> int:
         parser.error(str(exc))
     if args.gnuplot is not None and args.out == "-":
         parser.error("--gnuplot needs a real --out path for the script to reference")
-    rows = run_sweep(cfg, workers=args.workers, seed=args.seed)
+    try:
+        rows = run_sweep(cfg, workers=args.workers, seed=args.seed)
+    except XpharqError as exc:
+        print(f"xpharq sweep: error: {exc}", file=sys.stderr)
+        return 1
     if args.out == "-":
         write_csv(rows, sys.stdout)
     else:
@@ -319,9 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_point_args(p, methods, default_method):
+    def add_point_args(quantity, help):
+        p = sub.add_parser(quantity, help=help)
+        methods = tuple(m for q, m in METHODS if q == quantity)
         p.add_argument("--scheme", choices=("xp", "inr"), default="xp")
-        p.add_argument("--method", choices=methods, default=default_method)
+        p.add_argument("--method", choices=methods, default=methods[0])
         p.add_argument("--rates", type=_float_list, required=True,
                        help="per-round rates, comma-separated (bits/channel-use)")
         p.add_argument("--snr-db", type=_float_list, required=True,
@@ -330,13 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None,
                        help="Monte Carlo seed (default: $XPHARQ_SEED, else 0)")
         p.add_argument("--workers", type=_positive_int, default=1)
+        return p
 
-    p_out = sub.add_parser("outage", help="single-point outage probability")
-    add_point_args(p_out, ("exact", "asymptotic", "lower", "upper", "mc", "oracle"), "exact")
+    p_out = add_point_args("outage", "single-point outage probability")
     p_out.add_argument("--tol", type=_positive_float, default=1e-10)
-
-    p_thr = sub.add_parser("throughput", help="single-point throughput")
-    add_point_args(p_thr, ("analytical", "mc"), "analytical")
+    add_point_args("throughput", "single-point throughput")
 
     p_sweep = sub.add_parser("sweep", help="config-driven CSV sweep")
     p_sweep.add_argument("--config", required=True)
@@ -348,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hbar = sub.add_parser("hbar", help="dump the high-SNR coefficient table")
     p_hbar.add_argument("--rates", type=_float_list, required=True)
-    p_hbar.add_argument("--x", type=float, default=1.0)
+    p_hbar.add_argument("--x", type=_positive_float, default=1.0)
 
     sub.add_parser("selftest", help="run oracle cross-checks")
     return parser
@@ -357,10 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "outage":
-        return _cmd_outage(parser, args)
-    if args.command == "throughput":
-        return _cmd_throughput(parser, args)
+    if args.command in ("outage", "throughput"):
+        return _cmd_point(parser, args)
     if args.command == "sweep":
         return _cmd_sweep(parser, args)
     if args.command == "hbar":

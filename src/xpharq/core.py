@@ -31,7 +31,7 @@ __all__ = [
     "RateSchedule",
     "PowerProfile",
     "SnrRealization",
-    "OutageEstimate",
+    "Estimate",
     "mutual_information",
     "xp_success_round",
     "ir_outage_event",
@@ -80,12 +80,16 @@ class RateSchedule:
 
     The cumulative target of round k is R_k^sum = sum_{l<=k} R_l; with all
     R_k > 0 the cumulative sequence is strictly increasing automatically.
+    The total R_K^sum must stay below 1024: 2^1024 overflows a double.
     """
 
     rates: tuple[float, ...]
 
     def __init__(self, rates: Sequence[float]):
-        object.__setattr__(self, "rates", _as_positive_tuple(rates, "rates"))
+        out = _as_positive_tuple(rates, "rates")
+        if sum(out) >= 1024.0:
+            raise ValueError(f"the total rate must be below 1024, got {sum(out)!r}")
+        object.__setattr__(self, "rates", out)
 
     @property
     def K(self) -> int:
@@ -151,16 +155,19 @@ class SnrRealization:
 
 
 @dataclass(frozen=True)
-class OutageEstimate:
-    """A probability with a method tag and an uncertainty.
+class Estimate:
+    """An outage probability or throughput with a method tag and an uncertainty.
 
-    ``uncertainty`` is a quadrature error bound for deterministic methods
-    and a 95% confidence half-width for Monte Carlo.
+    ``uncertainty`` is a numerical error bound for deterministic methods (0
+    where none is computed) and a 95% confidence half-width for Monte
+    Carlo.  ``chain`` is the outage chain P_1..P_K behind an analytical
+    throughput, and empty otherwise.
     """
 
     value: float
     method: str
     uncertainty: float
+    chain: tuple[float, ...] = ()
 
 
 def mutual_information(snr: float) -> float:

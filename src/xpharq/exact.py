@@ -35,7 +35,7 @@ from scipy.special import gamma as _complex_gamma
 
 from .core import (
     ConvergenceError,
-    OutageEstimate,
+    Estimate,
     PowerProfile,
     RateSchedule,
     clamp_probability,
@@ -94,7 +94,7 @@ def outage_k2_exact(
     rates: RateSchedule,
     powers: PowerProfile,
     tol: float = 1e-10,
-) -> OutageEstimate:
+) -> Estimate:
     """Two-round XP outage probability from the closed form.
 
     Assembles the four terms of the closed form; exponential differences go
@@ -125,7 +125,7 @@ def outage_k2_exact(
     raw = t1 + t23 - phi.value
     value = clamp_probability(raw, tol, "two-round outage")
     uncertainty = phi.abs_error_estimate + 4e-16 * (abs(t1) + t23 + phi.value)
-    return OutageEstimate(value, "k2-exact", uncertainty)
+    return Estimate(value, "k2-exact", uncertainty)
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def outage_k2_via_foxh(
     rates: RateSchedule,
     powers: PowerProfile,
     tol: float = 1e-9,
-) -> OutageEstimate:
+) -> Estimate:
     """Two-round outage with phi taken from the contour path.
 
     Same term assembly as outage_k2_exact but the integral term comes from
@@ -319,4 +319,4 @@ def outage_k2_via_foxh(
     t23 = math.exp(-a2) * -math.expm1(-gap)
     raw = t1 + t23 - phi_foxh(r1, r2, g1, g2)
     value = clamp_probability(raw, tol, "two-round outage (contour phi)")
-    return OutageEstimate(value, "k2-foxh", tol)
+    return Estimate(value, "k2-foxh", tol)

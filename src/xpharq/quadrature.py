@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import (
     ConvergenceError,
-    OutageEstimate,
+    Estimate,
     PowerProfile,
     RateSchedule,
     clamp_probability,
@@ -192,7 +192,7 @@ def xp_outage_quadrature(
     powers: PowerProfile,
     tol: float = 1e-10,
     rel_tol: float = 1e-9,
-) -> OutageEstimate:
+) -> Estimate:
     """Exact XP outage probability by nested adaptive quadrature (K <= 4).
 
     Integrates the transformed joint density over the outage region
@@ -210,7 +210,7 @@ def xp_outage_quadrature(
 
     if K == 1:
         p = -math.expm1(-(thresholds[0] - 1.0) / gbars[0])
-        return OutageEstimate(p, "xp-quadrature", 1e-16)
+        return Estimate(p, "xp-quadrature", 1e-16)
 
     def innermost(x: np.ndarray) -> np.ndarray:
         # integral over x_K of its conditional density, times x_{K-1}
@@ -244,7 +244,7 @@ def xp_outage_quadrature(
     # Inner levels contribute at most ~tol/9 on top of the outer estimate.
     uncertainty = tol + rel_tol * abs(top)
     p = clamp_probability(top, max(100.0 * tol, 1e-9), "xp outage (quadrature)")
-    return OutageEstimate(p, "xp-quadrature", uncertainty)
+    return Estimate(p, "xp-quadrature", uncertainty)
 
 
 def hbar_quadrature(

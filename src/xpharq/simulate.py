@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutageEstimate, PowerProfile, RateSchedule
+from .core import Estimate, PowerProfile, RateSchedule
 
 __all__ = [
     "SimConfig",
     "SimSummary",
-    "ThroughputEstimate",
     "sample_snr",
     "estimate_outage",
     "estimate_throughput",
@@ -93,13 +92,6 @@ class SimSummary:
             delivered_rate_total=self.delivered_rate_total + other.delivered_rate_total,
             slots_total=self.slots_total + other.slots_total,
         )
-
-
-@dataclass(frozen=True)
-class ThroughputEstimate:
-    value: float
-    uncertainty: float
-    method: str
 
 
 def sample_snr(snr_bar: float, rng: np.random.Generator) -> float:
@@ -176,7 +168,7 @@ def _scheme_vectors(cfg: SimConfig, purpose: str) -> tuple[np.ndarray, np.ndarra
     return np.full_like(cums, r1), np.full_like(cums, r1)
 
 
-def estimate_outage(cfg: SimConfig) -> OutageEstimate:
+def estimate_outage(cfg: SimConfig) -> Estimate:
     """Monte Carlo outage probability with a 95% binomial CI half-width.
 
     For scheme "inr" the estimated event is the information total falling
@@ -187,10 +179,10 @@ def estimate_outage(cfg: SimConfig) -> OutageEstimate:
     summary = _simulate(cfg, thresholds, rewards)
     p = summary.outage_count / summary.trials
     ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / summary.trials)
-    return OutageEstimate(p, f"mc-{cfg.scheme}", ci)
+    return Estimate(p, f"mc-{cfg.scheme}", ci)
 
 
-def estimate_throughput(cfg: SimConfig) -> ThroughputEstimate:
+def estimate_throughput(cfg: SimConfig) -> Estimate:
     """Renewal-reward throughput estimate with a delta-method 95% CI.
 
     Per-cycle reward and slot count are deterministic functions of the
@@ -208,7 +200,7 @@ def estimate_throughput(cfg: SimConfig) -> ThroughputEstimate:
     for k, count in enumerate(summary.success_at_round, start=1):
         sq += count * (float(rewards[k - 1]) - eta * k) ** 2
     var_eta = sq / n / (n * mean_slots ** 2)
-    return ThroughputEstimate(eta, 1.96 * math.sqrt(var_eta), f"mc-{cfg.scheme}")
+    return Estimate(eta, f"mc-{cfg.scheme}", 1.96 * math.sqrt(var_eta))
 
 
 def throughput_analytical(

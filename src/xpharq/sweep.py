@@ -1,4 +1,10 @@
-"""Config-driven parameter sweeps with deterministic CSV output.
+"""The method table, and config-driven parameter sweeps with deterministic
+CSV output.
+
+``METHODS`` maps each (quantity, method) to the schemes and round counts
+it supports and the function that computes it.  ``evaluate`` runs one
+entry and ``method_error`` explains why an entry cannot run; the CLI point
+queries, the sweep rows and the config checks all read these rules.
 
 Configs are flat UTF-8 ``key = value`` lines; ``#`` lines are comments and
 lists are comma-separated.  Two sweep axes exist: ``snr_db`` (every round's
@@ -17,15 +23,19 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO, Union
 
 from .asymptotic import outage_asymptotic_general
 from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, xp_outage, xp_outage_chain
-from .core import PowerProfile, RateSchedule, XpharqError
+from .core import Estimate, PowerProfile, RateSchedule, XpharqError
 from .exact import outage_k1, outage_k2_exact
 from .simulate import SimConfig, estimate_outage, estimate_throughput, throughput_analytical
 
 __all__ = [
+    "Method",
+    "METHODS",
+    "evaluate",
+    "method_error",
     "SweepConfig",
     "ConfigError",
     "parse_config",
@@ -39,9 +49,79 @@ __all__ = [
 
 CSV_HEADER = ("snr_db", "K", "R_csv", "scheme", "method", "value", "uncertainty", "seed")
 
-_OUTAGE_METHODS = ("exact", "asymptotic", "lower", "upper", "mc", "oracle")
-_THROUGHPUT_METHODS = ("analytical", "mc")
-_INR_OUTAGE_METHODS = ("upper", "mc")
+
+@dataclass(frozen=True)
+class Method:
+    """One way to compute a quantity, and the schemes and round counts K it covers.
+
+    ``compute(rates, powers, scheme, tol, sim)`` returns an ``Estimate``, or
+    a bare float that ``evaluate`` reports with uncertainty 0; ``sim`` is
+    the Monte Carlo config for the ``mc`` entries and None otherwise.
+    """
+
+    schemes: tuple[str, ...]
+    compute: Callable[..., Union[Estimate, float]]
+    k_min: int = 1
+    k_max: float = math.inf
+
+
+def _exact(rates, powers, scheme, tol, sim):
+    if rates.K == 1:
+        return outage_k1(rates.rates[0], powers.snr_bars[0])
+    return outage_k2_exact(rates, powers, tol)
+
+
+def _analytical_throughput(rates, powers, scheme, tol, sim):
+    chain = tuple((xp_outage_chain if scheme == "xp" else ir_outage_chain)(rates, powers))
+    value = throughput_analytical(scheme, rates, powers, chain)
+    return Estimate(value, f"analytical-{scheme}", 0.0, chain)
+
+
+_XP, _BOTH = ("xp",), ("xp", "inr")
+# Insertion order is the order of the CLI --method choices; the first is the default.
+METHODS = {
+    ("outage", "exact"): Method(_XP, _exact, k_max=2),
+    ("outage", "asymptotic"): Method(
+        _XP, lambda r, p, *_: outage_asymptotic_general(r, p), k_min=2
+    ),
+    ("outage", "lower"): Method(_XP, lambda r, p, *_: outage_lower(r, p)),
+    ("outage", "upper"): Method(_BOTH, lambda r, p, *_: outage_upper_ir(r, p)),
+    ("outage", "mc"): Method(_BOTH, lambda r, p, s, tol, sim: estimate_outage(sim)),
+    ("outage", "oracle"): Method(_XP, lambda r, p, s, tol, sim: xp_outage(r, p, tol)),
+    ("throughput", "analytical"): Method(_BOTH, _analytical_throughput),
+    ("throughput", "mc"): Method(_BOTH, lambda r, p, s, tol, sim: estimate_throughput(sim)),
+}
+
+
+def method_error(quantity: str, scheme: str, method: str, k_rounds: int) -> Optional[str]:
+    """Why ``METHODS[quantity, method]`` cannot run for this scheme and K, or None."""
+    entry = METHODS.get((quantity, method))
+    if entry is None:
+        return f"method {method!r} invalid for quantity {quantity!r}"
+    if scheme not in entry.schemes:
+        return f"method {method} supports scheme {' and '.join(entry.schemes)}, not {scheme!r}"
+    if k_rounds < entry.k_min:
+        return f"method {method} needs K >= {entry.k_min}, got K={k_rounds}"
+    if k_rounds > entry.k_max:
+        return f"method {method} supports K <= {entry.k_max}, got K={k_rounds}"
+    return None
+
+
+def evaluate(quantity: str, scheme: str, method: str, rates: RateSchedule,
+             powers: PowerProfile, tol: float = 1e-10, trials: int = 100_000,
+             seed: int = 0, workers: int = 1) -> Estimate:
+    """Compute ``quantity`` at one point by one table entry.
+
+    ``tol`` reaches the ``exact`` and ``oracle`` outage entries; ``trials``,
+    ``seed`` and ``workers`` reach the ``mc`` entries.  Raises ValueError
+    for an entry that cannot run (see ``method_error``).
+    """
+    error = method_error(quantity, scheme, method, rates.K)
+    if error is not None:
+        raise ValueError(error)
+    sim = SimConfig(scheme, rates, powers, trials, seed, workers) if method == "mc" else None
+    out = METHODS[quantity, method].compute(rates, powers, scheme, tol, sim)
+    return out if isinstance(out, Estimate) else Estimate(out, method, 0.0)
 
 
 class ConfigError(XpharqError):
@@ -49,7 +129,10 @@ class ConfigError(XpharqError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows a double") from None
 
 
 @dataclass(frozen=True)
@@ -120,35 +203,24 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("values, rates and snr_db must be finite")
     if any(r <= 0 for r in cfg.rates):
         raise ConfigError("rates must be positive")
-    if cfg.axis == "r1":
-        if not cfg.snr_db:
-            raise ConfigError("axis=r1 requires snr_db")
-        if any(v <= 0 for v in cfg.values):
-            raise ConfigError("axis=r1 values are rates and must be positive")
+    if cfg.axis == "r1" and not cfg.snr_db:
+        raise ConfigError("axis=r1 requires snr_db")
     if cfg.snr_db and len(cfg.snr_db) not in (1, k_rounds):
         raise ConfigError(f"snr_db needs 1 or {k_rounds} entries")
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
-    allowed = _OUTAGE_METHODS if cfg.quantity == "outage" else _THROUGHPUT_METHODS
-    for m in cfg.methods:
-        if m not in allowed:
-            raise ConfigError(f"method {m!r} invalid for quantity {cfg.quantity!r}")
-    for s in cfg.schemes:
-        if s not in ("xp", "inr"):
-            raise ConfigError(f"scheme must be xp or inr, got {s!r}")
-        if s == "inr" and cfg.quantity == "outage":
-            bad = [m for m in cfg.methods if m not in _INR_OUTAGE_METHODS]
-            if bad:
-                raise ConfigError(
-                    f"methods {bad} are XP-only; with scheme inr use {_INR_OUTAGE_METHODS}"
-                )
-    if cfg.quantity == "outage":
-        if "exact" in cfg.methods and k_rounds > 2:
-            raise ConfigError("method exact supports K <= 2")
-        if "asymptotic" in cfg.methods and k_rounds < 2:
-            raise ConfigError("method asymptotic needs K >= 2")
+    for scheme in cfg.schemes:
+        for method in cfg.methods:
+            error = method_error(cfg.quantity, scheme, method, k_rounds)
+            if error is not None:
+                raise ConfigError(error)
+    for axis_value in cfg.values:
+        try:
+            _row_params(cfg, axis_value)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.axis} = {axis_value!r}: {exc}") from None
 
 
 def emit_config(cfg: SweepConfig) -> str:
@@ -196,55 +268,17 @@ def _row_params(cfg: SweepConfig, axis_value: float):
 def _compute_row(args: tuple[SweepConfig, float, str, str]) -> SweepRow:
     cfg, axis_value, scheme, method = args
     rates, powers, column_db = _row_params(cfg, axis_value)
-    if cfg.quantity == "outage":
-        value, unc = _outage_value(cfg, scheme, method, rates, powers)
-    else:
-        value, unc = _throughput_value(cfg, scheme, method, rates, powers)
+    est = evaluate(cfg.quantity, scheme, method, rates, powers, trials=cfg.trials, seed=cfg.seed)
     return SweepRow(
         snr_db=column_db,
         K=rates.K,
         rates=rates.rates,
         scheme=scheme,
         method=method,
-        value=value,
-        uncertainty=unc,
+        value=est.value,
+        uncertainty=est.uncertainty,
         seed=cfg.seed,
     )
-
-
-def _outage_value(cfg, scheme, method, rates, powers):
-    if method == "exact":
-        if rates.K == 1:
-            return outage_k1(rates.rates[0], powers.snr_bars[0]), 0.0
-        est = outage_k2_exact(rates, powers)
-        return est.value, est.uncertainty
-    if method == "asymptotic":
-        return outage_asymptotic_general(rates, powers), 0.0
-    if method == "lower":
-        return outage_lower(rates, powers), 0.0
-    if method == "upper":
-        est = outage_upper_ir(rates, powers)
-        return est.value, est.uncertainty
-    if method == "oracle":
-        est = xp_outage(rates, powers)
-        return est.value, est.uncertainty
-    est = estimate_outage(
-        SimConfig(scheme=scheme, rates=rates, powers=powers, trials=cfg.trials, seed=cfg.seed)
-    )
-    return est.value, est.uncertainty
-
-
-def _throughput_value(cfg, scheme, method, rates, powers):
-    if method == "analytical":
-        if scheme == "xp":
-            chain = xp_outage_chain(rates, powers)
-        else:
-            chain = ir_outage_chain(rates, powers)
-        return throughput_analytical(scheme, rates, powers, chain), 0.0
-    est = estimate_throughput(
-        SimConfig(scheme=scheme, rates=rates, powers=powers, trials=cfg.trials, seed=cfg.seed)
-    )
-    return est.value, est.uncertainty
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) -> list[SweepRow]:

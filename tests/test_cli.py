@@ -1,18 +1,22 @@
 """Command-line interface and sweep configuration round trips."""
 
+import csv
 import filecmp
+import io
 import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from xpharq import (
     ConfigError,
+    ConvergenceError,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -27,6 +31,7 @@ from xpharq import (
     xp_outage_chain,
 )
 from xpharq.cli import main
+from xpharq.sweep import METHODS
 
 
 def _field(output: str, name: str) -> str:
@@ -93,6 +98,11 @@ def test_usage_errors_exit_two(monkeypatch):
         ["outage", "--rates", "1,1", "--snr-db", "nan"],
         ["outage", "--rates", "1,1", "--snr-db", "inf"],
         ["sweep", "--config", "unused.cfg", "--seed", "-1"],
+        ["outage", "--rates", "5000,1", "--snr-db", "10", "--method", "lower"],
+        ["outage", "--rates", "1100,1", "--snr-db", "10", "--method", "oracle"],
+        ["outage", "--rates", "1", "--snr-db", "10", "--method", "asymptotic"],
+        ["hbar", "--rates", "1,1", "--x", "-1"],
+        ["hbar", "--rates", "1,1", "--x", "nan"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -301,6 +311,19 @@ def test_config_rejects_incompatible_combinations():
         parse_config(_SWEEP_CONFIG.replace("schemes = xp", "schemes = inr"))
     with pytest.raises(ConfigError):
         parse_config(_SWEEP_CONFIG.replace("values = 0,5,10", "values = 0,nan"))
+    with pytest.raises(ConfigError):
+        # the asymptote needs two rounds
+        parse_config(_SWEEP_CONFIG.replace("rates = 1,1", "rates = 1")
+                     .replace("methods = exact,mc", "methods = asymptotic"))
+    r1_axis = _SWEEP_CONFIG.replace("axis = snr_db", "axis = r1")
+    for bad in (
+        # points whose SNR or 2^{R_K^sum} overflows a double
+        _SWEEP_CONFIG.replace("values = 0,5,10", "values = 4000"),
+        r1_axis.replace("values = 0,5,10", "values = 1\nsnr_db = 4000"),
+        r1_axis.replace("values = 0,5,10", "values = 5000\nsnr_db = 10"),
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(bad)
 
 
 @pytest.mark.parametrize("k_rounds", [5, 8])
@@ -325,6 +348,42 @@ def test_recursion_methods_have_no_round_cap(capsys, k_rounds):
     assert cfg.methods == ("oracle", "upper")
 
 
+@pytest.mark.parametrize(
+    "quantity,method,scheme",
+    [(q, m, s) for (q, m), entry in METHODS.items() for s in entry.schemes],
+)
+def test_cli_and_sweep_agree_on_every_method(tmp_path, capsys, quantity, method, scheme):
+    assert main([quantity, "--scheme", scheme, "--method", method, "--rates", "1,1",
+                 "--snr-db", "10", "--trials", "20000", "--seed", "3"]) == 0
+    value = _field(capsys.readouterr().out, "value")
+    cfg_path = tmp_path / "point.cfg"
+    cfg_path.write_text(
+        f"quantity = {quantity}\naxis = snr_db\nvalues = 10\nrates = 1,1\n"
+        f"methods = {method}\nschemes = {scheme}\ntrials = 20000\nseed = 3\n"
+    )
+    assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["value"] for row in rows] == [value]
+
+
+def test_numerical_failure_is_one_line_exit_one(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("IR outage: passes disagree")
+
+    upper = ("outage", "upper")
+    monkeypatch.setitem(METHODS, upper, replace(METHODS[upper], compute=fail))
+    assert main(["outage", "--rates", "1,1", "--snr-db", "10", "--method", "upper"]) == 1
+    cfg_path = tmp_path / "upper.cfg"
+    cfg_path.write_text(_SWEEP_CONFIG.replace("methods = exact,mc", "methods = upper"))
+    assert main(["sweep", "--config", str(cfg_path), "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "xpharq outage: error: IR outage: passes disagree\n"
+        "xpharq sweep: error: IR outage: passes disagree\n"
+    )
+
+
 def test_sweep_csv_deterministic_across_workers(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(_SWEEP_CONFIG)
@@ -339,8 +398,6 @@ def test_sweep_csv_deterministic_across_workers(tmp_path):
 
 
 def test_sweep_rows_match_direct_evaluation(tmp_path):
-    import csv
-
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(_SWEEP_CONFIG)
     out = tmp_path / "rows.csv"
@@ -358,8 +415,6 @@ def test_sweep_rows_match_direct_evaluation(tmp_path):
 
 
 def test_sweep_seed_override_changes_only_mc_rows(tmp_path):
-    import csv
-
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(_SWEEP_CONFIG)
     base, reseeded = tmp_path / "base.csv", tmp_path / "reseeded.csv"
@@ -379,8 +434,6 @@ def test_sweep_seed_override_changes_only_mc_rows(tmp_path):
 
 
 def test_sweep_r1_axis(tmp_path):
-    import csv
-
     text = (
         "quantity = throughput\naxis = r1\nvalues = 0.5,1.5\nrates = 1,2\n"
         "methods = analytical\nschemes = xp,inr\nsnr_db = 10\n"

@@ -57,6 +57,12 @@ def test_rate_schedule_validation():
         RateSchedule((1.0, -2.0))
     with pytest.raises(ValueError):
         RateSchedule((float("nan"),))
+    # 2^{R_K^sum} overflows a double from a total rate of 1024 on
+    with pytest.raises(ValueError, match="1024"):
+        RateSchedule((1000.0, 24.0))
+    with pytest.raises(ValueError, match="1024"):
+        RateSchedule((5000.0, 1.0))
+    assert RateSchedule((600.0, 400.0)).cumulative(2) == 1000.0
 
 
 def test_power_profile_validation_and_prefix():
