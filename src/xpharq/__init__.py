@@ -27,14 +27,13 @@ from .quadrature import (
     xp_outage_quadrature,
 )
 from .exact import (
-    FoxHParams11,
     foxh_h11_incomplete,
+    incomplete_gamma_difference,
     outage_k1,
     outage_k2_exact,
     outage_k2_via_foxh,
     phi_foxh,
     phi_quadrature,
-    upper_incomplete_gamma_complex,
 )
 from .asymptotic import (
     HbarTable,

@@ -21,7 +21,8 @@ import time
 from .asymptotic import build_hbar_table, hbar_eval
 from .bounds import outage_lower, outage_upper_ir, xp_outage
 from .core import PowerProfile, RateSchedule, XpharqError
-from .exact import outage_k2_exact, outage_k2_via_foxh, upper_incomplete_gamma_complex
+from .exact import (foxh_h11_incomplete, incomplete_gamma_difference, outage_k2_exact,
+                    outage_k2_via_foxh)
 from .quadrature import hbar_quadrature
 from .simulate import SimConfig, estimate_outage
 from .sweep import (METHODS, ConfigError, db_to_linear, emit_gnuplot, evaluate, method_error,
@@ -113,6 +114,12 @@ def _cmd_point(parser, args) -> int:
                 "use the asymptotic or quadrature methods here",
                 file=sys.stderr,
             )
+    if args.method == "asymptotic" and est.value >= 1.0:
+        print(
+            f"warning: the asymptote {_fmt(est.value)} is not a probability; it holds only in "
+            "the high-SNR regime — use the exact, oracle or bound methods here",
+            file=sys.stderr,
+        )
     elapsed = time.perf_counter() - start
     chain = " chain=" + ",".join(_fmt(p) for p in est.chain) if est.chain else ""
     print(
@@ -175,8 +182,6 @@ def _cmd_hbar(parser, args) -> int:
 def _cmd_selftest(parser, args) -> int:
     from scipy.special import kv
 
-    from .exact import FoxHParams11, foxh_h11_incomplete
-
     failures = 0
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -187,16 +192,16 @@ def _cmd_selftest(parser, args) -> int:
             failures += 1
             print(f"FAIL {name}: {detail}")
 
-    g = upper_incomplete_gamma_complex(1.0, 0.7)
-    ref = math.exp(-0.7)
+    g = incomplete_gamma_difference(0.0, 0.7, 1.4)
+    ref = math.exp(-0.7) - math.exp(-1.4)
     check(
         "incomplete-gamma-exponential",
         abs(g.real - ref) <= 1e-12 * ref and abs(g.imag) <= 1e-13,
-        f"Gamma(1, 0.7) = {g.real!r} vs e^-0.7 = {ref!r}",
+        f"Gamma(1, 0.7) - Gamma(1, 1.4) = {g.real!r} vs e^-0.7 - e^-1.4 = {ref!r}",
     )
 
     z = 1.0
-    h = foxh_h11_incomplete(FoxHParams11(z=z, b=0.0))
+    h = foxh_h11_incomplete(z)
     bessel = 2.0 * math.sqrt(z) * float(kv(1, 2.0 * math.sqrt(z)))
     check(
         "contour-bessel-degenerate",

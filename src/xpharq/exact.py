@@ -20,15 +20,18 @@ representation
     z = 2^{R1+R2}/(g1 g2),  b1 = 2^{R2}/g2,  b2 = 2^{R1+R2}/g2,
 
 i.e. a difference of two upper-incomplete variants of the H^{1,1}_{1,1}
-function.  The contour path exists as a cross-check, not the default: the
-finite-interval integrand is smooth and carries no truncation-parameter
-risk.
+function.  The kernel difference is the finite integral
+int_{b1}^{b2} t^s e^{-t} dt (``incomplete_gamma_difference``), taken by
+Gauss-Legendre panels in ln t for every contour node in one call; the
+contour is a trapezoid along Re(s) = 1/2.  With b = 0 the kernel is the
+complete Gamma(s+1) (``foxh_h11_incomplete``).  The contour path exists as
+a cross-check, not the default: the finite-interval integrand is smooth
+and carries no truncation-parameter risk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _complex_gamma
@@ -47,13 +50,30 @@ __all__ = [
     "phi_quadrature",
     "outage_k2_exact",
     "outage_k2_via_foxh",
-    "FoxHParams11",
-    "upper_incomplete_gamma_complex",
+    "incomplete_gamma_difference",
     "foxh_h11_incomplete",
     "phi_foxh",
 ]
 
 _LN2 = math.log(2.0)
+
+# Mellin-Barnes contour: the line Re(s) = _CONTOUR_C, truncated where
+# |Gamma(s)| ~ e^{-pi |Im s| / 2} is negligible, and its first node count
+_CONTOUR_C = 0.5
+_CONTOUR_HALFSPAN = 60.0
+_CONTOUR_NODES = 257
+
+# Kernel panels: a 32-point Gauss-Legendre rule on [0, 1]; the first pass
+# gives each panel 64 radians of the phase of t^{i Im s}, half a node per
+# radian, the coarsest count Gauss-Legendre can resolve, and doubles at
+# most _KERNEL_DOUBLINGS times from there.
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(32)
+_PANEL_X = (_PANEL_X + 1.0) / 2.0
+_PANEL_W = _PANEL_W / 2.0
+_PANEL_PHASE = 64.0
+_KERNEL_DOUBLINGS = 6
+# e^{-t} underflows to zero beyond this t
+_T_UNDERFLOW = -math.log(math.ulp(0.0))
 
 
 def outage_k1(r1: float, snr_bar: float) -> float:
@@ -128,129 +148,89 @@ def outage_k2_exact(
     return Estimate(value, "k2-exact", uncertainty)
 
 
-@dataclass(frozen=True)
-class FoxHParams11:
-    """Parameters of one upper-incomplete H^{1,1}_{1,1} contour evaluation.
+def incomplete_gamma_difference(s, b1: float, b2: float):
+    """Gamma(s+1, b1) - Gamma(s+1, b2) = int_{b1}^{b2} t^s e^{-t} dt for complex s.
 
-    Represents (1/2 pi i) int Gamma(s) Gamma(s+1, b) z^{-s} ds along the
-    vertical line Re(s) = contour_c truncated at +- contour_halfspan,
-    starting from ``nodes`` quadrature nodes on the half-line.
+    Accepts a scalar or an array of orders (the Mellin contour passes all
+    its nodes in one call); b2 may be inf.  With t = b1 e^u the integral is
+    b1^{s+1} e^{-b1} int_0^W e^{(s+1)u - b1 (e^u - 1)} du, W = ln(b2/b1),
+    with b2 clipped where e^{-t} underflows.  Gauss-Legendre panels on
+    [0, W] start from the oscillation count max |Im s| W of t^s and double
+    until two passes agree to 1e-13 relative, or to 2e-12 of the
+    integrand's L1 scale where rounding noise dominates.
     """
+    s_arr = np.asarray(s, dtype=complex)
+    if not 0.0 < b1 <= b2:
+        raise ValueError("need 0 < b1 <= b2")
+    hi = min(b2, _T_UNDERFLOW)
+    a = s_arr.reshape(-1) + 1.0
+    if b1 >= hi:
+        out = np.zeros(s_arr.shape, dtype=complex)
+        return out if out.ndim else complex(out)
+    width = math.log(hi / b1)
+    re, which = np.unique(a.real, return_inverse=True)
 
-    z: float
-    b: float
-    contour_c: float = 0.5
-    contour_halfspan: float = 60.0
-    nodes: int = 257
+    def passes(panels: int) -> tuple[np.ndarray, np.ndarray]:
+        h = width / panels
+        u = ((np.arange(panels)[:, None] + _PANEL_X) * h).ravel()
+        w = np.tile(_PANEL_W * h, panels)
+        decay = b1 * np.expm1(u)
+        terms = np.multiply.outer(a, u)
+        terms -= decay
+        vals = np.exp(terms, out=terms) @ w
+        # L1 scale per distinct Re(s): the rounding noise of a pass is a
+        # few eps of it, so it sets the absolute floor of the test
+        l1 = np.exp(np.multiply.outer(re, u) - decay) @ w
+        return vals, l1[which]
 
-    def __post_init__(self):
-        if self.z <= 0.0:
-            raise ValueError("z must be positive")
-        if self.b < 0.0:
-            raise ValueError("b must be nonnegative")
-        if self.contour_c <= 0.0:
-            raise ValueError("contour_c must be positive")
-        if self.contour_halfspan <= 0.0:
-            raise ValueError("contour_halfspan must be positive")
-        if self.nodes < 64:
-            raise ValueError("need at least 64 contour nodes")
-
-
-def upper_incomplete_gamma_complex(a, b: float):
-    """Gamma(a, b) = int_b^inf t^{a-1} e^{-t} dt for complex order a.
-
-    Accepts a scalar or array of orders (the Mellin contour is evaluated in
-    one vectorized call).  Computed by trapezoid integration along the ray
-    t = b + e^u, refined by halving the step until two passes agree to
-    1e-13 relative (or to the rounding-noise floor of the integrand's L1
-    scale, whichever is larger); the exponential substitution keeps
-    accuracy uniform in Im(a), where continued-fraction schemes degrade.
-
-    For b = 0 the integral is the complete Gamma and requires Re(a) > 0.
-    """
-    a_arr = np.atleast_1d(np.asarray(a, dtype=complex))
-    if b < 0.0:
-        raise ValueError("b must be nonnegative")
-    re_min = float(a_arr.real.min())
-    if b == 0.0 and re_min <= 0.0:
-        raise ValueError("b = 0 requires Re(a) > 0")
-
-    u_hi = 4.2
-    u_lo = -46.0
-    if b == 0.0 and re_min < 0.75:
-        # tail mass below u_lo scales like e^{Re(a) u_lo}
-        u_lo = -34.0 / re_min
-
-    def passes(n: int) -> tuple[np.ndarray, np.ndarray]:
-        u = np.linspace(u_lo, u_hi, n)
-        h = u[1] - u[0]
-        t = b + np.exp(u)
-        log_t = np.log(t)
-        w = np.exp(u - t)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        out = np.empty(a_arr.shape, dtype=complex)
-        step = max(1, int(2e6 // n))
-        for i in range(0, a_arr.size, step):
-            block = a_arr[i : i + step] - 1.0
-            # pairwise .sum keeps roundoff near eps*log(n), well below
-            # the sequential-accumulation noise a BLAS dot would add
-            out[i : i + step] = (np.exp(np.multiply.outer(block, log_t)) * w).sum(axis=-1)
-        # L1 scale of the integrand per distinct Re(a): per-term rounding
-        # noise wanders around eps*sqrt(n) of this scale between passes,
-        # so it sets the absolute floor of the convergence test.
-        l1 = np.empty(a_arr.shape, dtype=float)
-        for re in np.unique(a_arr.real):
-            l1[a_arr.real == re] = float((np.exp((re - 1.0) * log_t) * w).sum())
-        return h * out, h * l1
-
-    n = int(math.ceil((u_hi - u_lo) / 0.04)) + 1
-    prev, _ = passes(n)
-    for _ in range(3):
-        n = 2 * n - 1
-        cur, l1 = passes(n)
-        bound = np.maximum(1e-13 * np.abs(cur), 2e-12 * l1)
-        worst = float(np.max(np.abs(cur - prev) - bound))
-        if worst <= 0.0:
-            if np.isscalar(a) or np.ndim(a) == 0:
-                return complex(cur[0])
-            return cur
+    scale = np.exp(a * math.log(b1) - b1)  # b1^{s+1} e^{-b1}
+    panels = max(1, math.ceil(float(np.abs(a.imag).max()) * width / _PANEL_PHASE))
+    prev, _ = passes(panels)
+    for _ in range(_KERNEL_DOUBLINGS):
+        panels *= 2
+        cur, l1 = passes(panels)
+        excess = np.abs(cur - prev) - np.maximum(1e-13 * np.abs(cur), 2e-12 * l1)
+        if np.all(excess <= 0.0):
+            break
         prev = cur
-    raise ConvergenceError(
-        f"incomplete gamma ray integration stalled at {n} nodes "
-        f"(b={b}, {a_arr.size} orders, worst tolerance excess {worst:.3e})",
-        best_estimate=cur,
-    )
+    else:
+        raise ConvergenceError(
+            f"incomplete gamma difference not converged at {panels} panels "
+            f"(b1={b1}, b2={b2}, worst tolerance excess {float(excess.max()):.3e})",
+            best_estimate=scale * cur,
+        )
+    out = (scale * cur).reshape(s_arr.shape)
+    return out if out.ndim else complex(out)
 
 
-def _mellin_contour(z: float, b1: float, b2, c: float, halfspan: float, nodes: int) -> float:
-    """(1/2 pi i) int Gamma(s) [Gamma(s+1,b1) - Gamma(s+1,b2)] z^{-s} ds.
+def _mellin_contour(z: float, kernel) -> tuple[float, float, int]:
+    """(1/2 pi i) int Gamma(s) kernel(s) z^{-s} ds along Re(s) = 1/2.
 
-    Pass b2 = None for a single-term integral.  Uses conjugate symmetry to
-    fold the contour onto tau >= 0 and refines the trapezoid until two
-    successive node counts agree to 1e-8; step-halving on this analytic
-    integrand converges spectrally, so the stopping gap vastly overstates
-    the final error.
+    Returns the value, the gap between the last two passes and the number
+    of contour nodes evaluated.  Uses conjugate symmetry to fold the
+    contour onto tau >= 0 and refines the trapezoid until two successive
+    node counts agree to 1e-8; step-halving on this analytic integrand
+    converges spectrally, so the stopping gap vastly overstates the final
+    error.
     """
     log_z = math.log(z)
 
     def pass_value(n: int) -> float:
-        tau = np.linspace(0.0, halfspan, n)
-        s = c + 1j * tau
-        kernel = upper_incomplete_gamma_complex(s + 1.0, b1)
-        if b2 is not None:
-            kernel = kernel - upper_incomplete_gamma_complex(s + 1.0, b2)
-        vals = (_complex_gamma(s) * kernel * np.exp(-s * log_z)).real
+        tau = np.linspace(0.0, _CONTOUR_HALFSPAN, n)
+        s = _CONTOUR_C + 1j * tau
+        vals = (_complex_gamma(s) * kernel(s) * np.exp(-s * log_z)).real
         h = tau[1] - tau[0]
         return float((np.sum(vals) - 0.5 * (vals[0] + vals[-1])) * h / math.pi)
 
-    n = nodes
+    n = _CONTOUR_NODES
+    evaluations = n
     prev = pass_value(n)
     for _ in range(4):
         n = 2 * n - 1
+        evaluations += n
         cur = pass_value(n)
         if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
-            return cur
+            return cur, abs(cur - prev), evaluations
         prev = cur
     raise ConvergenceError(
         f"Mellin-Barnes contour not converged at {n} nodes (last {cur})",
@@ -259,31 +239,25 @@ def _mellin_contour(z: float, b1: float, b2, c: float, halfspan: float, nodes: i
     )
 
 
-def foxh_h11_incomplete(params: FoxHParams11) -> float:
-    """One upper-incomplete H^{1,1}_{1,1} term by contour integration.
+def foxh_h11_incomplete(z: float) -> float:
+    """(1/2 pi i) int Gamma(s) Gamma(s+1) z^{-s} ds by contour integration.
 
-    With b = 0 the kernel degenerates to Gamma(s)Gamma(s+1) and the value
-    equals 2 sqrt(z) K_1(2 sqrt(z)); the test suite pins that identity.
+    The H^{1,1}_{1,1} term with the incomplete kernel at b = 0, where it is
+    the complete Gamma(s+1); the value equals 2 sqrt(z) K_1(2 sqrt(z)), an
+    identity the test suite pins.
     """
-    return _mellin_contour(
-        params.z, params.b, None, params.contour_c, params.contour_halfspan, params.nodes
-    )
+    if not z > 0.0:
+        raise ValueError("z must be positive")
+    return _mellin_contour(z, lambda s: _complex_gamma(s + 1.0))[0]
 
 
-def phi_foxh(
-    r1: float,
-    r2: float,
-    snr_bar1: float,
-    snr_bar2: float,
-    contour_c: float = 0.5,
-    contour_halfspan: float = 60.0,
-    nodes: int = 257,
-) -> float:
+def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> IntegrationResult:
     """phi via its Mellin-Barnes / incomplete-H representation.
 
     Independent of phi_quadrature: same quantity, different machinery.  The
     two incomplete-gamma kernels are differenced inside one contour
-    integral so their common bulk cancels before integration.
+    integral as int_{b1}^{b2} t^s e^{-t} dt, so their common bulk never
+    forms.  The error estimate is the gap of the last contour refinement.
     """
     if min(r1, r2, snr_bar1, snr_bar2) <= 0.0:
         raise ValueError("rates and average SNRs must be positive")
@@ -291,10 +265,9 @@ def phi_foxh(
     z = big_z / (snr_bar1 * snr_bar2)
     b1 = (2.0 ** r2) / snr_bar2
     b2 = big_z / snr_bar2
-    # validate contour parameters through the params type
-    FoxHParams11(z=z, b=b1, contour_c=contour_c, contour_halfspan=contour_halfspan, nodes=nodes)
-    mb = _mellin_contour(z, b1, b2, contour_c, contour_halfspan, nodes)
-    return math.exp(1.0 / snr_bar1 + 1.0 / snr_bar2) * mb
+    mb, gap, evaluations = _mellin_contour(z, lambda s: incomplete_gamma_difference(s, b1, b2))
+    scale = math.exp(1.0 / snr_bar1 + 1.0 / snr_bar2)
+    return IntegrationResult(scale * mb, scale * gap, evaluations)
 
 
 def outage_k2_via_foxh(
@@ -306,7 +279,8 @@ def outage_k2_via_foxh(
 
     Same term assembly as outage_k2_exact but the integral term comes from
     the Mellin-Barnes representation, giving a fully independent route
-    through the closed form.
+    through the closed form.  The uncertainty is the contour's last
+    refinement gap plus the assembly's rounding.
     """
     if rates.K != 2 or powers.K != 2:
         raise ValueError("the closed form covers exactly K = 2")
@@ -317,6 +291,8 @@ def outage_k2_via_foxh(
     t1 = math.expm1(-a1) * math.expm1(-a2)
     gap = (2.0 ** r2) * math.expm1(r1 * _LN2) / g2
     t23 = math.exp(-a2) * -math.expm1(-gap)
-    raw = t1 + t23 - phi_foxh(r1, r2, g1, g2)
+    phi = phi_foxh(r1, r2, g1, g2)
+    raw = t1 + t23 - phi.value
     value = clamp_probability(raw, tol, "two-round outage (contour phi)")
-    return Estimate(value, "k2-foxh", tol)
+    uncertainty = phi.abs_error_estimate + 4e-16 * (abs(t1) + t23 + abs(phi.value))
+    return Estimate(value, "k2-foxh", uncertainty)

@@ -11,10 +11,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import kv
+from scipy.special import exp1, kv
 
 from xpharq import (
-    FoxHParams11,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -25,13 +24,13 @@ from xpharq import (
     foxh_h11_incomplete,
     hbar_eval,
     hbar_quadrature,
+    incomplete_gamma_difference,
     ir_outage_chain,
     outage_k2_exact,
     outage_k2_via_foxh,
     outage_lower,
     outage_upper_ir,
     throughput_analytical,
-    upper_incomplete_gamma_complex,
     xp_outage_chain,
     xp_outage_quadrature,
 )
@@ -200,21 +199,28 @@ def test_criterion_6_throughput_dominance(capsys):
 
 
 def test_criterion_7_special_function_identities(capsys):
+    # kernel int_{b1}^{b2} t^s e^{-t} dt: s = 0 is e^{-b1} - e^{-b2} (101
+    # points off the excluded b1 = 0), s = -1 is E_1(b1) - E_1(b2)
     worst_exp = 0.0
-    for x in np.linspace(0.0, 10.0, 101):
-        got = complex(upper_incomplete_gamma_complex(1.0, float(x))).real
-        worst_exp = max(worst_exp, abs(got - math.exp(-x)) / math.exp(-x))
-    small = complex(upper_incomplete_gamma_complex(0.0, 1e-6)).real
+    for b1 in np.linspace(0.0, 10.0, 101) + 0.1:
+        for b2 in (2.0 * b1, math.inf):
+            got = incomplete_gamma_difference(0.0, float(b1), b2).real
+            want = math.exp(-b1) - math.exp(-b2)
+            worst_exp = max(worst_exp, abs(got - want) / want)
+    e1_want = float(exp1(1e-6) - exp1(1.0))
+    e1_rel = abs(incomplete_gamma_difference(-1.0, 1e-6, 1.0).real - e1_want) / e1_want
+    small = incomplete_gamma_difference(-1.0, 1e-6, math.inf).real
     log_resid = abs((small + math.log(1e-6)) - (-_EULER_GAMMA))
     worst_bessel = 0.0
     for z in (0.25, 1.0, 4.0):
-        got = foxh_h11_incomplete(FoxHParams11(z=z, b=0.0))
+        got = foxh_h11_incomplete(z)
         want = 2.0 * math.sqrt(z) * float(kv(1, 2.0 * math.sqrt(z)))
         worst_bessel = max(worst_bessel, abs(got - want) / want)
-    ok = worst_exp <= 1e-12 and log_resid <= 1e-4 and worst_bessel <= 1e-6
+    ok = worst_exp <= 1e-12 and e1_rel <= 1e-10 and log_resid <= 1e-4 and worst_bessel <= 1e-6
     _report(
         capsys, 7, ok,
-        f"Gamma(1,x) vs e^-x rel {worst_exp:.2e} (<=1e-12); "
+        f"s=0 kernel vs e^-b1 - e^-b2 rel {worst_exp:.2e} (<=1e-12); "
+        f"s=-1 kernel vs E1(1e-6) - E1(1) rel {e1_rel:.2e} (<=1e-10); "
         f"Gamma(0,1e-6)+ln(1e-6)+euler_gamma = {log_resid:.2e} (<=1e-4); "
         f"degenerate contour vs Bessel rel {worst_bessel:.2e} (<=1e-6)",
     )

@@ -17,7 +17,6 @@ from xpharq import (
     outage_k2_asymptotic,
     phi_asymptotic,
     phi_quadrature,
-    upper_incomplete_gamma_complex,
 )
 
 _LN2 = math.log(2.0)
@@ -38,10 +37,9 @@ def test_phi_asymptotic_equals_residue_assembly():
         b1 = 2.0**r2 / g2
         b2 = 2.0 ** (r1 + r2) / g2
         z = 2.0 ** (r1 + r2) / (g1 * g2)
-        gam1 = complex(upper_incomplete_gamma_complex(1.0, b1)).real
-        gam2 = complex(upper_incomplete_gamma_complex(1.0, b2)).real
+        # Gamma(1, b) = e^{-b}
         residues = math.exp(1.0 / g1 + 1.0 / g2) * (
-            gam1 - gam2 + z * (math.log(b1) - math.log(b2))
+            math.exp(-b1) - math.exp(-b2) + z * (math.log(b1) - math.log(b2))
         )
         assert phi_asymptotic(r1, r2, g1, g2) == pytest.approx(residues, rel=1e-9)
 

@@ -134,6 +134,17 @@ def test_outage_mc_no_warning_in_bulk_regime(capsys):
     assert captured.err == ""
 
 
+def test_outage_asymptote_warning_outside_high_snr(capsys):
+    argv = ["outage", "--rates", "600,400", "--snr-db", "10", "--method", "asymptotic"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert _field(captured.out, "value") == "4.45627902e+301"
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning:") and "high-SNR regime" in captured.err
+    assert main(["outage", "--rates", "1,1", "--snr-db", "30", "--method", "asymptotic"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_seed_env_fallback_and_flag_override(capsys, monkeypatch):
     argv = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
             "--trials", "20000"]
@@ -200,6 +211,7 @@ def test_selftest_passes(capsys):
     assert rc == 0
     assert "selftest: ok" in out
     assert "FAIL" not in out
+    assert out.count("PASS ") == 6
 
 
 _REPO = Path(__file__).resolve().parents[1]

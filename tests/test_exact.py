@@ -1,7 +1,8 @@
 """Two-round closed form, the phi integral, and the contour special functions.
 
 Reference values come from independent routes: composite Simpson on a dense
-fixed grid, mpmath's incomplete gamma, and scipy's Bessel K.
+fixed grid, mpmath's incomplete gamma, scipy's gamma, exp1 and Bessel K,
+and the backward recursion xp_outage.
 """
 
 import math
@@ -10,19 +11,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import exp1, kv
+from scipy.special import exp1, gamma, kv
 
 from xpharq import (
-    FoxHParams11,
     PowerProfile,
     RateSchedule,
     foxh_h11_incomplete,
+    incomplete_gamma_difference,
     outage_k1,
     outage_k2_exact,
     outage_k2_via_foxh,
     phi_foxh,
     phi_quadrature,
-    upper_incomplete_gamma_complex,
+    xp_outage,
 )
 
 _EULER_GAMMA = 0.5772156649015329
@@ -84,51 +85,66 @@ def test_phi_quadrature_rejects_bad_tol():
 
 
 # ---------------------------------------------------------------------------
-# complex-order upper incomplete gamma
+# complex-order incomplete gamma difference int_{b1}^{b2} t^s e^{-t} dt
 
 
 def test_incomplete_gamma_trivial_order_one():
-    assert upper_incomplete_gamma_complex(1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
-    assert upper_incomplete_gamma_complex(1.0, 0.7) == pytest.approx(
-        math.exp(-0.7), rel=1e-12
-    )
+    # s = 0: int_{b1}^{b2} e^{-t} dt = e^{-b1} - e^{-b2}, on 101 points off the
+    # excluded b1 = 0
+    for b1 in np.linspace(0.0, 10.0, 101) + 0.1:
+        for b2 in (2.0 * b1, math.inf):
+            got = incomplete_gamma_difference(0.0, float(b1), b2)
+            want = math.exp(-b1) - math.exp(-b2)
+            assert abs(got.real - want) <= 1e-12 * want, (b1, b2)
+            assert abs(got.imag) <= 1e-12 * want, (b1, b2)
 
 
 def test_incomplete_gamma_complete_limit():
-    # b = 0 reduces to the complete gamma function
-    val = upper_incomplete_gamma_complex(0.5, 0.0)
-    assert complex(val).real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-    assert abs(complex(val).imag) < 1e-12
+    # b1 -> 0 and b2 = inf reduce to the complete Gamma(s+1), the kernel of
+    # foxh_h11_incomplete; the part int_0^{b1} t^s dt left out is below 1e-14
+    val = incomplete_gamma_difference(-0.5, 1e-30, math.inf)
+    assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+    assert abs(val.imag) < 1e-12
+    for s in (0.5 + 3j, 2.0, 1.0 + 5j):
+        got = incomplete_gamma_difference(s, 1e-30, math.inf)
+        assert abs(got - gamma(s + 1.0)) <= 1e-12 * abs(gamma(s + 1.0)), s
 
 
 def test_incomplete_gamma_small_order_logarithmic():
-    # Gamma(0, x) = E_1(x) ~ -ln x - euler_gamma for small x
-    val = complex(upper_incomplete_gamma_complex(0.0, 1e-4))
-    assert val.real == pytest.approx(float(exp1(1e-4)), rel=1e-10)
-    assert val.real == pytest.approx(-math.log(1e-4) - _EULER_GAMMA, abs=2e-4)
+    # s = -1: int_{b1}^{b2} e^{-t}/t dt = E_1(b1) - E_1(b2), and
+    # E_1(x) ~ -ln x - euler_gamma for small x
+    val = incomplete_gamma_difference(-1.0, 1e-4, 1.0)
+    assert val.real == pytest.approx(float(exp1(1e-4) - exp1(1.0)), rel=1e-10)
     assert abs(val.imag) < 1e-12
+    tail = incomplete_gamma_difference(-1.0, 1e-4, math.inf)
+    assert tail.real == pytest.approx(float(exp1(1e-4)), rel=1e-10)
+    assert tail.real == pytest.approx(-math.log(1e-4) - _EULER_GAMMA, abs=2e-4)
 
 
 def test_incomplete_gamma_complex_orders_against_mpmath():
     orders = [1.5 + 0j, 1.5 + 5j, 1.5 + 20j, 1.5 + 60j, -0.5 + 3j]
-    for b in (0.2, 2.0):
-        got = upper_incomplete_gamma_complex(np.array(orders), b)
-        for a, g in zip(orders, np.atleast_1d(got)):
-            ref = complex(mp.gammainc(a, b))
-            assert abs(complex(g) - ref) < 1e-11, (a, b)
+    for b1, b2 in ((0.2, 2.0), (2.0, 20.0), (0.2, math.inf), (2.0, math.inf)):
+        got = incomplete_gamma_difference(np.array(orders) - 1.0, b1, b2)
+        for a, g in zip(orders, got):
+            ref = complex(mp.gammainc(a, b1, mp.inf if b2 == math.inf else b2))
+            assert abs(complex(g) - ref) < 1e-11, (a, b1, b2)
 
 
 def test_incomplete_gamma_preserves_shape():
-    a = np.array([[1.0, 1.5 + 2j], [0.5, 2.0]])
-    out = upper_incomplete_gamma_complex(a, 0.5)
+    s = np.array([[0.0, 0.5 + 2j], [-0.5, 1.0]])
+    out = incomplete_gamma_difference(s, 0.5, 3.0)
     assert out.shape == (2, 2)
+    for idx in np.ndindex(s.shape):
+        one = incomplete_gamma_difference(complex(s[idx]), 0.5, 3.0)
+        assert isinstance(one, complex)
+        assert one == pytest.approx(out[idx], rel=1e-12)
+    assert incomplete_gamma_difference(1.0, 0.5, 0.5) == 0.0
 
 
 def test_incomplete_gamma_rejects_divergent_cases():
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma_complex(-1.0, 0.0)  # diverges at the origin
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma_complex(1.0, -0.5)
+    for b1, b2 in ((0.0, 1.0), (-0.5, 1.0), (2.0, 1.0), (1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            incomplete_gamma_difference(1.0, b1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -136,39 +152,46 @@ def test_incomplete_gamma_rejects_divergent_cases():
 
 
 def test_foxh_params_validation():
-    FoxHParams11(z=1.0, b=0.0)
-    with pytest.raises(ValueError):
-        FoxHParams11(z=0.0, b=0.0)
-    with pytest.raises(ValueError):
-        FoxHParams11(z=1.0, b=-0.1)
-    with pytest.raises(ValueError):
-        FoxHParams11(z=1.0, b=0.0, contour_c=0.0)
-    with pytest.raises(ValueError):
-        FoxHParams11(z=1.0, b=0.0, contour_halfspan=-1.0)
-    with pytest.raises(ValueError):
-        FoxHParams11(z=1.0, b=0.0, nodes=16)
+    for z in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            foxh_h11_incomplete(z)
+    for args in ((0.0, 1.0, 10.0, 10.0), (1.0, -1.0, 10.0, 10.0),
+                 (1.0, 1.0, 0.0, 10.0), (1.0, 1.0, 10.0, -5.0)):
+        with pytest.raises(ValueError):
+            phi_foxh(*args)
 
 
 def test_foxh_degenerate_bessel_identity():
     # with b = 0 the contour value collapses to 2 sqrt(z) K_1(2 sqrt(z))
     for z in (0.25, 1.0, 4.0):
-        got = foxh_h11_incomplete(FoxHParams11(z=z, b=0.0))
+        got = foxh_h11_incomplete(z)
         want = 2.0 * math.sqrt(z) * float(kv(1, 2.0 * math.sqrt(z)))
         assert got == pytest.approx(want, rel=1e-6), z
 
 
 def test_foxh_large_argument_decays():
-    assert abs(foxh_h11_incomplete(FoxHParams11(z=1e4, b=0.0))) < 1e-10
+    assert abs(foxh_h11_incomplete(1e4)) < 1e-10
 
 
-def test_phi_foxh_matches_quadrature_on_grid():
-    """Contour and direct-integral phi agree over a broad rate/SNR grid."""
-    for r1 in (0.5, 1.0, 2.0, 3.0):
+def _assert_phi_paths_agree(r1_values):
+    for r1 in r1_values:
         for r2 in (0.5, 1.0, 2.0, 3.0):
             for g in (1.0, 10.0, 100.0):
                 ref = phi_quadrature(r1, r2, g, g, tol=1e-12).value
                 got = phi_foxh(r1, r2, g, g)
-                assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref)), (r1, r2, g)
+                assert abs(got.value - ref) <= 1e-12 * max(1.0, abs(ref)), (r1, r2, g)
+                assert got.abs_error_estimate >= 0.0 and got.evaluations > 0
+
+
+def test_phi_foxh_matches_quadrature_on_grid():
+    """Contour and direct-integral phi agree over a broad rate/SNR grid."""
+    _assert_phi_paths_agree((0.5, 1.0, 2.0, 3.0))
+
+
+def test_phi_foxh_matches_quadrature_on_oscillatory_kernels():
+    # ln(b2/b1) = r1 ln 2 reaches 5.5: t^s turns about 50 times over the
+    # kernel interval at the contour's end, Im s = 60
+    _assert_phi_paths_agree((6.0, 8.0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +246,13 @@ def test_outage_k2_contour_path_agrees():
         a = outage_k2_exact(RateSchedule(r), PowerProfile(g)).value
         b = outage_k2_via_foxh(RateSchedule(r), PowerProfile(g)).value
         assert b == pytest.approx(a, rel=1e-6), (r, g)
+
+
+def test_outage_k2_contour_uncertainty_calibrated():
+    for r in ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0)):
+        for db in range(-10, 41, 5):
+            g = 10.0 ** (db / 10.0)
+            rates, powers = RateSchedule(r), PowerProfile((g, g))
+            est = outage_k2_via_foxh(rates, powers)
+            ref = xp_outage(rates, powers).value
+            assert abs(est.value - ref) <= est.uncertainty, (r, db)
