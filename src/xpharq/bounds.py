@@ -19,8 +19,9 @@ and the outage probability is G_1(1).  Every integrand is nonnegative, so
 relative accuracy survives at any SNR.  The last level stays in closed
 form; each intermediate G_{k+1} is held as a Chebyshev interpolant in
 ln x on [0, ln U_k] (Trefethen, *Approximation Theory and Approximation
-Practice*).  The u-integral runs over the fixed dyadic panels [0, 1],
-[1, 2], ..., [32, 64], clipped at a_k(x), with Gauss-Legendre nodes in
+Practice*), cut from below where G_{k+1} is 1 in double (``_nested``).
+The u-integral runs over the fixed dyadic panels [0, 1], [1, 2], ...,
+[32, 64], clipped at a_k(x), with Gauss-Legendre nodes in
 v = ln(1 + gbar_k u) inside each panel; beyond u = 64 the weight e^{-u}
 leaves less than 1e-27 of the value.  The recursion runs at (Chebyshev
 nodes, Gauss nodes per panel) = (32, 8) and doubles both until two
@@ -64,6 +65,8 @@ _PANEL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 _PASSES = ((32, 8), (64, 16), (128, 32), (256, 64))
 # relative rounding error of a converged pass, added to the reported gap
 _ROUNDOFF = 1e-14
+# e^{-u} is 0 in double beyond this u
+_U_TAIL = 745.0
 
 
 def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +105,34 @@ def _level(s: np.ndarray, limit: float, gbar: float, inner, m: int) -> np.ndarra
 
 
 def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> float:
-    """G_1(1) at n Chebyshev nodes and m Gauss nodes per panel."""
+    """G_1(1) at n Chebyshev nodes and m Gauss nodes per panel.
+
+    G_{k+1} is interpolated only on [max(0, lo_k), ln U_k] with
+    lo_k = ln U_{k+1} - sum_{l>k} ln(1 + 745 gbar_l), and is 1 below lo_k:
+    there x_j < U_j for every j > k as long as each gamma_l stays under
+    745 gbar_l, so 1 - G_{k+1} <= K e^{-745}, which is 0 in double.  At
+    large rates and low SNR the step of G_{k+1} from 1 to 0 is then no
+    longer a narrow feature of a wide interval.
+    """
 
     def inner(s):
         return -np.expm1(np.minimum((1.0 - limits[-1] * np.exp(-s)) / gbars[-1], 0.0))
 
     for k in range(len(limits) - 2, 0, -1):
-        inner = Chebyshev.interpolate(
+        hi = math.log(limits[k - 1])
+        lo = math.log(limits[k]) - sum(math.log1p(_U_TAIL * g) for g in gbars[k:])
+        if lo >= hi:
+            inner = np.ones_like
+            continue
+        cheb = Chebyshev.interpolate(
             lambda s, k=k, nxt=inner: _level(s, limits[k], gbars[k], nxt, m),
             n - 1,
-            domain=[0.0, math.log(limits[k - 1])],
+            domain=[max(lo, 0.0), hi],
         )
+        if lo <= 0.0:
+            inner = cheb
+        else:
+            inner = lambda s, c=cheb, lo=lo: np.where(s < lo, 1.0, c(np.maximum(s, lo)))
     if len(limits) == 1:
         return float(inner(0.0))
     return float(_level(np.zeros(1), limits[0], gbars[0], inner, m)[0])

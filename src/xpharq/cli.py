@@ -131,7 +131,8 @@ def _cmd_point(parser, args) -> int:
     )
     if args.method == "upper":
         low = outage_lower(rates, powers)
-        gap = (est.value - low) / est.value if est.value > 0 else math.nan
+        # the lower bound can round above an upper bound of 1
+        gap = max((est.value - low) / est.value, 0.0) if est.value > 0 else math.nan
         print(f"bound-gap lower={_fmt(low)} upper={_fmt(est.value)} relative_gap={_fmt(gap)}")
     return 0
 

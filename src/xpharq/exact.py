@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _complex_gamma
 
 from .core import (
     ConvergenceError,
@@ -96,7 +95,7 @@ def phi_quadrature(
     into the integrand, whose combined exponent (1 - Z/z)/g1 + (1 - z)/g2
     is nonpositive over the whole interval, so no overflow is possible.
     """
-    if min(r1, r2, snr_bar1, snr_bar2) <= 0.0:
+    if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
         raise ValueError("rates and average SNRs must be positive")
     if not 0.0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
@@ -213,12 +212,14 @@ def _mellin_contour(z: float, kernel) -> tuple[float, float, int]:
     converges spectrally, so the stopping gap vastly overstates the final
     error.
     """
+    from scipy.special import gamma as complex_gamma
+
     log_z = math.log(z)
 
     def pass_value(n: int) -> float:
         tau = np.linspace(0.0, _CONTOUR_HALFSPAN, n)
         s = _CONTOUR_C + 1j * tau
-        vals = (_complex_gamma(s) * kernel(s) * np.exp(-s * log_z)).real
+        vals = (complex_gamma(s) * kernel(s) * np.exp(-s * log_z)).real
         h = tau[1] - tau[0]
         return float((np.sum(vals) - 0.5 * (vals[0] + vals[-1])) * h / math.pi)
 
@@ -248,7 +249,9 @@ def foxh_h11_incomplete(z: float) -> float:
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
-    return _mellin_contour(z, lambda s: _complex_gamma(s + 1.0))[0]
+    from scipy.special import gamma as complex_gamma
+
+    return _mellin_contour(z, lambda s: complex_gamma(s + 1.0))[0]
 
 
 def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> IntegrationResult:
@@ -259,7 +262,7 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Integrat
     integral as int_{b1}^{b2} t^s e^{-t} dt, so their common bulk never
     forms.  The error estimate is the gap of the last contour refinement.
     """
-    if min(r1, r2, snr_bar1, snr_bar2) <= 0.0:
+    if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
         raise ValueError("rates and average SNRs must be positive")
     big_z = 2.0 ** (r1 + r2)
     z = big_z / (snr_bar1 * snr_bar2)

@@ -6,6 +6,16 @@ i * 2**40), so results are identical for any worker count and any
 scheduling order.  Block summaries are merged in block-index order, making
 every output byte-reproducible.
 
+A block draws its SNRs as an (n, K) trial-major array, exactly as the
+substream defines them, and transposes it once into a round-major (K, n)
+buffer while scaling by the average SNRs.  Every later stage works in
+place on contiguous rows of n trials: log1p, the running sum over rounds
+(row k += row k-1, the order of a per-trial cumsum, so the mutual
+information is bit-identical), the division by ln 2, and the decision,
+which walks the rounds with a mask of still-pending trials and counts
+first successes per round.  Slots and delivered rate follow from that
+histogram alone.
+
 The engine itself is scheme-agnostic: a cycle succeeds at the first round
 k whose accumulated mutual information reaches ``thresholds[k-1]``, earning
 ``rewards[k-1]`` in delivered rate and consuming k slots; a cycle with no
@@ -117,19 +127,29 @@ def _run_block(
 ) -> SimSummary:
     rng = _block_rng(seed, block_index)
     k_rounds = len(gbars)
-    snr = rng.standard_exponential((n, k_rounds)) * gbars
-    info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
-    reached = info_cum >= thresholds
-    succeeded = reached.any(axis=1)
-    first = np.argmax(reached, axis=1)[succeeded]
-    counts = np.bincount(first, minlength=k_rounds)
-    n_out = n - int(succeeded.sum())
-    slots = int((first + 1).sum()) + k_rounds * n_out
-    delivered = float(rewards[first].sum())
+    draws = rng.standard_exponential((n, k_rounds))
+    # round-major from here on: row k holds round k of every trial
+    info = np.empty((k_rounds, n))
+    np.multiply(draws.T, gbars[:, None], out=info)
+    np.log1p(info, out=info)
+    for k in range(1, k_rounds):
+        info[k] += info[k - 1]  # the order of cumsum(axis=1), bit for bit
+    info /= _LN2
+    pending = np.ones(n, dtype=bool)
+    hit = np.empty(n, dtype=bool)
+    counts = []
+    for k in range(k_rounds):
+        np.greater_equal(info[k], thresholds[k], out=hit)
+        hit &= pending
+        counts.append(int(np.count_nonzero(hit)))
+        pending ^= hit  # hit is a subset of pending: pending &= ~hit
+    n_out = n - sum(counts)
+    slots = sum((k + 1) * c for k, c in enumerate(counts)) + k_rounds * n_out
+    delivered = float(np.dot(counts, rewards))
     return SimSummary(
         trials=n,
         outage_count=n_out,
-        success_at_round=tuple(int(c) for c in counts),
+        success_at_round=tuple(counts),
         delivered_rate_total=delivered,
         slots_total=slots,
     )

@@ -179,6 +179,30 @@ def test_recursion_uncertainty_calibrated():
     assert abs(est.value - ref) <= min(est.uncertainty, 1e-12 * est.value), (est, ref)
 
 
+@pytest.mark.parametrize("k_rounds", [3, 4])
+def test_recursion_converges_at_saturated_outage(k_rounds):
+    # large rates at low SNR: the value is 1 to double precision, and the
+    # step of each interpolated level is narrow against ln U_k
+    weights = {"even": [1.0] * k_rounds, "skewed": list(range(1, k_rounds + 1))}
+    for total in (200.0, 300.0, 600.0, 1000.0):
+        for w in weights.values():
+            rates = RateSchedule(tuple(total * x / sum(w) for x in w))
+            for snr_db in (0.0, 10.0, 20.0, 30.0):
+                powers = PowerProfile((10.0 ** (snr_db / 10.0),) * k_rounds)
+                for est in (outage_upper_ir(rates, powers), xp_outage(rates, powers)):
+                    assert abs(1.0 - est.value) <= est.uncertainty <= 1e-9, (
+                        total, w, snr_db, est,
+                    )
+
+
+def test_recursion_skips_levels_the_limits_never_bind():
+    # R_2 = 100 lifts U_2 past every x_2 the second round can reach, so the
+    # outage is that of the first round alone
+    for rates in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
+        est = xp_outage(RateSchedule(rates), PowerProfile((1.0,) * len(rates)))
+        assert est.value == pytest.approx(outage_k1(1.0, 1.0), rel=1e-14)
+
+
 def test_outage_upper_validation():
     with pytest.raises(ValueError):
         outage_upper_ir(RateSchedule((1.0, 1.0)), PowerProfile((10.0,) * 3))

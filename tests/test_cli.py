@@ -75,6 +75,12 @@ def test_outage_upper_prints_bound_gap(capsys):
     )
     assert gap == pytest.approx((up - low) / up, rel=1e-6)
     assert 0.0 < gap < 1.0
+    # both bounds round to 1 and the lower one lands an ulp above the upper
+    rc = main(["outage", "--rates", "600,400", "--snr-db", "10", "--method", "upper"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    gap_line = [l for l in out.splitlines() if l.startswith("bound-gap ")]
+    assert _field(gap_line[0], "relative_gap") == "0"
 
 
 def test_outage_broadcasts_single_snr(capsys):
@@ -230,20 +236,24 @@ sys.exit(main())
 """
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def _run_declared_script(*argv: str) -> subprocess.CompletedProcess:
     tomllib = pytest.importorskip("tomllib")
     with open(_REPO / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})
     assert "xpharq" in scripts, "pyproject.toml declares no xpharq console script"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, "-c", _LAUNCHER, "xpharq", scripts["xpharq"], *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
 
 
@@ -255,6 +265,16 @@ def test_entry_point_installed():
                                "--method", "bogus")
     assert bad.returncode == 2
     assert "xpharq outage: error:" in bad.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded only by the Mellin-Barnes contour and selftest
+    probe = "import sys, xpharq.cli; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("xpharq") is None,

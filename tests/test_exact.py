@@ -155,10 +155,17 @@ def test_foxh_params_validation():
     for z in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             foxh_h11_incomplete(z)
-    for args in ((0.0, 1.0, 10.0, 10.0), (1.0, -1.0, 10.0, 10.0),
-                 (1.0, 1.0, 0.0, 10.0), (1.0, 1.0, 10.0, -5.0)):
-        with pytest.raises(ValueError):
-            phi_foxh(*args)
+    bad = [(0.0, 1.0, 10.0, 10.0), (1.0, -1.0, 10.0, 10.0),
+           (1.0, 1.0, 0.0, 10.0), (1.0, 1.0, 10.0, -5.0)]
+    # NaN in each slot, which an ordering test such as min(...) <= 0 lets through
+    for slot in range(4):
+        args = [1.0, 1.0, 10.0, 10.0]
+        args[slot] = math.nan
+        bad.append(tuple(args))
+    for args in bad:
+        for phi in (phi_foxh, phi_quadrature):
+            with pytest.raises(ValueError, match="must be positive"):
+                phi(*args)
 
 
 def test_foxh_degenerate_bessel_identity():

@@ -21,7 +21,27 @@ from xpharq import (
     xp_outage_chain,
     xp_outage_quadrature,
 )
-from xpharq.simulate import _scheme_vectors, _simulate
+from xpharq.simulate import _LN2, _block_rng, _run_block, _scheme_vectors, _simulate
+
+
+def _trial_major_block(seed, block_index, n, gbars, thresholds, rewards):
+    """Reference block: one row per trial, decided by cumsum/argmax/bincount."""
+    rng = _block_rng(seed, block_index)
+    k_rounds = len(gbars)
+    snr = rng.standard_exponential((n, k_rounds)) * gbars
+    info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
+    reached = info_cum >= thresholds
+    succeeded = reached.any(axis=1)
+    first = np.argmax(reached, axis=1)[succeeded]
+    counts = np.bincount(first, minlength=k_rounds)
+    n_out = n - int(succeeded.sum())
+    return SimSummary(
+        trials=n,
+        outage_count=n_out,
+        success_at_round=tuple(int(c) for c in counts),
+        delivered_rate_total=float(rewards[first].sum()),
+        slots_total=int((first + 1).sum()) + k_rounds * n_out,
+    )
 
 
 def test_sample_snr_moments_and_median():
@@ -83,6 +103,35 @@ def test_engine_summary_invariants():
     assert 0.0 <= s.delivered_rate_total <= max(rewards) * s.trials
 
 
+def test_block_kernel_matches_trial_major_oracle():
+    rng = np.random.default_rng(2024)
+    sizes = [1, 2, 7, 65_535, 65_536, 65_537, 70_000] + [
+        int(n) for n in rng.integers(1, 70_000, size=17)
+    ]
+    for case, n in enumerate(sizes):
+        k_rounds = case % 8 + 1
+        rates = RateSchedule(tuple(float(r) for r in rng.uniform(0.05, 3.0, k_rounds)))
+        db = rng.uniform(-10.0, 30.0, k_rounds)
+        powers = PowerProfile(tuple(float(g) for g in 10.0 ** (db / 10.0)))
+        gbars = np.asarray(powers.snr_bars)
+        scheme, purpose = (("xp", "outage"), ("inr", "outage"), ("inr", "throughput"))[case % 3]
+        cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=case)
+        thresholds, rewards = _scheme_vectors(cfg, purpose)
+        seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
+        got = _run_block(seed, index, n, gbars, thresholds, rewards)
+        ref = _trial_major_block(seed, index, n, gbars, thresholds, rewards)
+        assert (got.trials, got.outage_count, got.success_at_round, got.slots_total) == (
+            ref.trials,
+            ref.outage_count,
+            ref.success_at_round,
+            ref.slots_total,
+        ), (case, n, k_rounds, scheme, purpose)
+        assert all(type(c) is int for c in got.success_at_round)
+        assert got.delivered_rate_total == pytest.approx(
+            ref.delivered_rate_total, rel=1e-14, abs=0.0
+        ), (case, n, k_rounds, scheme, purpose)
+
+
 def test_outage_estimate_deterministic_across_workers():
     rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
     results = []
@@ -101,6 +150,18 @@ def test_outage_estimate_deterministic_across_workers():
         for w in (1, 4)
     ]
     assert small[0] == small[1]
+    # K = 8 throughput over several blocks, the last one partial
+    rates8 = RateSchedule((0.3, 0.7, 0.2, 1.1, 0.4, 0.9, 0.6, 0.5))
+    powers8 = PowerProfile((1.0, 2.0, 0.5, 3.0, 1.5, 0.8, 2.5, 1.2))
+    eta = [
+        estimate_throughput(
+            SimConfig(
+                scheme="xp", rates=rates8, powers=powers8, trials=300_001, seed=5, workers=w
+            )
+        )
+        for w in (1, 2, 4)
+    ]
+    assert eta[0] == eta[1] == eta[2]
 
 
 def test_outage_estimate_depends_on_seed():
