@@ -112,7 +112,9 @@ def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> 
     there x_j < U_j for every j > k as long as each gamma_l stays under
     745 gbar_l, so 1 - G_{k+1} <= K e^{-745}, which is 0 in double.  At
     large rates and low SNR the step of G_{k+1} from 1 to 0 is then no
-    longer a narrow feature of a wide interval.
+    longer a narrow feature of a wide interval.  The interpolant's own
+    value at lo_k misses 1 by its interpolation error, about 1e-12 there,
+    so values below lo_k are set to 1 rather than read from it.
     """
 
     def inner(s):
@@ -124,15 +126,13 @@ def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> 
         if lo >= hi:
             inner = np.ones_like
             continue
+        lo = max(lo, 0.0)
         cheb = Chebyshev.interpolate(
             lambda s, k=k, nxt=inner: _level(s, limits[k], gbars[k], nxt, m),
             n - 1,
-            domain=[max(lo, 0.0), hi],
+            domain=[lo, hi],
         )
-        if lo <= 0.0:
-            inner = cheb
-        else:
-            inner = lambda s, c=cheb, lo=lo: np.where(s < lo, 1.0, c(np.maximum(s, lo)))
+        inner = lambda s, c=cheb, lo=lo: np.where(s < lo, 1.0, c(np.maximum(s, lo)))
     if len(limits) == 1:
         return float(inner(0.0))
     return float(_level(np.zeros(1), limits[0], gbars[0], inner, m)[0])

@@ -131,8 +131,11 @@ def _cmd_point(parser, args) -> int:
     )
     if args.method == "upper":
         low = outage_lower(rates, powers)
-        # the lower bound can round above an upper bound of 1
-        gap = max((est.value - low) / est.value, 0.0) if est.value > 0 else math.nan
+        gap = (est.value - low) / est.value if est.value > 0 else math.nan
+        # when both bounds round to 1 the lower one can land an ulp above;
+        # a larger negative gap is a real defect and is printed as it is
+        if -4.0 * sys.float_info.epsilon <= gap < 0.0:
+            gap = 0.0
         print(f"bound-gap lower={_fmt(low)} upper={_fmt(est.value)} relative_gap={_fmt(gap)}")
     return 0
 

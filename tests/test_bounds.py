@@ -20,6 +20,7 @@ from xpharq import (
     xp_outage,
     xp_outage_quadrature,
 )
+from xpharq import bounds
 
 
 def _sum2_cdf_reference(r: float, g1: float, g2: float) -> float:
@@ -195,12 +196,27 @@ def test_recursion_converges_at_saturated_outage(k_rounds):
                     )
 
 
-def test_recursion_skips_levels_the_limits_never_bind():
+def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
     # R_2 = 100 lifts U_2 past every x_2 the second round can reach, so the
-    # outage is that of the first round alone
+    # outage is that of the first round alone, and G_2 on [0, ln U_1] is 1
+    # without being interpolated
+    domains = []
+    real = bounds.Chebyshev
+
+    class Recording:
+        @staticmethod
+        def interpolate(f, deg, domain):
+            domains.append(tuple(domain))
+            return real.interpolate(f, deg, domain=domain)
+
+    monkeypatch.setattr(bounds, "Chebyshev", Recording)
     for rates in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
+        domains.clear()
         est = xp_outage(RateSchedule(rates), PowerProfile((1.0,) * len(rates)))
         assert est.value == pytest.approx(outage_k1(1.0, 1.0), rel=1e-14)
+        # only the level under U_2 = 2^101 is interpolated, and only at K = 4
+        assert all(hi == pytest.approx(101.0 * math.log(2.0)) for _, hi in domains), domains
+        assert bool(domains) == (len(rates) == 4)
 
 
 def test_outage_upper_validation():

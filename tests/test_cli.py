@@ -26,6 +26,7 @@ from xpharq import (
     estimate_throughput,
     outage_k2_exact,
     outage_lower,
+    outage_upper_ir,
     parse_config,
     throughput_analytical,
     xp_outage_chain,
@@ -81,6 +82,18 @@ def test_outage_upper_prints_bound_gap(capsys):
     assert rc == 0
     gap_line = [l for l in out.splitlines() if l.startswith("bound-gap ")]
     assert _field(gap_line[0], "relative_gap") == "0"
+
+
+def test_bound_gap_prints_a_real_crossing(monkeypatch, capsys):
+    # only an ulp-sized crossing is rounding; a lower bound 1 % above the
+    # upper one must show as a negative gap
+    upper = outage_upper_ir(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3)).value
+    monkeypatch.setattr("xpharq.cli.outage_lower", lambda rates, powers: 1.01 * upper)
+    rc = main(["outage", "--rates", "1,1,1", "--snr-db", "10", "--method", "upper"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    gap_line = [l for l in out.splitlines() if l.startswith("bound-gap ")]
+    assert float(_field(gap_line[0], "relative_gap")) == pytest.approx(-0.01, rel=1e-9)
 
 
 def test_outage_broadcasts_single_snr(capsys):
