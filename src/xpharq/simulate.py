@@ -1,20 +1,21 @@
 """Seeded, parallelizable Monte Carlo simulation of HARQ cycles.
 
 Trials are partitioned into fixed-size blocks; block i draws from its own
-counter-based substream (Philox keyed by the seed, counter advanced by
-i * 2**40), so results are identical for any worker count and any
-scheduling order.  Block summaries are merged in block-index order, making
-every output byte-reproducible.
+PCG64 stream, seeded by ``SeedSequence(seed, spawn_key=(i,))``, so results
+are identical for any worker count and any scheduling order.  Block
+summaries are merged in block-index order, making every output
+byte-reproducible.
 
-A block draws its SNRs as an (n, K) trial-major array, exactly as the
-substream defines them, and transposes it once into a round-major (K, n)
-buffer while scaling by the average SNRs.  Every later stage works in
-place on contiguous rows of n trials: log1p, the running sum over rounds
-(row k += row k-1, the order of a per-trial cumsum, so the mutual
-information is bit-identical), the division by ln 2, and the decision,
-which walks the rounds with a mask of still-pending trials and counts
-first successes per round.  Slots and delivered rate follow from that
-histogram alone.
+A block draws its SNRs straight into a round-major (K, n) buffer, row k
+holding round k of every trial: the stream fills round 1 of all n trials,
+then round 2, and so on.  Every trial draws all K rounds whatever the
+scheme, so XP and INR on one seed see the same SNRs.  Every later stage
+works in place on contiguous rows of n trials: scaling by the average
+SNRs, log1p, the running sum over rounds (row k += row k-1, the order of
+a per-trial cumsum, so the mutual information is bit-identical), the
+division by ln 2, and the decision, which walks the rounds with a mask of
+still-pending trials and counts first successes per round.  Slots and
+delivered rate follow from that histogram alone.
 
 The engine itself is scheme-agnostic: a cycle succeeds at the first round
 k whose accumulated mutual information reaches ``thresholds[k-1]``, earning
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 _BLOCK = 65536
-_STREAM_STRIDE = 2 ** 40  # far above the per-block draw count
 
 _LN2 = math.log(2.0)
 
@@ -112,9 +112,9 @@ def sample_snr(snr_bar: float, rng: np.random.Generator) -> float:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(block_index * _STREAM_STRIDE)
-    return np.random.Generator(bitgen)
+    # PCG64 by name, so a change of numpy's default generator cannot move it
+    seq = np.random.SeedSequence(seed, spawn_key=(block_index,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _run_block(
@@ -127,10 +127,9 @@ def _run_block(
 ) -> SimSummary:
     rng = _block_rng(seed, block_index)
     k_rounds = len(gbars)
-    draws = rng.standard_exponential((n, k_rounds))
-    # round-major from here on: row k holds round k of every trial
-    info = np.empty((k_rounds, n))
-    np.multiply(draws.T, gbars[:, None], out=info)
+    info = np.empty((k_rounds, n))  # row k holds round k of every trial
+    rng.standard_exponential(out=info)
+    info *= gbars[:, None]
     np.log1p(info, out=info)
     for k in range(1, k_rounds):
         info[k] += info[k - 1]  # the order of cumsum(axis=1), bit for bit

@@ -173,7 +173,7 @@ def test_criterion_5_diversity_orders(capsys):
 def test_criterion_6_throughput_dominance(capsys):
     g = 10.0 ** (20.0 / 10.0)
     powers = PowerProfile((g, g, g))
-    trials = 100_000
+    trials = 1_000_000
     xp_vals, inr_vals = [], []
     mc_ok = True
     for r1 in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
@@ -186,14 +186,15 @@ def test_criterion_6_throughput_dominance(capsys):
             mc = estimate_throughput(
                 SimConfig(scheme=scheme, rates=rates, powers=powers, trials=trials, seed=0)
             )
-            mc_ok = mc_ok and abs(mc.value - ana) <= mc.uncertainty
+            # 4 standard errors: about 1e-3 false alarms over the 16 points
+            mc_ok = mc_ok and abs(mc.value - ana) <= 4.0 * mc.uncertainty / 1.96
     dominance = all(x >= i - 1e-12 for x, i in zip(xp_vals, inr_vals))
     peak = max(xp_vals) > max(inr_vals)
     ok = dominance and peak and mc_ok
     _report(
         capsys, 6, ok,
         f"accumulated-rate scheme >= fixed-rate scheme at all 8 first-round rates "
-        f"(peaks {max(xp_vals):.3f} > {max(inr_vals):.3f}); MC within 95% CI: {mc_ok}",
+        f"(peaks {max(xp_vals):.3f} > {max(inr_vals):.3f}); MC within 4 standard errors: {mc_ok}",
     )
     assert ok
 

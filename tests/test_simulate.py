@@ -25,10 +25,14 @@ from xpharq.simulate import _LN2, _block_rng, _run_block, _scheme_vectors, _simu
 
 
 def _trial_major_block(seed, block_index, n, gbars, thresholds, rewards):
-    """Reference block: one row per trial, decided by cumsum/argmax/bincount."""
+    """Reference block: one row per trial, decided by cumsum/argmax/bincount.
+
+    The stream's documented layout is round-major: round 1 of all n trials,
+    then round 2, and so on.
+    """
     rng = _block_rng(seed, block_index)
     k_rounds = len(gbars)
-    snr = rng.standard_exponential((n, k_rounds)) * gbars
+    snr = rng.standard_exponential((k_rounds, n)).T * gbars
     info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
     reached = info_cum >= thresholds
     succeeded = reached.any(axis=1)
@@ -130,6 +134,28 @@ def test_block_kernel_matches_trial_major_oracle():
         assert got.delivered_rate_total == pytest.approx(
             ref.delivered_rate_total, rel=1e-14, abs=0.0
         ), (case, n, k_rounds, scheme, purpose)
+
+
+def test_block_streams_differ_by_index_and_seed():
+    draws = {
+        (seed, index): _block_rng(seed, index).standard_exponential(4).tolist()
+        for seed in (0, 1, 2 ** 64 - 1)
+        for index in (0, 1, 2, 1000)
+    }
+    assert len({tuple(d) for d in draws.values()}) == len(draws)
+    rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
+    for seed in (0, 2 ** 64 - 1):
+        cfg = SimConfig(scheme="xp", rates=rates, powers=powers, trials=70_000, seed=seed)
+        assert 0.0 < estimate_outage(cfg).value < 1.0
+
+
+def test_block_summary_pinned():
+    # a change of the stream or of its layout moves these counts; log it
+    gbars = np.array([1.0, 4.0, 2.0])
+    thresholds = np.array([1.0, 2.0, 3.0])
+    rewards = np.array([1.0, 2.0, 3.0])
+    got = _run_block(0, 3, 1000, gbars, thresholds, rewards)
+    assert got == SimSummary(1000, 147, (357, 410, 86), 1435.0, 1876)
 
 
 def test_outage_estimate_deterministic_across_workers():
@@ -290,9 +316,10 @@ def test_throughput_analytical_agrees_with_monte_carlo():
         powers = PowerProfile((g, g))
         ana = throughput_analytical("xp", rates, powers, xp_outage_chain(rates, powers))
         mc = estimate_throughput(
-            SimConfig(scheme="xp", rates=rates, powers=powers, trials=200_000, seed=1)
+            SimConfig(scheme="xp", rates=rates, powers=powers, trials=2_000_000, seed=1)
         )
-        assert abs(mc.value - ana) <= mc.uncertainty, db
+        # 4 standard errors: about 6e-5 false alarms per point
+        assert abs(mc.value - ana) <= 4.0 * mc.uncertainty / 1.96, db
 
 
 def test_throughput_analytical_inr_agrees_with_monte_carlo():
@@ -300,9 +327,9 @@ def test_throughput_analytical_inr_agrees_with_monte_carlo():
     powers = PowerProfile((10.0, 10.0, 10.0))
     ana = throughput_analytical("inr", rates, powers, ir_outage_chain(rates, powers))
     mc = estimate_throughput(
-        SimConfig(scheme="inr", rates=rates, powers=powers, trials=200_000, seed=0)
+        SimConfig(scheme="inr", rates=rates, powers=powers, trials=2_000_000, seed=0)
     )
-    assert abs(mc.value - ana) <= mc.uncertainty
+    assert abs(mc.value - ana) <= 4.0 * mc.uncertainty / 1.96
 
 
 def test_xp_outage_chain_matches_per_prefix_solvers():
