@@ -24,6 +24,7 @@ from .quadrature import (
     hbar_quadrature,
     integrate_adaptive,
     joint_density_x,
+    phi_quadrature,
     xp_outage_quadrature,
 )
 from .exact import (
@@ -33,7 +34,6 @@ from .exact import (
     outage_k2_exact,
     outage_k2_via_foxh,
     phi_foxh,
-    phi_quadrature,
 )
 from .asymptotic import (
     HbarTable,

@@ -54,7 +54,7 @@ def phi_asymptotic(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> fl
     e^{1/g1} (e^{-(2^{R2}-1)/g2} - e^{-(2^{R1+R2}-1)/g2})
         - e^{1/g1 + 1/g2} 2^{R1+R2} R1 ln2 / (g1 g2)
     """
-    if min(r1, r2, snr_bar1, snr_bar2) <= 0.0:
+    if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
         raise ValueError("rates and average SNRs must be positive")
     big_z = 2.0 ** (r1 + r2)
     a2 = math.expm1(r2 * _LN2) / snr_bar2

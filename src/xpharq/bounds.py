@@ -36,6 +36,7 @@ The lower bound is the closed-form product of single-round outages,
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +105,11 @@ def _level(s: np.ndarray, limit: float, gbar: float, inner, m: int) -> np.ndarra
     return ((f @ w) * width).sum(axis=-1) / gbar
 
 
+def _closed_level(limit: float, gbar: float):
+    """The last level in closed form: s = ln x -> 1 - e^{-max(limit/x - 1, 0)/gbar}."""
+    return lambda s: -np.expm1(np.minimum((1.0 - limit * np.exp(-s)) / gbar, 0.0))
+
+
 def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> float:
     """G_1(1) at n Chebyshev nodes and m Gauss nodes per panel.
 
@@ -117,9 +123,7 @@ def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> 
     so values below lo_k are set to 1 rather than read from it.
     """
 
-    def inner(s):
-        return -np.expm1(np.minimum((1.0 - limits[-1] * np.exp(-s)) / gbars[-1], 0.0))
-
+    inner = _closed_level(limits[-1], gbars[-1])
     for k in range(len(limits) - 2, 0, -1):
         hi = math.log(limits[k - 1])
         lo = math.log(limits[k]) - sum(math.log1p(_U_TAIL * g) for g in gbars[k:])
@@ -138,28 +142,23 @@ def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> 
     return float(_level(np.zeros(1), limits[0], gbars[0], inner, m)[0])
 
 
-def _nested_probability(
-    limits: Sequence[float],
-    gbars: Sequence[float],
-    tol: float,
-    rel_tol: float,
-    what: str,
-) -> tuple[float, float]:
-    """Pr(x_k < limits[k] for every k) and its uncertainty.
+def _refine(evaluate, tol: float, rel_tol: float, what: str) -> tuple[float, float]:
+    """A probability from ``evaluate(n, m)`` over ``_PASSES``, and its uncertainty.
 
-    The uncertainty is the gap between the last two passes plus the
-    rounding floor.
+    Every recursion and the two-round closed form share this rule: stop
+    once two passes differ by at most max(tol, rel_tol * value), and report
+    that gap plus the rounding floor as the uncertainty.
     """
     previous = None
     for n, m in _PASSES:
-        value = _nested(limits, gbars, n, m)
+        value = evaluate(n, m)
         if previous is not None:
             gap = abs(value - previous)
             if gap <= max(tol, rel_tol * abs(value)):
                 return clamp_probability(value, 1e-9, what), gap + _ROUNDOFF * abs(value)
         previous = value
     raise ConvergenceError(
-        f"{what}: passes at {_PASSES[-2][0]} and {_PASSES[-1][0]} Chebyshev nodes "
+        f"{what}: passes at {_PASSES[-2]} and {_PASSES[-1]} (Chebyshev, Gauss) nodes "
         f"differ by {gap:.3e}",
         best_estimate=value,
         error_estimate=gap,
@@ -175,7 +174,7 @@ def sum_info_cdf(
     if r <= 0.0:
         return 0.0, 0.0
     limits = [2.0 ** r] * powers.K
-    return _nested_probability(limits, powers.snr_bars, 0.0, rel_tol, "IR outage")
+    return _refine(partial(_nested, limits, powers.snr_bars), 0.0, rel_tol, "IR outage")
 
 
 def outage_upper_ir(
@@ -224,7 +223,7 @@ def xp_outage(
     """
     _check_rounds(rates, powers)
     limits = [2.0 ** c for c in rates.cumulative()]
-    value, err = _nested_probability(limits, powers.snr_bars, tol, rel_tol, "XP outage")
+    value, err = _refine(partial(_nested, limits, powers.snr_bars), tol, rel_tol, "XP outage")
     return Estimate(value, "xp-recursion", err)
 
 

@@ -23,10 +23,9 @@ from .bounds import outage_lower, outage_upper_ir, xp_outage
 from .core import PowerProfile, RateSchedule, XpharqError
 from .exact import (foxh_h11_incomplete, incomplete_gamma_difference, outage_k2_exact,
                     outage_k2_via_foxh)
-from .quadrature import hbar_quadrature
 from .simulate import SimConfig, estimate_outage
-from .sweep import (METHODS, ConfigError, db_to_linear, emit_gnuplot, evaluate, method_error,
-                    parse_config, run_sweep, write_csv)
+from .sweep import (METHODS, ConfigError, _fmt, db_to_linear, emit_gnuplot, evaluate,
+                    method_error, parse_config, run_sweep, write_csv)
 
 _RARE_EVENT_FLOOR = 100
 
@@ -87,10 +86,6 @@ def _point(parser: argparse.ArgumentParser, args) -> tuple[RateSchedule, PowerPr
         parser.error(f"--snr-db: {exc}")
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
-
-
 def _cmd_point(parser, args) -> int:
     rates, powers = _point(parser, args)
     error = method_error(args.command, args.scheme, args.method, rates.K)
@@ -108,10 +103,12 @@ def _cmd_point(parser, args) -> int:
     if args.command == "outage" and args.method == "mc":
         failures = round(est.value * args.trials)
         if failures < _RARE_EVENT_FLOOR:
+            others = [m for q, m in METHODS if q == "outage" and m != "mc"
+                      and method_error("outage", args.scheme, m, rates.K) is None]
             print(
                 f"warning: only {failures} outage events observed (<{_RARE_EVENT_FLOOR}); "
                 "the confidence interval is unreliable in this rare-event regime — "
-                "use the asymptotic or quadrature methods here",
+                f"use --method {' or '.join(others)} here",
                 file=sys.stderr,
             )
     if args.method == "asymptotic" and est.value >= 1.0:
@@ -225,15 +222,17 @@ def _cmd_selftest(parser, args) -> int:
         f"exact={p_exact!r} oracle={p_oracle!r} contour={p_foxh!r}",
     )
 
+    # the high-SNR limit of the outage recursion: at 120 dB xp_outage * gbar^3
+    # is within O(1/gbar) of the coefficient hbar_{3,1}(1)
     r3 = RateSchedule([1.0, 1.0, 1.0])
-    table = build_hbar_table(r3)
-    rec = hbar_eval(table, 1, 1.0)
-    orc = hbar_quadrature(r3)
+    rec = hbar_eval(build_hbar_table(r3), 1, 1.0)
+    gbar = 1e12
+    limit = xp_outage(r3, PowerProfile([gbar] * 3)).value * gbar ** 3
     closed = 12.0 * math.log(2.0) ** 2 - 4.0 * math.log(2.0) + 1.0
     check(
         "hbar-recursion-vs-oracle",
-        abs(rec - orc) <= 1e-8 * abs(orc) and abs(rec - closed) <= 1e-9 * closed,
-        f"recursion={rec!r} nested={orc!r} closed={closed!r}",
+        abs(rec - limit) <= 1e-8 * limit and abs(rec - closed) <= 1e-9 * closed,
+        f"recursion={rec!r} xp_outage*gbar^3={limit!r} closed={closed!r}",
     )
 
     g3 = PowerProfile([10.0, 10.0, 10.0])

@@ -160,8 +160,10 @@ class Estimate:
 
     ``uncertainty`` is a numerical error bound for deterministic methods (0
     where none is computed) and a 95% confidence half-width for Monte
-    Carlo.  ``chain`` is the outage chain P_1..P_K behind an analytical
-    throughput, and empty otherwise.
+    Carlo.  The 0 of ``lower`` (a bound) and ``asymptotic`` (an
+    approximation) covers their arithmetic only, not their distance from
+    the outage probability.  ``chain`` is the outage chain P_1..P_K behind
+    an analytical throughput, and empty otherwise.
     """
 
     value: float

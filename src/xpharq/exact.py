@@ -1,18 +1,25 @@
 """Exact outage probabilities for one and two rounds.
 
-The two-round XP outage probability has the closed form
+The paper's two-round XP outage probability, with g_k the per-round
+average SNRs, Z = 2^{R1+R2} and a_k = (2^{R_k}-1)/g_k, is
 
-    P = (1 - e^{-(2^{R1}-1)/g1}) (1 - e^{-(2^{R2}-1)/g2})
-        + e^{-(2^{R2}-1)/g2} - e^{-(2^{R1+R2}-1)/g2} - phi(R1, R2)
+    P = t1 + t23 - phi,   t1 = (1 - e^{-a1}) (1 - e^{-a2}),
+    t23 = e^{-a2} - e^{-(Z-1)/g2},
+    phi = (1/g2) e^{1/g1 + 1/g2} integral_{2^{R2}}^{Z} exp(-Z/(z g1) - z/g2) dz.
 
-with g_k the per-round average SNRs and
+At high SNR t23 and phi cancel to O(1/(g1 g2)) and the subtraction loses
+every digit.  t23 is the integral of (1/g2) e^{-(z-1)/g2} over the same
+interval, so with z = 2^{R2} + g2 u the two combine into one nonnegative
+integral and no subtraction is left:
 
-    phi = (1/g2) e^{1/g1 + 1/g2}
-          * integral_{2^{R2}}^{2^{R1+R2}} exp(-2^{R1+R2}/(z g1) - z/g2) dz.
+    P = t1 + e^{-a2} integral_0^{(Z-2^{R2})/g2} e^{-u}
+                 (1 - e^{-(Z/(2^{R2} + g2 u) - 1)/g1}) du.
 
-phi is evaluated two independent ways: directly by adaptive quadrature on
-the finite interval (the default path), and through its Mellin-Barnes
-representation
+That is one level of the backward recursion in ``bounds``, and
+``outage_k2_exact`` takes it with the recursion's panels, passes,
+stopping rule and uncertainty (``bounds._refine``).
+
+phi survives in the paper's Mellin-Barnes representation
 
     phi = e^{1/g1+1/g2} (1/2 pi i) integral_{c-i inf}^{c+i inf}
           Gamma(s) [Gamma(s+1, b1) - Gamma(s+1, b2)] z^{-s} ds,
@@ -24,9 +31,9 @@ function.  The kernel difference is the finite integral
 int_{b1}^{b2} t^s e^{-t} dt (``incomplete_gamma_difference``), taken by
 Gauss-Legendre panels in ln t for every contour node in one call; the
 contour is a trapezoid along Re(s) = 1/2.  With b = 0 the kernel is the
-complete Gamma(s+1) (``foxh_h11_incomplete``).  The contour path exists as
-a cross-check, not the default: the finite-interval integrand is smooth
-and carries no truncation-parameter risk.
+complete Gamma(s+1) (``foxh_h11_incomplete``).  ``outage_k2_via_foxh``
+assembles t1 + t23 - phi from it as an independent cross-check, not the
+default: it keeps the cancellation, and its uncertainty grows with it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import math
 
 import numpy as np
 
+from .bounds import _GAUSS, _closed_level, _level, _refine
 from .core import (
     ConvergenceError,
     Estimate,
@@ -42,11 +50,10 @@ from .core import (
     RateSchedule,
     clamp_probability,
 )
-from .quadrature import IntegrationResult, integrate_adaptive
+from .quadrature import IntegrationResult
 
 __all__ = [
     "outage_k1",
-    "phi_quadrature",
     "outage_k2_exact",
     "outage_k2_via_foxh",
     "incomplete_gamma_difference",
@@ -66,9 +73,7 @@ _CONTOUR_NODES = 257
 # gives each panel 64 radians of the phase of t^{i Im s}, half a node per
 # radian, the coarsest count Gauss-Legendre can resolve, and doubles at
 # most _KERNEL_DOUBLINGS times from there.
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(32)
-_PANEL_X = (_PANEL_X + 1.0) / 2.0
-_PANEL_W = _PANEL_W / 2.0
+_PANEL_X, _PANEL_W = _GAUSS[32]
 _PANEL_PHASE = 64.0
 _KERNEL_DOUBLINGS = 6
 # e^{-t} underflows to zero beyond this t
@@ -77,36 +82,19 @@ _T_UNDERFLOW = -math.log(math.ulp(0.0))
 
 def outage_k1(r1: float, snr_bar: float) -> float:
     """Single-round outage 1 - e^{-(2^{r1}-1)/snr_bar}."""
-    if r1 <= 0.0 or snr_bar <= 0.0:
+    if not (r1 > 0.0 and snr_bar > 0.0):
         raise ValueError("rate and average SNR must be positive")
     return -math.expm1(-math.expm1(r1 * _LN2) / snr_bar)
 
 
-def phi_quadrature(
-    r1: float,
-    r2: float,
-    snr_bar1: float,
-    snr_bar2: float,
-    tol: float = 1e-12,
-) -> IntegrationResult:
-    """The phi integral of the two-round closed form, by direct quadrature.
-
-    Absolute error at most ``tol``.  The prefactor exponentials are folded
-    into the integrand, whose combined exponent (1 - Z/z)/g1 + (1 - z)/g2
-    is nonpositive over the whole interval, so no overflow is possible.
-    """
-    if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
-        raise ValueError("rates and average SNRs must be positive")
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-    big_z = 2.0 ** (r1 + r2)
-    lo = 2.0 ** r2
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        expo = (1.0 - big_z / z) / snr_bar1 + (1.0 - z) / snr_bar2
-        return np.exp(expo) / snr_bar2
-
-    return integrate_adaptive(integrand, lo, big_z, tol)
+def _k2_terms(rates: RateSchedule, powers: PowerProfile):
+    """R1, R2, g1, g2, the product term t1 and a2 of the two-round form."""
+    if rates.K != 2 or powers.K != 2:
+        raise ValueError("the closed form covers exactly K = 2")
+    (r1, r2), (g1, g2) = rates.rates, powers.snr_bars
+    a2 = math.expm1(r2 * _LN2) / g2
+    t1 = math.expm1(-math.expm1(r1 * _LN2) / g1) * math.expm1(-a2)  # (1-e^{-a1})(1-e^{-a2})
+    return r1, r2, g1, g2, t1, a2
 
 
 def outage_k2_exact(
@@ -116,34 +104,23 @@ def outage_k2_exact(
 ) -> Estimate:
     """Two-round XP outage probability from the closed form.
 
-    Assembles the four terms of the closed form; exponential differences go
-    through expm1 so the assembly stays accurate deep into the high-SNR
-    regime, and phi's quadrature tolerance is scaled to the expected
-    magnitude of the result so the cancellation against the middle terms
-    does not swamp it.
+    t1 plus the nonnegative integral that replaces t23 - phi (module
+    docstring), taken as one recursion level and stopped, as ``xp_outage``
+    is, at max(tol, 1e-9 * value); the uncertainty is the last gap plus a
+    rounding floor of 1e-14 relative.
     """
-    if rates.K != 2 or powers.K != 2:
-        raise ValueError("the closed form covers exactly K = 2")
-    r1, r2 = rates.rates
-    g1, g2 = powers.snr_bars
+    r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
+    big_z = 2.0 ** (r1 + r2)
+    inner = _closed_level(big_z, g1)
+    tail = math.exp(-a2)  # Pr(gamma_2 >= a2)
 
-    a1 = math.expm1(r1 * _LN2) / g1        # (2^{R1}-1)/g1
-    a2 = math.expm1(r2 * _LN2) / g2
-    t1 = math.expm1(-a1) * math.expm1(-a2)  # product of two (1-e^{-x})
-    # e^{-(2^{R2}-1)/g2} - e^{-(2^{R1+R2}-1)/g2}, difference via expm1 of the
-    # positive gap (2^{R1+R2}-2^{R2})/g2 = 2^{R2}(2^{R1}-1)/g2
-    gap = (2.0 ** r2) * math.expm1(r1 * _LN2) / g2
-    t23 = math.exp(-a2) * -math.expm1(-gap)
+    def assemble(n: int, m: int) -> float:
+        if tail == 0.0:  # g2 / 2^{R2} may underflow too; the term is 0 either way
+            return t1
+        level = _level(np.array([r2 * _LN2]), big_z, g2 / 2.0 ** r2, inner, m)
+        return t1 + tail * float(level[0])
 
-    # phi nearly cancels t23 at high SNR; aim its absolute tolerance three
-    # decades under the surviving leading-order value.
-    rough = (2.0 ** (r1 + r2)) * r1 * _LN2 / (g1 * g2)
-    phi_tol = min(tol, max(1e-3 * rough, 1e-17), 1e-3)
-    phi = phi_quadrature(r1, r2, g1, g2, tol=phi_tol)
-
-    raw = t1 + t23 - phi.value
-    value = clamp_probability(raw, tol, "two-round outage")
-    uncertainty = phi.abs_error_estimate + 4e-16 * (abs(t1) + t23 + phi.value)
+    value, uncertainty = _refine(assemble, tol, 1e-9, "two-round outage")
     return Estimate(value, "k2-exact", uncertainty)
 
 
@@ -280,22 +257,15 @@ def outage_k2_via_foxh(
 ) -> Estimate:
     """Two-round outage with phi taken from the contour path.
 
-    Same term assembly as outage_k2_exact but the integral term comes from
-    the Mellin-Barnes representation, giving a fully independent route
-    through the closed form.  The uncertainty is the contour's last
-    refinement gap plus the assembly's rounding.
+    The paper's assembly t1 + t23 - phi with phi from the Mellin-Barnes
+    representation, a route independent of outage_k2_exact's integral.  At
+    high SNR t23 and phi cancel; the uncertainty is the contour's last
+    refinement gap plus the assembly's rounding, so it grows with the
+    cancellation.
     """
-    if rates.K != 2 or powers.K != 2:
-        raise ValueError("the closed form covers exactly K = 2")
-    r1, r2 = rates.rates
-    g1, g2 = powers.snr_bars
-    a1 = math.expm1(r1 * _LN2) / g1
-    a2 = math.expm1(r2 * _LN2) / g2
-    t1 = math.expm1(-a1) * math.expm1(-a2)
-    gap = (2.0 ** r2) * math.expm1(r1 * _LN2) / g2
-    t23 = math.exp(-a2) * -math.expm1(-gap)
+    r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
+    t23 = math.exp(-a2) * -math.expm1(-(2.0 ** r2) * math.expm1(r1 * _LN2) / g2)
     phi = phi_foxh(r1, r2, g1, g2)
-    raw = t1 + t23 - phi.value
-    value = clamp_probability(raw, tol, "two-round outage (contour phi)")
+    value = clamp_probability(t1 + t23 - phi.value, tol, "two-round outage (contour phi)")
     uncertainty = phi.abs_error_estimate + 4e-16 * (abs(t1) + t23 + abs(phi.value))
     return Estimate(value, "k2-foxh", uncertainty)

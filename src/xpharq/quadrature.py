@@ -1,10 +1,11 @@
 """Ground-truth numerical machinery.
 
-This module is the reference oracle for the analytical formulas elsewhere in
-the package: a self-contained adaptive Gauss-Kronrod integrator, the joint
-density of the transformed per-round SNR products, the nested multi-fold
-quadrature of the exact XP outage probability, and the nested integral
-defining the high-SNR coefficient polynomials.
+This module holds the reference oracles for the analytical formulas
+elsewhere in the package: a self-contained adaptive Gauss-Kronrod
+integrator, the joint density of the transformed per-round SNR products,
+the nested quadrature of the exact XP outage probability, the nested
+integral behind the high-SNR coefficients, and phi by direct quadrature.
+No production path calls them.
 
 The change of variables behind the nested integrals is
 
@@ -43,6 +44,7 @@ __all__ = [
     "joint_density_x",
     "xp_outage_quadrature",
     "hbar_quadrature",
+    "phi_quadrature",
 ]
 
 
@@ -304,3 +306,30 @@ def hbar_quadrature(
         ).value
 
     return level(k, x, rel_tol)
+
+
+def phi_quadrature(
+    r1: float,
+    r2: float,
+    snr_bar1: float,
+    snr_bar2: float,
+    tol: float = 1e-12,
+) -> IntegrationResult:
+    """The phi integral of the two-round closed form, by direct quadrature.
+
+    Absolute error at most ``tol``.  The prefactor exponentials are folded
+    into the integrand, whose combined exponent (1 - Z/z)/g1 + (1 - z)/g2
+    is nonpositive over the whole interval, so no overflow is possible.
+    """
+    if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
+        raise ValueError("rates and average SNRs must be positive")
+    if not 0.0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
+    big_z = 2.0 ** (r1 + r2)
+    lo = 2.0 ** r2
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        expo = (1.0 - big_z / z) / snr_bar1 + (1.0 - z) / snr_bar2
+        return np.exp(expo) / snr_bar2
+
+    return integrate_adaptive(integrand, lo, big_z, tol)

@@ -56,6 +56,12 @@ def test_phi_asymptotic_rejects_bad_input():
         phi_asymptotic(0.0, 1.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         phi_asymptotic(1.0, 1.0, -5.0, 10.0)
+    # NaN in each slot, which an ordering test such as min(...) <= 0 lets through
+    for slot in range(4):
+        args = [1.0, 1.0, 10.0, 10.0]
+        args[slot] = math.nan
+        with pytest.raises(ValueError, match="must be positive"):
+            phi_asymptotic(*args)
 
 
 def test_outage_k2_asymptotic_coefficient():

@@ -14,6 +14,7 @@ from xpharq import (
     estimate_outage,
     ir_outage_chain,
     outage_k1,
+    outage_k2_exact,
     outage_lower,
     outage_upper_ir,
     sum_info_cdf,
@@ -159,7 +160,8 @@ def _mp_xp_three_rounds(limits, gbar: float):
 
 def test_recursion_uncertainty_calibrated():
     # K = 2, R = (1, 1): XP outage is Pr(x_1 < 2, x_2 < 4), the IR bound
-    # Pr(x_2 < 4).  Above 160 dB mp.quad drifts, so the reference there is
+    # Pr(x_2 < 4); the two-round closed form shares the recursion's level
+    # and pass rule.  Above 160 dB mp.quad drifts, so the reference there is
     # the leading high-SNR term, whose relative error O(1/gbar) is < 1e-16.
     rates = RateSchedule((1.0, 1.0))
     for snr_db in list(range(-10, 161, 10)) + [200, 250, 300]:
@@ -170,7 +172,9 @@ def test_recursion_uncertainty_calibrated():
         else:
             refs = ((4.0 * math.log(2.0) - 1.0) / gbar**2,
                     (8.0 * math.log(2.0) - 3.0) / gbar**2)
-        for est, ref in zip((xp_outage(rates, powers), outage_upper_ir(rates, powers)), refs):
+        estimates = (xp_outage(rates, powers), outage_upper_ir(rates, powers),
+                     outage_k2_exact(rates, powers))
+        for est, ref in zip(estimates, refs + refs[:1]):
             err = abs(est.value - ref)
             assert err <= est.uncertainty, (snr_db, est, ref)
             assert err <= 1e-12 * est.value, (snr_db, est, ref)

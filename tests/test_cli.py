@@ -31,8 +31,9 @@ from xpharq import (
     throughput_analytical,
     xp_outage_chain,
 )
+from xpharq import quadrature
 from xpharq.cli import main
-from xpharq.sweep import METHODS
+from xpharq.sweep import METHODS, evaluate, method_error
 
 
 def _field(output: str, name: str) -> str:
@@ -133,14 +134,24 @@ def test_usage_errors_exit_two(monkeypatch):
 
 
 def test_outage_mc_rare_event_warning(capsys):
-    rc = main([
-        "outage", "--rates", "1,1", "--snr-db", "80",
-        "--method", "mc", "--trials", "1000",
-    ])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "rare-event" in captured.err
-    assert "warning" in captured.err
+    # the warning names only methods that run for the scheme and K
+    for scheme, rates, named in (("xp", "1,1", {"exact", "oracle", "asymptotic"}),
+                                 ("xp", "1,1,1", {"oracle", "asymptotic"}),
+                                 ("inr", "1,1", {"upper"})):
+        rc = main([
+            "outage", "--rates", rates, "--snr-db", "80", "--scheme", scheme,
+            "--method", "mc", "--trials", "1000",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "rare-event" in captured.err
+        assert "warning" in captured.err
+        m = re.search(r"use --method (.+) here", captured.err)
+        assert m is not None, captured.err
+        methods = set(m.group(1).split(" or "))
+        assert named <= methods and "mc" not in methods, (scheme, rates, methods)
+        for method in methods:
+            assert method_error("outage", scheme, method, rates.count(",") + 1) is None, method
 
 
 def test_outage_mc_no_warning_in_bulk_regime(capsys):
@@ -231,6 +242,28 @@ def test_selftest_passes(capsys):
     assert "selftest: ok" in out
     assert "FAIL" not in out
     assert out.count("PASS ") == 6
+
+
+def test_no_production_path_reaches_adaptive_quadrature(monkeypatch, capsys):
+    # the adaptive engine is a reference: no table entry and no selftest
+    # check may need it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_adaptive called")
+
+    real = quadrature.integrate_adaptive
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "xpharq":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, forbidden)
+    rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
+    for (quantity, method), entry in METHODS.items():
+        for scheme in entry.schemes:
+            if method_error(quantity, scheme, method, 2) is None:
+                est = evaluate(quantity, scheme, method, rates, powers, trials=2000)
+                assert math.isfinite(est.value), (quantity, scheme, method)
+    assert main(["selftest"]) == 0
+    assert "selftest: ok" in capsys.readouterr().out
 
 
 _REPO = Path(__file__).resolve().parents[1]

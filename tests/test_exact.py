@@ -62,6 +62,12 @@ def test_outage_k1_reference_values():
     assert outage_k1(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
 
+def test_outage_k1_rejects_bad_input():
+    for args in ((0.0, 10.0), (1.0, -1.0), (math.nan, 10.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            outage_k1(*args)
+
+
 def test_phi_quadrature_against_simpson():
     for r1, r2, g1, g2 in ((1.0, 1.0, 10.0, 10.0), (2.0, 1.0, 3.0, 30.0), (0.5, 2.0, 1.0, 1.0)):
         res = phi_quadrature(r1, r2, g1, g2)
@@ -239,6 +245,9 @@ def test_outage_k2_exact_monotone_and_bounded():
     for g in (1e-3, 1.0, 1e8):
         v = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((g, g))).value
         assert 0.0 <= v <= 1.0
+    # e^{-a2} and g2 / 2^{R2} underflow: the second round always fails
+    est = outage_k2_exact(RateSchedule((20.0, 1000.0)), PowerProfile((1e300, 1e-300)))
+    assert est.value == pytest.approx(outage_k1(20.0, 1e300), rel=1e-14)
 
 
 def test_outage_k2_exact_rejects_other_round_counts():
