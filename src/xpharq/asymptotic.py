@@ -70,7 +70,8 @@ def outage_k2_asymptotic(rates: RateSchedule, powers: PowerProfile) -> float:
         raise ValueError("this asymptotic form covers exactly K = 2")
     r1, r2 = rates.rates
     g1, g2 = powers.snr_bars
-    return ((2.0 ** (r1 + r2)) * r1 * _LN2 - math.expm1(r1 * _LN2)) / (g1 * g2)
+    # g1 * g2 may overflow where the quotient does not
+    return ((2.0 ** (r1 + r2)) * r1 * _LN2 - math.expm1(r1 * _LN2)) / g1 / g2
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,10 @@ def outage_asymptotic_general(rates: RateSchedule, powers: PowerProfile) -> floa
     if rates.K < 2:
         raise ValueError("general asymptotic needs K >= 2")
     table = build_hbar_table(rates)
-    coeff = hbar_eval(table, 1, 1.0)
-    scale = 1.0
-    for g in powers.snr_bars:
-        scale /= g
-    return scale * coeff
+    value = hbar_eval(table, 1, 1.0)
+    for g in powers.snr_bars:  # in turn: prod(1/gbar) underflows where this does not
+        value /= g
+    return value
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,19 @@ are identical for any worker count and any scheduling order.  Block
 summaries are merged in block-index order, making every output
 byte-reproducible.
 
-A block draws its SNRs straight into a round-major (K, n) buffer, row k
-holding round k of every trial: the stream fills round 1 of all n trials,
-then round 2, and so on.  Every trial draws all K rounds whatever the
-scheme, so XP and INR on one seed see the same SNRs.  Every later stage
-works in place on contiguous rows of n trials: scaling by the average
-SNRs, log1p, the running sum over rounds (row k += row k-1, the order of
-a per-trial cumsum, so the mutual information is bit-identical), the
-division by ln 2, and the decision, which walks the rounds with a mask of
-still-pending trials and counts first successes per round.  Slots and
-delivered rate follow from that histogram alone.
+A block streams its SNRs round by round, row k of n trials right after
+row k-1: exactly the stream of one round-major (K, n) fill, so every trial
+draws all K rounds and XP and INR on one seed see the same SNRs.  The
+decision takes no logarithm: sum_{l<=k} log2(1 + g_l) >= R_k holds exactly
+when y_k = prod_{l<=k}(1 + g_l) - 1 >= expm1(R_k ln 2), and the block
+carries y_k = y_{k-1} + g_k (1 + y_{k-1}).  Every term is nonnegative, so
+y_k keeps the log sum's relative precision at any rate and SNR; the shorter
+prod(1 + g) >= 2^R rounds 1 + g and 2^R to a few digits and miscounts at
+rates below about 1e-14 and deep fades.  A mask of pending trials counts
+first successes per round; slots and delivered rate follow from that
+histogram.  Each worker reuses one workspace (rows y, draw and step, and
+the two masks) sized to its largest block; of W workers, worker w runs
+blocks w, w + W, ... and the summaries merge back in block order.
 
 The engine itself is scheme-agnostic: a cycle succeeds at the first round
 k whose accumulated mutual information reaches ``thresholds[k-1]``, earning
@@ -106,7 +109,7 @@ class SimSummary:
 
 def sample_snr(snr_bar: float, rng: np.random.Generator) -> float:
     """One exponential instantaneous-SNR draw with mean snr_bar."""
-    if snr_bar <= 0.0:
+    if not snr_bar > 0.0:
         raise ValueError("snr_bar must be positive")
     return float(rng.standard_exponential() * snr_bar)
 
@@ -117,6 +120,11 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows y, draw and step, then the pending and hit masks, for n trials."""
+    return np.empty((3, n)), np.empty((2, n), dtype=bool)
+
+
 def _run_block(
     seed: int,
     block_index: int,
@@ -124,26 +132,29 @@ def _run_block(
     gbars: np.ndarray,
     thresholds: np.ndarray,
     rewards: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> SimSummary:
     rng = _block_rng(seed, block_index)
-    k_rounds = len(gbars)
-    info = np.empty((k_rounds, n))  # row k holds round k of every trial
-    rng.standard_exponential(out=info)
-    info *= gbars[:, None]
-    np.log1p(info, out=info)
-    for k in range(1, k_rounds):
-        info[k] += info[k - 1]  # the order of cumsum(axis=1), bit for bit
-    info /= _LN2
-    pending = np.ones(n, dtype=bool)
-    hit = np.empty(n, dtype=bool)
+    y, draw, step = work[0][:, :n]
+    pending, hit = work[1][:, :n]
+    pending.fill(True)
     counts = []
-    for k in range(k_rounds):
-        np.greater_equal(info[k], thresholds[k], out=hit)
+    for k, (gbar, limit) in enumerate(zip(gbars, np.expm1(thresholds * _LN2))):
+        if k == 0:
+            rng.standard_exponential(out=y)
+            y *= gbar
+        else:
+            rng.standard_exponential(out=draw)
+            draw *= gbar
+            np.add(y, 1.0, out=step)
+            step *= draw
+            y += step  # y_k = y_{k-1} + g_k (1 + y_{k-1})
+        np.greater_equal(y, limit, out=hit)
         hit &= pending
         counts.append(int(np.count_nonzero(hit)))
         pending ^= hit  # hit is a subset of pending: pending &= ~hit
     n_out = n - sum(counts)
-    slots = sum((k + 1) * c for k, c in enumerate(counts)) + k_rounds * n_out
+    slots = sum((k + 1) * c for k, c in enumerate(counts)) + len(gbars) * n_out
     delivered = float(np.dot(counts, rewards))
     return SimSummary(
         trials=n,
@@ -160,19 +171,24 @@ def _simulate(cfg: SimConfig, thresholds: np.ndarray, rewards: np.ndarray) -> Si
         (i, min(_BLOCK, cfg.trials - i * _BLOCK))
         for i in range((cfg.trials + _BLOCK - 1) // _BLOCK)
     ]
+    workers = min(cfg.workers, len(blocks))
 
-    def run(block) -> SimSummary:
-        index, size = block
-        return _run_block(cfg.seed, index, size, gbars, thresholds, rewards)
+    def run(share) -> list[SimSummary]:
+        work = _workspace(max(size for _, size in share))
+        return [
+            _run_block(cfg.seed, index, size, gbars, thresholds, rewards, work)
+            for index, size in share
+        ]
 
-    if cfg.workers == 1 or len(blocks) == 1:
-        parts = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(run, blocks))
-    summary = parts[0]
-    for part in parts[1:]:
-        summary = summary.merge(part)
+    shares = [blocks[w::workers] for w in range(workers)]
+    if workers == 1:
+        results = [run(blocks)]
+    else:  # pool.map keeps the order of the shares
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, shares))
+    summary = results[0][0]
+    for i in range(1, len(blocks)):
+        summary = summary.merge(results[i % workers][i // workers])
     return summary
 
 

@@ -17,6 +17,7 @@ from xpharq import (
     outage_k2_asymptotic,
     phi_asymptotic,
     phi_quadrature,
+    xp_outage,
 )
 
 _LN2 = math.log(2.0)
@@ -185,6 +186,23 @@ def test_outage_asymptotic_general_three_rounds():
     )
     expected = (12.0 * _LN2**2 - 4.0 * _LN2 + 1.0) / 1e6
     assert v == pytest.approx(expected, rel=1e-12)
+
+
+def test_asymptotes_survive_an_overflowing_snr_product():
+    # prod(gbar) = 1e368 overflows and its reciprocal underflows, while the
+    # outage, about 1.1e-306, is a normal double deep in the asymptotic regime
+    rates = RateSchedule((100.0, 100.0))
+    powers = PowerProfile((10.0 ** 300, 10.0 ** 68))  # 3000 and 680 dB
+    ref = xp_outage(rates, powers, tol=0.0).value
+    assert 1e-307 < ref < 1e-305
+    assert outage_k2_asymptotic(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert outage_asymptotic_general(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)
+    # three rounds: the term is 1/gbar_1 times a function of the other SNRs
+    rates3 = RateSchedule((30.0, 30.0, 30.0))
+    low = outage_asymptotic_general(rates3, PowerProfile((1e10, 1e12, 1e15)))
+    high = outage_asymptotic_general(rates3, PowerProfile((1e300, 1e12, 1e15)))
+    assert high > 0.0
+    assert high == pytest.approx(low * 1e-290, rel=1e-14, abs=0.0)
 
 
 def test_outage_asymptotic_general_validation():

@@ -1,6 +1,9 @@
 """Monte Carlo engine: sampling, determinism, estimates, and throughput."""
 
+import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +24,15 @@ from xpharq import (
     xp_outage_chain,
     xp_outage_quadrature,
 )
-from xpharq.simulate import _LN2, _block_rng, _run_block, _scheme_vectors, _simulate
+from xpharq.simulate import (
+    _BLOCK,
+    _LN2,
+    _block_rng,
+    _run_block,
+    _scheme_vectors,
+    _simulate,
+    _workspace,
+)
 
 
 def _trial_major_block(seed, block_index, n, gbars, thresholds, rewards):
@@ -63,6 +74,8 @@ def test_sample_snr_deterministic_and_validated():
     assert a == b
     with pytest.raises(ValueError):
         sample_snr(0.0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_snr(math.nan, np.random.default_rng(0))
 
 
 def test_sim_config_validation():
@@ -112,17 +125,25 @@ def test_block_kernel_matches_trial_major_oracle():
     sizes = [1, 2, 7, 65_535, 65_536, 65_537, 70_000] + [
         int(n) for n in rng.integers(1, 70_000, size=17)
     ]
-    for case, n in enumerate(sizes):
-        k_rounds = case % 8 + 1
-        rates = RateSchedule(tuple(float(r) for r in rng.uniform(0.05, 3.0, k_rounds)))
-        db = rng.uniform(-10.0, 30.0, k_rounds)
+    cases = [(n, case % 8 + 1, (0.05, 3.0), (-10.0, 30.0)) for case, n in enumerate(sizes)]
+    # the decision on prod(1 + g) - 1 must keep the log sum's relative
+    # precision where 2^R and 1 + g keep few digits (rates of 1e-18 to 1e-12
+    # in deep fades) and where R and log2(1 + g) are large
+    for k_rounds in range(1, 13):
+        decade = -18.0 + 5.0 * (k_rounds - 1) / 11.0
+        tiny = (10.0 ** decade, 10.0 ** (decade + 1.0))
+        cases.append((3000, k_rounds, tiny, (-180.0, -100.0)))
+        cases.append((3000, k_rounds, (20.0, 80.0), (100.0, 300.0)))
+    for case, (n, k_rounds, rate_range, db_range) in enumerate(cases):
+        rates = RateSchedule(tuple(float(r) for r in rng.uniform(*rate_range, k_rounds)))
+        db = rng.uniform(*db_range, k_rounds)
         powers = PowerProfile(tuple(float(g) for g in 10.0 ** (db / 10.0)))
         gbars = np.asarray(powers.snr_bars)
         scheme, purpose = (("xp", "outage"), ("inr", "outage"), ("inr", "throughput"))[case % 3]
         cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=case)
         thresholds, rewards = _scheme_vectors(cfg, purpose)
         seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
-        got = _run_block(seed, index, n, gbars, thresholds, rewards)
+        got = _run_block(seed, index, n, gbars, thresholds, rewards, _workspace(n))
         ref = _trial_major_block(seed, index, n, gbars, thresholds, rewards)
         assert (got.trials, got.outage_count, got.success_at_round, got.slots_total) == (
             ref.trials,
@@ -154,8 +175,74 @@ def test_block_summary_pinned():
     gbars = np.array([1.0, 4.0, 2.0])
     thresholds = np.array([1.0, 2.0, 3.0])
     rewards = np.array([1.0, 2.0, 3.0])
-    got = _run_block(0, 3, 1000, gbars, thresholds, rewards)
+    got = _run_block(0, 3, 1000, gbars, thresholds, rewards, _workspace(1000))
     assert got == SimSummary(1000, 147, (357, 410, 86), 1435.0, 1876)
+
+
+def _serial_summary(cfg, thresholds, rewards):
+    gbars = np.asarray(cfg.powers.snr_bars)
+    parts = [
+        _run_block(cfg.seed, index, n, gbars, thresholds, rewards, _workspace(n))
+        for index, n in enumerate(
+            min(_BLOCK, cfg.trials - start) for start in range(0, cfg.trials, _BLOCK)
+        )
+    ]
+    return functools.reduce(SimSummary.merge, parts)
+
+
+def test_worker_split_equals_serial_summary():
+    rates = RateSchedule((0.5, 1.0, 0.7))
+    powers = PowerProfile((3.0, 10.0, 5.0))
+    # six blocks, the last partial: no worker count here divides them evenly
+    for trials in (5 * _BLOCK + 123, 1000):
+        base = SimConfig(scheme="xp", rates=rates, powers=powers, trials=trials, seed=19)
+        thresholds, rewards = _scheme_vectors(base, "throughput")
+        serial = _serial_summary(base, thresholds, rewards)
+        assert serial.trials == trials
+        for workers in (1, 2, 3, 8):
+            cfg = SimConfig(
+                scheme="xp", rates=rates, powers=powers, trials=trials, seed=19, workers=workers
+            )
+            assert _simulate(cfg, thresholds, rewards) == serial, (trials, workers)
+
+
+def test_block_ignores_stale_workspace():
+    gbars = np.array([2.0, 0.5, 8.0, 1.0])
+    thresholds = np.array([0.5, 1.0, 2.0, 2.5])
+    rewards = thresholds.copy()
+    n = 5000
+    fresh = _run_block(8, 2, n, gbars, thresholds, rewards, _workspace(n))
+    stale = _workspace(n + 17)  # sized for a larger block, as a worker's may be
+    stale[0].fill(math.nan)
+    stale[1].fill(True)
+    assert _run_block(8, 2, n, gbars, thresholds, rewards, stale) == fresh
+    stale[1].fill(False)
+    assert _run_block(8, 2, n, gbars, thresholds, rewards, stale) == fresh
+
+
+def test_worker_split_stress_more_workers_than_cores():
+    rates = RateSchedule((1.0, 0.5))
+    powers = PowerProfile((10.0, 4.0))
+    cfg = SimConfig(scheme="inr", rates=rates, powers=powers, trials=9 * _BLOCK + 7, seed=23)
+    thresholds, rewards = _scheme_vectors(cfg, "outage")
+    serial = _serial_summary(cfg, thresholds, rewards)
+    stressed = SimConfig(
+        scheme="inr", rates=rates, powers=powers, trials=cfg.trials, seed=23, workers=8
+    )
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            runner = threading.Thread(
+                target=lambda: results.append(_simulate(stressed, thresholds, rewards))
+            )
+            runner.start()
+            runner.join(timeout=120.0)
+            assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 3
 
 
 def test_outage_estimate_deterministic_across_workers():
