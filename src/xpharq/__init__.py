@@ -12,12 +12,8 @@ from .core import (
     Estimate,
     PowerProfile,
     RateSchedule,
-    SnrRealization,
     XpharqError,
     clamp_probability,
-    ir_outage_event,
-    mutual_information,
-    xp_success_round,
 )
 from .quadrature import (
     IntegrationResult,
@@ -52,7 +48,6 @@ from .simulate import (
     SimSummary,
     estimate_outage,
     estimate_throughput,
-    sample_snr,
     throughput_analytical,
 )
 from .sweep import (

@@ -82,7 +82,6 @@ class HbarTable:
     """
 
     K: int
-    rates: RateSchedule
     coeffs: tuple[tuple[float, ...], ...]
 
 
@@ -107,7 +106,7 @@ def build_hbar_table(rates: RateSchedule) -> HbarTable:
             acc = (acc + above[i] / (i + 1)) * lt
         row[0] = acc + (-1.0) ** (K - k) * thresholds[k - 1]
         rows[k - 1] = row
-    return HbarTable(K=K, rates=rates, coeffs=tuple(tuple(r) for r in rows))
+    return HbarTable(K=K, coeffs=tuple(tuple(r) for r in rows))
 
 
 def hbar_eval(table: HbarTable, k: int, x: float) -> float:

@@ -1,21 +1,8 @@
-"""Domain types and per-realization HARQ protocol semantics.
+"""Domain types: rate schedules, power profiles, estimates and errors.
 
 A HARQ cycle runs up to K rounds over independent Rayleigh block-fading
-channels.  Round l sees an instantaneous SNR gamma_l (exponential with mean
-gamma_bar_l) and contributes mutual information I_l = log2(1 + gamma_l).
-
-Two accumulation disciplines are modeled:
-
-* cross-packet (XP): round k succeeds when the accumulated mutual
-  information sum_{l<=k} I_l reaches the accumulated rate target
-  R_k^sum = sum_{l<=k} R_l.  The cycle is in outage when every round
-  falls strictly short.
-* incremental redundancy (IR): only the final total matters; outage is
-  sum_{l<=K} I_l < R_K^sum.
-
-Outage is defined with strict "<"; equality counts as success.  The
-convention matters only on a measure-zero set under continuous fading but
-must be fixed for determinism.
+channels.  Round k carries incremental rate R_k and sees an instantaneous
+SNR that is exponential with mean gamma_bar_k.
 """
 
 from __future__ import annotations
@@ -30,11 +17,7 @@ __all__ = [
     "ConsistencyError",
     "RateSchedule",
     "PowerProfile",
-    "SnrRealization",
     "Estimate",
-    "mutual_information",
-    "xp_success_round",
-    "ir_outage_event",
     "clamp_probability",
 ]
 
@@ -135,26 +118,6 @@ class PowerProfile:
 
 
 @dataclass(frozen=True)
-class SnrRealization:
-    """One cycle's instantaneous per-round SNRs gamma_1..gamma_K (>= 0)."""
-
-    snrs: tuple[float, ...]
-
-    def __init__(self, snrs: Sequence[float]):
-        out = tuple(float(v) for v in snrs)
-        if len(out) == 0:
-            raise ValueError("snrs must contain at least one entry")
-        for v in out:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"snrs entries must be nonnegative and finite, got {v!r}")
-        object.__setattr__(self, "snrs", out)
-
-    @property
-    def K(self) -> int:
-        return len(self.snrs)
-
-
-@dataclass(frozen=True)
 class Estimate:
     """An outage probability or throughput with a method tag and an uncertainty.
 
@@ -170,44 +133,6 @@ class Estimate:
     method: str
     uncertainty: float
     chain: tuple[float, ...] = ()
-
-
-def mutual_information(snr: float) -> float:
-    """I = log2(1 + snr) for an instantaneous SNR, in bits per channel use."""
-    if snr < 0.0 or not math.isfinite(snr):
-        raise ValueError(f"snr must be nonnegative and finite, got {snr!r}")
-    return math.log1p(snr) / math.log(2.0)
-
-
-def _check_lengths(rates: RateSchedule, real: SnrRealization) -> None:
-    if rates.K != real.K:
-        raise ValueError(
-            f"schedule has {rates.K} rounds but realization has {real.K}"
-        )
-
-
-def xp_success_round(rates: RateSchedule, real: SnrRealization) -> Optional[int]:
-    """First round k at which accumulated information reaches the target.
-
-    Returns the smallest k with sum_{l<=k} I_l >= R_k^sum, or None when no
-    round succeeds (the cycle is in outage).  Equality counts as success.
-    """
-    _check_lengths(rates, real)
-    acc_info = 0.0
-    acc_rate = 0.0
-    for k, (r, g) in enumerate(zip(rates.rates, real.snrs), start=1):
-        acc_info += mutual_information(g)
-        acc_rate += r
-        if acc_info >= acc_rate:
-            return k
-    return None
-
-
-def ir_outage_event(rates: RateSchedule, real: SnrRealization) -> bool:
-    """True iff the K-round information total falls short of R_K^sum."""
-    _check_lengths(rates, real)
-    total = sum(mutual_information(g) for g in real.snrs)
-    return total < rates.cumulative(rates.K)
 
 
 def clamp_probability(value: float, tol: float, what: str) -> float:

@@ -78,6 +78,8 @@ _PANEL_PHASE = 64.0
 _KERNEL_DOUBLINGS = 6
 # e^{-t} underflows to zero beyond this t
 _T_UNDERFLOW = -math.log(math.ulp(0.0))
+# the contour assembly's excursions outside [0, 1] clamped as rounding
+_CLAMP_TOL = 1e-9
 
 
 def outage_k1(r1: float, snr_bar: float) -> float:
@@ -250,11 +252,7 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Integrat
     return IntegrationResult(scale * mb, scale * gap, evaluations)
 
 
-def outage_k2_via_foxh(
-    rates: RateSchedule,
-    powers: PowerProfile,
-    tol: float = 1e-9,
-) -> Estimate:
+def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     """Two-round outage with phi taken from the contour path.
 
     The paper's assembly t1 + t23 - phi with phi from the Mellin-Barnes
@@ -266,6 +264,6 @@ def outage_k2_via_foxh(
     r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
     t23 = math.exp(-a2) * -math.expm1(-(2.0 ** r2) * math.expm1(r1 * _LN2) / g2)
     phi = phi_foxh(r1, r2, g1, g2)
-    value = clamp_probability(t1 + t23 - phi.value, tol, "two-round outage (contour phi)")
+    value = clamp_probability(t1 + t23 - phi.value, _CLAMP_TOL, "two-round outage (contour phi)")
     uncertainty = phi.abs_error_estimate + 4e-16 * (abs(t1) + t23 + abs(phi.value))
     return Estimate(value, "k2-foxh", uncertainty)

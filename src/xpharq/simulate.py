@@ -1,10 +1,11 @@
 """Seeded, parallelizable Monte Carlo simulation of HARQ cycles.
 
 Trials are partitioned into fixed-size blocks; block i draws from its own
-PCG64 stream, seeded by ``SeedSequence(seed, spawn_key=(i,))``, so results
-are identical for any worker count and any scheduling order.  Block
-summaries are merged in block-index order, making every output
-byte-reproducible.
+PCG64 stream, seeded by ``SeedSequence(seed, spawn_key=(i,))``.  A block
+reports only its histogram of first-success rounds (``SimSummary``); the
+outage count, slots and delivered rate all follow from it.  The counts are
+integers, so summaries merge exactly in any order and every output is
+identical for any worker count and any scheduling order.
 
 A block streams its SNRs round by round, row k of n trials right after
 row k-1: exactly the stream of one round-major (K, n) fill, so every trial
@@ -15,28 +16,31 @@ carries y_k = y_{k-1} + g_k (1 + y_{k-1}).  Every term is nonnegative, so
 y_k keeps the log sum's relative precision at any rate and SNR; the shorter
 prod(1 + g) >= 2^R rounds 1 + g and 2^R to a few digits and miscounts at
 rates below about 1e-14 and deep fades.  A mask of pending trials counts
-first successes per round; slots and delivered rate follow from that
-histogram.  Each worker reuses one workspace (rows y, draw and step, and
-the two masks) sized to its largest block; of W workers, worker w runs
-blocks w, w + W, ... and the summaries merge back in block order.
+first successes per round.  Each worker reuses one workspace (rows y, draw
+and step, and the two masks) sized to its largest block; of W workers,
+worker w runs blocks w, w + W, ... and sums their histograms.
 
 The engine itself is scheme-agnostic: a cycle succeeds at the first round
-k whose accumulated mutual information reaches ``thresholds[k-1]``, earning
-``rewards[k-1]`` in delivered rate and consuming k slots; a cycle with no
-such round is an outage and consumes all K slots.  The two schemes map
-onto it as follows:
+k whose accumulated mutual information reaches ``thresholds[k-1]``,
+delivering that threshold as its rate and consuming k slots; a cycle with
+no such round is an outage and consumes all K slots.  Outage is defined
+with strict "<", so equality counts as success (the ``>=`` above); the
+convention matters only on a measure-zero set under continuous fading but
+must be fixed for determinism.  The two schemes map onto the engine as
+follows:
 
-* XP outage and throughput: threshold and reward at round k are both the
-  accumulated rate R_k^sum.
+* XP outage and throughput: the threshold at round k is the accumulated
+  rate R_k^sum.
 * INR outage: the comparison event is the upper-bound event
   I_K^sum < R_K^sum, so every round's threshold is R_K^sum (early-round
   checks are then redundant but harmless since I^sum is nondecreasing).
 * INR throughput: the protocol decodes one message of rate R_1 against the
-  information total, so threshold and reward are R_1 in every round.
+  information total, so the threshold is R_1 in every round.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,7 +52,6 @@ from .core import Estimate, PowerProfile, RateSchedule
 __all__ = [
     "SimConfig",
     "SimSummary",
-    "sample_snr",
     "estimate_outage",
     "estimate_throughput",
     "throughput_analytical",
@@ -85,33 +88,28 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Sufficient statistics of a batch of simulated HARQ cycles."""
+    """First-success histogram of a batch of simulated HARQ cycles.
+
+    ``success_at_round[k-1]`` counts the cycles that first succeed at round
+    k; the other trials are outages.
+    """
 
     trials: int
-    outage_count: int
     success_at_round: tuple[int, ...]
-    delivered_rate_total: float
-    slots_total: int
+
+    @property
+    def outage_count(self) -> int:
+        return self.trials - sum(self.success_at_round)
 
     def merge(self, other: "SimSummary") -> "SimSummary":
         if len(self.success_at_round) != len(other.success_at_round):
             raise ValueError("cannot merge summaries with different round counts")
         return SimSummary(
             trials=self.trials + other.trials,
-            outage_count=self.outage_count + other.outage_count,
             success_at_round=tuple(
                 a + b for a, b in zip(self.success_at_round, other.success_at_round)
             ),
-            delivered_rate_total=self.delivered_rate_total + other.delivered_rate_total,
-            slots_total=self.slots_total + other.slots_total,
         )
-
-
-def sample_snr(snr_bar: float, rng: np.random.Generator) -> float:
-    """One exponential instantaneous-SNR draw with mean snr_bar."""
-    if not snr_bar > 0.0:
-        raise ValueError("snr_bar must be positive")
-    return float(rng.standard_exponential() * snr_bar)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -131,7 +129,6 @@ def _run_block(
     n: int,
     gbars: np.ndarray,
     thresholds: np.ndarray,
-    rewards: np.ndarray,
     work: tuple[np.ndarray, np.ndarray],
 ) -> SimSummary:
     rng = _block_rng(seed, block_index)
@@ -153,19 +150,10 @@ def _run_block(
         hit &= pending
         counts.append(int(np.count_nonzero(hit)))
         pending ^= hit  # hit is a subset of pending: pending &= ~hit
-    n_out = n - sum(counts)
-    slots = sum((k + 1) * c for k, c in enumerate(counts)) + len(gbars) * n_out
-    delivered = float(np.dot(counts, rewards))
-    return SimSummary(
-        trials=n,
-        outage_count=n_out,
-        success_at_round=tuple(counts),
-        delivered_rate_total=delivered,
-        slots_total=slots,
-    )
+    return SimSummary(trials=n, success_at_round=tuple(counts))
 
 
-def _simulate(cfg: SimConfig, thresholds: np.ndarray, rewards: np.ndarray) -> SimSummary:
+def _simulate(cfg: SimConfig, thresholds: np.ndarray) -> SimSummary:
     gbars = np.asarray(cfg.powers.snr_bars)
     blocks = [
         (i, min(_BLOCK, cfg.trials - i * _BLOCK))
@@ -173,34 +161,30 @@ def _simulate(cfg: SimConfig, thresholds: np.ndarray, rewards: np.ndarray) -> Si
     ]
     workers = min(cfg.workers, len(blocks))
 
-    def run(share) -> list[SimSummary]:
+    def run(share) -> SimSummary:
         work = _workspace(max(size for _, size in share))
-        return [
-            _run_block(cfg.seed, index, size, gbars, thresholds, rewards, work)
-            for index, size in share
-        ]
+        return functools.reduce(
+            SimSummary.merge,
+            (_run_block(cfg.seed, index, size, gbars, thresholds, work) for index, size in share),
+        )
 
-    shares = [blocks[w::workers] for w in range(workers)]
     if workers == 1:
-        results = [run(blocks)]
-    else:  # pool.map keeps the order of the shares
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, shares))
-    summary = results[0][0]
-    for i in range(1, len(blocks)):
-        summary = summary.merge(results[i % workers][i // workers])
-    return summary
+        return run(blocks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        shares = pool.map(run, [blocks[w::workers] for w in range(workers)])
+        return functools.reduce(SimSummary.merge, shares)
 
 
-def _scheme_vectors(cfg: SimConfig, purpose: str) -> tuple[np.ndarray, np.ndarray]:
+def _scheme_vectors(cfg: SimConfig, purpose: str) -> np.ndarray:
+    """Per-round thresholds of the scheme and purpose (module docstring).
+
+    The thresholds double as the rewards: a cycle that first succeeds at
+    round k delivers ``thresholds[k-1]``.
+    """
     cums = np.asarray(cfg.rates.cumulative())
     if cfg.scheme == "xp":
-        return cums, cums
-    total = cums[-1]
-    r1 = cfg.rates.rates[0]
-    if purpose == "outage":
-        return np.full_like(cums, total), np.full_like(cums, total)
-    return np.full_like(cums, r1), np.full_like(cums, r1)
+        return cums
+    return np.full_like(cums, cums[-1] if purpose == "outage" else cfg.rates.rates[0])
 
 
 def estimate_outage(cfg: SimConfig) -> Estimate:
@@ -210,8 +194,7 @@ def estimate_outage(cfg: SimConfig) -> Estimate:
     short of R_K^sum — the XP upper bound — not the fixed-rate protocol
     event used for INR throughput.
     """
-    thresholds, rewards = _scheme_vectors(cfg, "outage")
-    summary = _simulate(cfg, thresholds, rewards)
+    summary = _simulate(cfg, _scheme_vectors(cfg, "outage"))
     p = summary.outage_count / summary.trials
     ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / summary.trials)
     return Estimate(p, f"mc-{cfg.scheme}", ci)
@@ -220,21 +203,20 @@ def estimate_outage(cfg: SimConfig) -> Estimate:
 def estimate_throughput(cfg: SimConfig) -> Estimate:
     """Renewal-reward throughput estimate with a delta-method 95% CI.
 
-    Per-cycle reward and slot count are deterministic functions of the
-    success round, so the variance of the reward/slots ratio follows from
-    the success-round histogram alone.
+    A cycle's delivered rate and slot count are fixed by its success round
+    (``rewards[k-1]`` and k, or 0 and K in outage), so the estimate and the
+    variance of the reward/slots ratio follow from the histogram alone.
     """
-    thresholds, rewards = _scheme_vectors(cfg, "throughput")
-    summary = _simulate(cfg, thresholds, rewards)
-    n = summary.trials
-    k_rounds = cfg.rates.K
-    eta = summary.delivered_rate_total / summary.slots_total
-    mean_slots = summary.slots_total / n
+    rewards = _scheme_vectors(cfg, "throughput")
+    summary = _simulate(cfg, rewards)
+    n, k_rounds, counts = summary.trials, cfg.rates.K, summary.success_at_round
+    slots = sum(k * c for k, c in enumerate(counts, start=1)) + k_rounds * summary.outage_count
+    eta = float(np.dot(counts, rewards)) / slots
     # E[(reward - eta * slots)^2] over the outcome categories
     sq = summary.outage_count * (eta * k_rounds) ** 2
-    for k, count in enumerate(summary.success_at_round, start=1):
+    for k, count in enumerate(counts, start=1):
         sq += count * (float(rewards[k - 1]) - eta * k) ** 2
-    var_eta = sq / n / (n * mean_slots ** 2)
+    var_eta = sq / n / (n * (slots / n) ** 2)
     return Estimate(eta, f"mc-{cfg.scheme}", 1.96 * math.sqrt(var_eta))
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "parse_config",
     "emit_config",
     "run_sweep",
+    "SweepRow",
     "write_csv",
     "emit_gnuplot",
     "db_to_linear",

@@ -1,39 +1,8 @@
-"""Checks for the domain containers and per-realization protocol semantics."""
+"""Checks for the domain containers."""
 
-import math
-
-import numpy as np
 import pytest
 
-from xpharq import (
-    ConsistencyError,
-    PowerProfile,
-    RateSchedule,
-    SnrRealization,
-    clamp_probability,
-    ir_outage_event,
-    mutual_information,
-    xp_success_round,
-)
-
-
-def test_mutual_information_reference_points():
-    assert mutual_information(0.0) == 0.0
-    assert mutual_information(1.0) == pytest.approx(1.0, rel=1e-15)
-    assert mutual_information(3.0) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_mutual_information_small_snr_precision():
-    # log2(1 + x) ~ x / ln 2 for tiny x; a naive log(1 + x) would lose digits
-    x = 1e-13
-    assert mutual_information(x) == pytest.approx(x / math.log(2.0), rel=1e-12)
-
-
-def test_mutual_information_rejects_bad_input():
-    with pytest.raises(ValueError):
-        mutual_information(-0.5)
-    with pytest.raises(ValueError):
-        mutual_information(float("inf"))
+from xpharq import ConsistencyError, PowerProfile, RateSchedule, clamp_probability
 
 
 def test_rate_schedule_cumulative_and_prefix():
@@ -73,68 +42,10 @@ def test_power_profile_validation_and_prefix():
         PowerProfile((10.0, 0.0))
 
 
-def test_snr_realization_allows_zero_but_not_negative():
-    real = SnrRealization((0.0, 3.0))
-    assert real.K == 2
-    with pytest.raises(ValueError):
-        SnrRealization((-1e-9,))
-    with pytest.raises(ValueError):
-        SnrRealization(())
-
-
 def test_containers_are_frozen():
     r = RateSchedule((1.0,))
     with pytest.raises(Exception):
         r.rates = (2.0,)
-
-
-def test_xp_success_round_examples():
-    # round 1: I = 0.585 < 1; round 2: 0.585 + 2 = 2.585 >= 2
-    rates = RateSchedule((1.0, 1.0))
-    assert xp_success_round(rates, SnrRealization((0.5, 3.0))) == 2
-    # equality counts as success
-    assert xp_success_round(RateSchedule((1.0,)), SnrRealization((1.0,))) == 1
-    # zero SNR in every round: no information ever accumulates
-    assert xp_success_round(RateSchedule((2.0, 2.0)), SnrRealization((0.0, 0.0))) is None
-
-
-def test_xp_success_round_checks_lengths():
-    with pytest.raises(ValueError):
-        xp_success_round(RateSchedule((1.0, 1.0)), SnrRealization((1.0,)))
-
-
-def test_ir_outage_event_examples():
-    rates = RateSchedule((1.0, 1.0))
-    # total I = log2(1) + log2(4) = 2 = R^sum: equality is success
-    assert ir_outage_event(rates, SnrRealization((0.0, 3.0))) is False
-    assert ir_outage_event(rates, SnrRealization((0.5, 0.5))) is True
-    with pytest.raises(ValueError):
-        ir_outage_event(rates, SnrRealization((1.0,)))
-
-
-def test_xp_outage_implies_ir_outage():
-    """If every accumulated prefix falls short, so does the final total."""
-    rng = np.random.default_rng(42)
-    rates = RateSchedule((1.0, 0.75, 1.5))
-    for _ in range(500):
-        real = SnrRealization(tuple(rng.exponential(2.0, 3)))
-        if xp_success_round(rates, real) is None:
-            assert ir_outage_event(rates, real)
-
-
-def test_xp_success_round_monotone_in_snr():
-    """Raising any round's SNR can only move success earlier (or keep it)."""
-    rng = np.random.default_rng(7)
-    rates = RateSchedule((1.0, 1.0, 1.0))
-    for _ in range(200):
-        snrs = rng.exponential(1.0, 3)
-        base = xp_success_round(rates, SnrRealization(tuple(snrs)))
-        j = rng.integers(0, 3)
-        boosted = snrs.copy()
-        boosted[j] += rng.exponential(2.0)
-        bumped = xp_success_round(rates, SnrRealization(tuple(boosted)))
-        if base is not None:
-            assert bumped is not None and bumped <= base
 
 
 def test_clamp_probability():

@@ -19,7 +19,6 @@ from xpharq import (
     outage_k1,
     outage_k2_exact,
     outage_upper_ir,
-    sample_snr,
     throughput_analytical,
     xp_outage_chain,
     xp_outage_quadrature,
@@ -35,10 +34,11 @@ from xpharq.simulate import (
 )
 
 
-def _trial_major_block(seed, block_index, n, gbars, thresholds, rewards):
-    """Reference block: one row per trial, decided by cumsum/argmax/bincount.
+def _trial_major_block(seed, block_index, n, gbars, thresholds):
+    """Reference block: one row per trial, decided by cumsum/argmax.
 
-    The stream's documented layout is round-major: round 1 of all n trials,
+    Returns each trial's 0-based first-success round, K for an outage.  The
+    stream's documented layout is round-major: round 1 of all n trials,
     then round 2, and so on.
     """
     rng = _block_rng(seed, block_index)
@@ -46,36 +46,7 @@ def _trial_major_block(seed, block_index, n, gbars, thresholds, rewards):
     snr = rng.standard_exponential((k_rounds, n)).T * gbars
     info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
     reached = info_cum >= thresholds
-    succeeded = reached.any(axis=1)
-    first = np.argmax(reached, axis=1)[succeeded]
-    counts = np.bincount(first, minlength=k_rounds)
-    n_out = n - int(succeeded.sum())
-    return SimSummary(
-        trials=n,
-        outage_count=n_out,
-        success_at_round=tuple(int(c) for c in counts),
-        delivered_rate_total=float(rewards[first].sum()),
-        slots_total=int((first + 1).sum()) + k_rounds * n_out,
-    )
-
-
-def test_sample_snr_moments_and_median():
-    rng = np.random.default_rng(0)
-    draws = np.array([sample_snr(10.0, rng) for _ in range(1_000_000)])
-    assert abs(draws.mean() - 10.0) < 0.05
-    # the exponential median is gbar ln 2
-    below_median = np.mean(draws < 10.0 * math.log(2.0))
-    assert abs(below_median - 0.5) < 0.002
-
-
-def test_sample_snr_deterministic_and_validated():
-    a = [sample_snr(2.0, np.random.default_rng(9)) for _ in range(5)]
-    b = [sample_snr(2.0, np.random.default_rng(9)) for _ in range(5)]
-    assert a == b
-    with pytest.raises(ValueError):
-        sample_snr(0.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_snr(math.nan, np.random.default_rng(0))
+    return np.where(reached.any(axis=1), np.argmax(reached, axis=1), k_rounds)
 
 
 def test_sim_config_validation():
@@ -93,12 +64,14 @@ def test_sim_config_validation():
 
 
 def test_summary_merge_adds_fields():
-    a = SimSummary(10, 2, (5, 3), 11.0, 21)
-    b = SimSummary(4, 1, (2, 1), 4.5, 9)
+    a = SimSummary(10, (5, 3))
+    b = SimSummary(4, (2, 1))
     m = a.merge(b)
-    assert m == SimSummary(14, 3, (7, 4), 15.5, 30)
+    assert m == SimSummary(14, (7, 4))
+    assert (a.outage_count, b.outage_count, m.outage_count) == (2, 1, 3)
+    assert b.merge(a) == m
     with pytest.raises(ValueError):
-        a.merge(SimSummary(1, 0, (1,), 1.0, 1))
+        a.merge(SimSummary(1, (1,)))
 
 
 def test_engine_summary_invariants():
@@ -109,15 +82,11 @@ def test_engine_summary_invariants():
         trials=150_000,
         seed=3,
     )
-    thresholds, rewards = _scheme_vectors(cfg, "throughput")
-    s = _simulate(cfg, thresholds, rewards)
+    s = _simulate(cfg, _scheme_vectors(cfg, "throughput"))
     assert s.trials == cfg.trials
-    assert s.outage_count + sum(s.success_at_round) == s.trials
-    expected_slots = sum(
-        (k + 1) * c for k, c in enumerate(s.success_at_round)
-    ) + cfg.rates.K * s.outage_count
-    assert s.slots_total == expected_slots
-    assert 0.0 <= s.delivered_rate_total <= max(rewards) * s.trials
+    assert len(s.success_at_round) == cfg.rates.K
+    assert all(type(c) is int and c >= 0 for c in s.success_at_round)
+    assert s.outage_count >= 0
 
 
 def test_block_kernel_matches_trial_major_oracle():
@@ -141,20 +110,58 @@ def test_block_kernel_matches_trial_major_oracle():
         gbars = np.asarray(powers.snr_bars)
         scheme, purpose = (("xp", "outage"), ("inr", "outage"), ("inr", "throughput"))[case % 3]
         cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=case)
-        thresholds, rewards = _scheme_vectors(cfg, purpose)
+        thresholds = _scheme_vectors(cfg, purpose)
         seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
-        got = _run_block(seed, index, n, gbars, thresholds, rewards, _workspace(n))
-        ref = _trial_major_block(seed, index, n, gbars, thresholds, rewards)
-        assert (got.trials, got.outage_count, got.success_at_round, got.slots_total) == (
-            ref.trials,
-            ref.outage_count,
-            ref.success_at_round,
-            ref.slots_total,
-        ), (case, n, k_rounds, scheme, purpose)
+        got = _run_block(seed, index, n, gbars, thresholds, _workspace(n))
+        first = _trial_major_block(seed, index, n, gbars, thresholds)
+        counts = np.bincount(first, minlength=k_rounds + 1)[:k_rounds]
+        assert got == SimSummary(n, tuple(int(c) for c in counts)), (
+            case, n, k_rounds, scheme, purpose
+        )
         assert all(type(c) is int for c in got.success_at_round)
-        assert got.delivered_rate_total == pytest.approx(
-            ref.delivered_rate_total, rel=1e-14, abs=0.0
-        ), (case, n, k_rounds, scheme, purpose)
+
+
+def test_block_success_counts_monotone_in_snr():
+    # scaling every mean SNR by c > 1 scales each trial's draws up, so no
+    # trial can succeed later: the cumulative first-success counts never fall
+    rng = np.random.default_rng(77)
+    n = 4000
+    work = _workspace(n)
+    for k_rounds in range(1, 9):
+        rates = RateSchedule(tuple(float(r) for r in rng.uniform(0.2, 2.0, k_rounds)))
+        gbars = 10.0 ** (rng.uniform(-5.0, 20.0, k_rounds) / 10.0)
+        powers = PowerProfile(tuple(float(g) for g in gbars))
+        for scheme, purpose in (("xp", "outage"), ("inr", "outage"), ("inr", "throughput")):
+            cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=0)
+            thresholds = _scheme_vectors(cfg, purpose)
+            seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
+            prev = np.cumsum(_run_block(seed, index, n, gbars, thresholds, work).success_at_round)
+            for c in (1.0 + 2.0 ** -40, 1.5, 4.0, 100.0):
+                got = _run_block(seed, index, n, gbars * c, thresholds, work)
+                cum = np.cumsum(got.success_at_round)
+                assert np.all(cum >= prev), (k_rounds, scheme, purpose, c)
+                prev = cum
+            assert prev[-1] > 0, (k_rounds, scheme, purpose)
+
+
+def test_throughput_equals_trial_major_reward_over_slots():
+    # one block: the estimate is sum(reward) / sum(slots) over the trials,
+    # each trial's reward and slots taken from its own first-success round
+    for r, db in (((0.7, 1.3), (4.0, 9.0)), ((1.3, 0.7, 0.7), (2.0, 6.0, 3.0))):
+        rates = RateSchedule(r)
+        powers = PowerProfile(tuple(10.0 ** (d / 10.0) for d in db))
+        gbars, k_rounds, n = np.asarray(powers.snr_bars), len(r), 50_000
+        for scheme in ("xp", "inr"):
+            cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=31)
+            # XP delivers R_k^sum at round k; INR delivers its one rate-R_1 message
+            rewards = np.cumsum(r) if scheme == "xp" else np.full(k_rounds, r[0])
+            first = _trial_major_block(cfg.seed, 0, n, gbars, rewards)
+            delivered = np.append(rewards, 0.0)[first].sum()
+            slots = np.minimum(first + 1, k_rounds).sum()
+            assert 0 < np.count_nonzero(first == k_rounds) < n, (r, scheme)
+            assert estimate_throughput(cfg).value == pytest.approx(
+                delivered / slots, rel=1e-14, abs=0.0
+            ), (r, scheme)
 
 
 def test_block_streams_differ_by_index_and_seed():
@@ -174,15 +181,15 @@ def test_block_summary_pinned():
     # a change of the stream or of its layout moves these counts; log it
     gbars = np.array([1.0, 4.0, 2.0])
     thresholds = np.array([1.0, 2.0, 3.0])
-    rewards = np.array([1.0, 2.0, 3.0])
-    got = _run_block(0, 3, 1000, gbars, thresholds, rewards, _workspace(1000))
-    assert got == SimSummary(1000, 147, (357, 410, 86), 1435.0, 1876)
+    got = _run_block(0, 3, 1000, gbars, thresholds, _workspace(1000))
+    assert got == SimSummary(1000, (357, 410, 86))
+    assert got.outage_count == 147
 
 
-def _serial_summary(cfg, thresholds, rewards):
+def _serial_summary(cfg, thresholds):
     gbars = np.asarray(cfg.powers.snr_bars)
     parts = [
-        _run_block(cfg.seed, index, n, gbars, thresholds, rewards, _workspace(n))
+        _run_block(cfg.seed, index, n, gbars, thresholds, _workspace(n))
         for index, n in enumerate(
             min(_BLOCK, cfg.trials - start) for start in range(0, cfg.trials, _BLOCK)
         )
@@ -196,36 +203,35 @@ def test_worker_split_equals_serial_summary():
     # six blocks, the last partial: no worker count here divides them evenly
     for trials in (5 * _BLOCK + 123, 1000):
         base = SimConfig(scheme="xp", rates=rates, powers=powers, trials=trials, seed=19)
-        thresholds, rewards = _scheme_vectors(base, "throughput")
-        serial = _serial_summary(base, thresholds, rewards)
+        thresholds = _scheme_vectors(base, "throughput")
+        serial = _serial_summary(base, thresholds)
         assert serial.trials == trials
         for workers in (1, 2, 3, 8):
             cfg = SimConfig(
                 scheme="xp", rates=rates, powers=powers, trials=trials, seed=19, workers=workers
             )
-            assert _simulate(cfg, thresholds, rewards) == serial, (trials, workers)
+            assert _simulate(cfg, thresholds) == serial, (trials, workers)
 
 
 def test_block_ignores_stale_workspace():
     gbars = np.array([2.0, 0.5, 8.0, 1.0])
     thresholds = np.array([0.5, 1.0, 2.0, 2.5])
-    rewards = thresholds.copy()
     n = 5000
-    fresh = _run_block(8, 2, n, gbars, thresholds, rewards, _workspace(n))
+    fresh = _run_block(8, 2, n, gbars, thresholds, _workspace(n))
     stale = _workspace(n + 17)  # sized for a larger block, as a worker's may be
     stale[0].fill(math.nan)
     stale[1].fill(True)
-    assert _run_block(8, 2, n, gbars, thresholds, rewards, stale) == fresh
+    assert _run_block(8, 2, n, gbars, thresholds, stale) == fresh
     stale[1].fill(False)
-    assert _run_block(8, 2, n, gbars, thresholds, rewards, stale) == fresh
+    assert _run_block(8, 2, n, gbars, thresholds, stale) == fresh
 
 
 def test_worker_split_stress_more_workers_than_cores():
     rates = RateSchedule((1.0, 0.5))
     powers = PowerProfile((10.0, 4.0))
     cfg = SimConfig(scheme="inr", rates=rates, powers=powers, trials=9 * _BLOCK + 7, seed=23)
-    thresholds, rewards = _scheme_vectors(cfg, "outage")
-    serial = _serial_summary(cfg, thresholds, rewards)
+    thresholds = _scheme_vectors(cfg, "outage")
+    serial = _serial_summary(cfg, thresholds)
     stressed = SimConfig(
         scheme="inr", rates=rates, powers=powers, trials=cfg.trials, seed=23, workers=8
     )
@@ -235,7 +241,7 @@ def test_worker_split_stress_more_workers_than_cores():
     try:
         for _ in range(3):
             runner = threading.Thread(
-                target=lambda: results.append(_simulate(stressed, thresholds, rewards))
+                target=lambda: results.append(_simulate(stressed, thresholds))
             )
             runner.start()
             runner.join(timeout=120.0)
