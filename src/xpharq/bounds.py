@@ -20,13 +20,15 @@ relative accuracy survives at any SNR.  The last level stays in closed
 form; each intermediate G_{k+1} is held as a Chebyshev interpolant in
 ln x on [0, ln U_k] (Trefethen, *Approximation Theory and Approximation
 Practice*), cut from below where G_{k+1} is 1 in double (``_nested``).
-The u-integral runs over the fixed dyadic panels [0, 1], [1, 2], ...,
-[32, 64], clipped at a_k(x), with Gauss-Legendre nodes in
-v = ln(1 + gbar_k u) inside each panel; beyond u = 64 the weight e^{-u}
-leaves less than 1e-27 of the value.  The recursion runs at (Chebyshev
-nodes, Gauss nodes per panel) = (32, 8) and doubles both until two
-successive results agree; their difference, plus a rounding floor of
-1e-14 relative, is the reported uncertainty.
+The transform from values at the Chebyshev points to coefficients is
+built once per process for each node count and reused.  The u-integral
+runs over the fixed dyadic panels [0, 1], [1, 2], ..., [32, 64], clipped
+at a_k(x), with Gauss-Legendre nodes in v = ln(1 + gbar_k u) inside each
+panel; panels past the largest a_k(x) over the nodes are skipped, and
+beyond u = 64 the weight e^{-u} leaves less than 1e-27 of the value.
+The recursion runs at (Chebyshev nodes, Gauss nodes per panel) = (32, 8)
+and doubles both until two successive results agree; their difference,
+plus a rounding floor of 1e-14 relative, is the reported uncertainty.
 
 The lower bound is the closed-form product of single-round outages,
 
@@ -36,11 +38,12 @@ The lower bound is the closed-form product of single-round outages,
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial import polyutils
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
 from .core import (
     ConvergenceError,
@@ -94,9 +97,15 @@ def outage_lower(rates: RateSchedule, powers: PowerProfile) -> float:
 
 
 def _level(s: np.ndarray, limit: float, gbar: float, inner, m: int) -> np.ndarray:
-    """G_k at ln x = s, integrating e^{-u} inner(ln x + v) over the panels."""
+    """G_k at ln x = s, integrating e^{-u} inner(ln x + v) over the panels.
+
+    Panels that start at or beyond the largest gbar * a_k(x) have zero
+    width at every node and are left out; at least one panel stays.
+    """
     excess = np.maximum(limit * np.exp(-s) - 1.0, 0.0)  # gbar * a_k(x)
-    v_edges = np.log1p(np.minimum(gbar * _PANEL_EDGES, excess[..., None]))
+    edges = gbar * _PANEL_EDGES
+    edges = edges[:max(np.searchsorted(edges, excess.max()) + 1, 2)]
+    v_edges = np.log1p(np.minimum(edges, excess[..., None]))
     width = v_edges[..., 1:] - v_edges[..., :-1]
     t, w = _GAUSS[m]
     v = v_edges[..., :-1, None] + width[..., None] * t
@@ -108,6 +117,29 @@ def _level(s: np.ndarray, limit: float, gbar: float, inner, m: int) -> np.ndarra
 def _closed_level(limit: float, gbar: float):
     """The last level in closed form: s = ln x -> 1 - e^{-max(limit/x - 1, 0)/gbar}."""
     return lambda s: -np.expm1(np.minimum((1.0 - limit * np.exp(-s)) / gbar, 0.0))
+
+
+@cache
+def _cheb_transform(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points of the first kind on [-1, 1], and the matrix
+    taking values there to unscaled coefficients of the degree n-1 interpolant."""
+    x = chebpts1(n)
+    vt = chebvander(x, n - 1).T
+    x.flags.writeable = vt.flags.writeable = False
+    return x, vt
+
+
+def _interpolate(f, n: int, lo: float, hi: float) -> Chebyshev:
+    """The degree n-1 Chebyshev interpolant of f on [lo, hi].
+
+    The arithmetic of ``Chebyshev.interpolate(f, n - 1, domain=[lo, hi])``,
+    with the transform of each n built once per process.
+    """
+    x, vt = _cheb_transform(n)
+    c = vt @ f(polyutils.mapdomain(x, Chebyshev.window, [lo, hi]))
+    c[0] /= n
+    c[1:] /= 0.5 * n
+    return Chebyshev(c, domain=[lo, hi])
 
 
 def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> float:
@@ -131,11 +163,7 @@ def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> 
             inner = np.ones_like
             continue
         lo = max(lo, 0.0)
-        cheb = Chebyshev.interpolate(
-            lambda s, k=k, nxt=inner: _level(s, limits[k], gbars[k], nxt, m),
-            n - 1,
-            domain=[lo, hi],
-        )
+        cheb = _interpolate(lambda s: _level(s, limits[k], gbars[k], inner, m), n, lo, hi)
         inner = lambda s, c=cheb, lo=lo: np.where(s < lo, 1.0, c(np.maximum(s, lo)))
     if len(limits) == 1:
         return float(inner(0.0))

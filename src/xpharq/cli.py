@@ -7,12 +7,16 @@ coefficient table, and ``selftest`` to run the oracle cross-checks.
 All SNR arguments are in dB and converted once at this boundary
 (gbar = 10^{dB/10}); the library APIs underneath are strictly linear.
 The default Monte Carlo seed comes from the ``XPHARQ_SEED`` environment
-variable; an explicit ``--seed`` flag overrides it.
+variable, read on every call; an explicit ``--seed`` flag overrides it.
+
+``main(argv)`` can be called any number of times in one process.  The
+first call builds the argument parser and later calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -259,7 +263,12 @@ def _cmd_selftest(parser, args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process at the first ``main`` call.
+
+    The ``--method`` choices come from ``METHODS`` as it stands at that call.
+    """
     parser = argparse.ArgumentParser(
         prog="xpharq",
         description="Outage and throughput of cross-packet HARQ over Rayleigh fading",

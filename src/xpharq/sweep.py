@@ -286,7 +286,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     """Compute all rows in deterministic axis-major order.
 
     Rows are independent pure functions of the config, so any worker count
-    yields identical output.  ``seed`` overrides the config seed.
+    yields identical output.  The pool has at most one process per row.
+    ``seed`` overrides the config seed.
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -296,7 +297,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
         for scheme in cfg.schemes
         for method in cfg.methods
     ]
-    if workers <= 1 or len(specs) == 1:
+    workers = min(workers, len(specs))
+    if workers <= 1:
         return [_compute_row(s) for s in specs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_compute_row, specs))

@@ -205,15 +205,13 @@ def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
     # outage is that of the first round alone, and G_2 on [0, ln U_1] is 1
     # without being interpolated
     domains = []
-    real = bounds.Chebyshev
+    real = bounds._interpolate
 
-    class Recording:
-        @staticmethod
-        def interpolate(f, deg, domain):
-            domains.append(tuple(domain))
-            return real.interpolate(f, deg, domain=domain)
+    def recording(f, n, lo, hi):
+        domains.append((lo, hi))
+        return real(f, n, lo, hi)
 
-    monkeypatch.setattr(bounds, "Chebyshev", Recording)
+    monkeypatch.setattr(bounds, "_interpolate", recording)
     for rates in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
         domains.clear()
         est = xp_outage(RateSchedule(rates), PowerProfile((1.0,) * len(rates)))
@@ -221,6 +219,45 @@ def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
         # only the level under U_2 = 2^101 is interpolated, and only at K = 4
         assert all(hi == pytest.approx(101.0 * math.log(2.0)) for _, hi in domains), domains
         assert bool(domains) == (len(rates) == 4)
+
+
+def _level_all_panels(s, limit, gbar, inner, m):
+    """``bounds._level`` over all seven dyadic panels, none skipped."""
+    excess = np.maximum(limit * np.exp(-s) - 1.0, 0.0)
+    v_edges = np.log1p(np.minimum(gbar * bounds._PANEL_EDGES, excess[..., None]))
+    width = np.diff(v_edges, axis=-1)
+    t, w = bounds._GAUSS[m]
+    v = v_edges[..., :-1, None] + width[..., None] * t
+    f = np.exp(v - np.expm1(v) / gbar) * inner(s[..., None, None] + v)
+    return ((f @ w) * width).sum(axis=-1) / gbar
+
+
+@pytest.mark.parametrize("limit, panels", [
+    (9.0 - 2.0 ** -40, 3),  # largest gbar * a_k(x) just below the scaled edge 8
+    (9.0, 3),               # exactly on it
+    (9.0 + 2.0 ** -40, 4),  # just above it
+    (1000.0, 7),            # above 64 gbar: every panel
+    (0.5, 1),               # zero everywhere: one zero-width panel
+], ids=["below-edge", "on-edge", "above-edge", "above-64gbar", "zero"])
+@pytest.mark.parametrize("m", [8, 64])
+def test_level_skips_only_panels_no_node_reaches(limit, panels, m):
+    # gbar = 2 scales the panel edges to 0, 2, 4, 8, ..., 128; the largest
+    # excess limit e^{-s} - 1 is at s = 0
+    gbar = 2.0
+    s = np.linspace(0.0, 1.5, 7)
+    closed = bounds._closed_level(40.0, 3.0)
+    seen = []
+
+    def inner(t):
+        seen.append(t.shape[-2])
+        return closed(t)
+
+    cut = bounds._level(s, limit, gbar, inner, m)
+    assert seen == [panels]
+    np.testing.assert_allclose(cut, _level_all_panels(s, limit, gbar, closed, m),
+                               rtol=1e-14, atol=0.0)
+    if limit < 1.0:
+        assert not cut.any()
 
 
 def test_outage_upper_validation():

@@ -1,11 +1,13 @@
 """Command-line interface and sweep configuration round trips."""
 
+import argparse
 import csv
 import filecmp
 import io
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -31,7 +33,7 @@ from xpharq import (
     throughput_analytical,
     xp_outage_chain,
 )
-from xpharq import quadrature
+from xpharq import cli, quadrature, sweep
 from xpharq.cli import main
 from xpharq.sweep import METHODS, evaluate, method_error
 
@@ -200,6 +202,80 @@ def test_seed_env_must_be_integer(monkeypatch):
               "--trials", "1000"])
 
 
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    argv = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "lower"]
+    assert main(argv) == 0
+    assert built
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+    assert capsys.readouterr().out.count("value=") == 2
+
+
+def test_seed_env_read_on_every_call(capsys, monkeypatch):
+    argv = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
+            "--trials", "20000"]
+    values = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("XPHARQ_SEED", seed)
+        assert main(argv) == 0
+        values.append(_field(capsys.readouterr().out, "value"))
+    monkeypatch.delenv("XPHARQ_SEED")
+    assert main(argv + ["--seed", "6"]) == 0
+    assert values[1] == _field(capsys.readouterr().out, "value")
+    assert values[0] != values[1]
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    ok = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "lower"]
+    for argv, message in (
+        (["outage", "--rates", "1,1,1", "--snr-db", "10", "--method", "exact"],
+         "xpharq: error: method exact supports K <= 2, got K=3"),
+        (["outage", "--rates", "1,1", "--snr-db", "10", "--method", "bogus"],
+         "xpharq outage: error: argument --method: invalid choice"),
+    ):
+        assert main(ok) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and errors[0].startswith(message), errors
+    assert main(ok) == 0
+
+
+def _readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ xpharq ...`` line of README's CLI block with the lines it prints."""
+    text = (_REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ xpharq "):
+            examples.append((line[len("$ xpharq "):], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_cli_examples_are_current(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 3
+    untimed = lambda line: [f for f in line.split() if not f.startswith("seconds=")]
+    for command, printed in examples:
+        assert main(shlex.split(command)) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        assert [untimed(l) for l in out] == [untimed(l) for l in printed], command
+
+
 def test_throughput_analytical_chain_provenance(capsys):
     rc = main(["throughput", "--rates", "1,1", "--snr-db", "10",
                "--method", "analytical"])
@@ -321,6 +397,26 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built at the first main call, not at import
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(self)\n"
+        "    real(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import xpharq.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 @pytest.mark.skipif(shutil.which("xpharq") is None,
@@ -473,6 +569,37 @@ def test_sweep_csv_deterministic_across_workers(tmp_path):
     lines = out1.read_text().splitlines()
     assert lines[0] == "snr_db,K,R_csv,scheme,method,value,uncertainty,seed"
     assert len(lines) == 1 + 3 * 2  # header + values x methods
+
+
+@pytest.mark.parametrize("values, workers, pools", [
+    ("0,5", 16, [2]),         # two rows: two processes, not sixteen
+    ("0,5,10,15", 3, [3]),    # more rows than workers: the worker count
+    ("0", 16, []),            # one row runs in this process
+])
+def test_sweep_pool_never_exceeds_row_count(monkeypatch, values, workers, pools):
+    started = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = parse_config(_SWEEP_CONFIG.replace("values = 0,5,10", f"values = {values}")
+                       .replace("methods = exact,mc", "methods = lower"))
+    serial = sweep.run_sweep(cfg)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    assert sweep.run_sweep(cfg, workers=workers) == serial
+    assert started == pools
 
 
 def test_sweep_rows_match_direct_evaluation(tmp_path):
