@@ -23,8 +23,10 @@ from xpharq import (
     xp_outage_chain,
     xp_outage_quadrature,
 )
+import xpharq.simulate as simulate
 from xpharq.simulate import (
     _BLOCK,
+    _COMPACT_SHARE,
     _LN2,
     _block_rng,
     _run_block,
@@ -33,20 +35,38 @@ from xpharq.simulate import (
     _workspace,
 )
 
+# the block kernel must run warning-free: no overflow, no log of zero
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _trial_major_block(seed, block_index, n, gbars, thresholds):
     """Reference block: one row per trial, decided by cumsum/argmax.
 
     Returns each trial's 0-based first-success round, K for an outage.  The
     stream's documented layout is round-major: round 1 of all n trials,
-    then round 2, and so on.
+    then round 2, and so on, each SNR gbar * -log1p(-U) of a uniform U.
     """
     rng = _block_rng(seed, block_index)
     k_rounds = len(gbars)
-    snr = rng.standard_exponential((k_rounds, n)).T * gbars
+    snr = -np.log1p(-rng.random((k_rounds, n))).T * gbars
     info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
     reached = info_cum >= thresholds
     return np.where(reached.any(axis=1), np.argmax(reached, axis=1), k_rounds)
+
+
+def _gather_round(first, k_rounds):
+    """Round after which ``_run_block`` carries only the pending trials.
+
+    None when it never does: the block stays dense to round K, or no trial
+    is left pending before the pending share falls to ``_COMPACT_SHARE``.
+    """
+    for k in range(1, k_rounds):
+        left = np.count_nonzero(first >= k)
+        if left == 0:
+            return None
+        if left <= _COMPACT_SHARE * len(first):
+            return k
+    return None
 
 
 def test_sim_config_validation():
@@ -103,6 +123,17 @@ def test_block_kernel_matches_trial_major_oracle():
         tiny = (10.0 ** decade, 10.0 ** (decade + 1.0))
         cases.append((3000, k_rounds, tiny, (-180.0, -100.0)))
         cases.append((3000, k_rounds, (20.0, 80.0), (100.0, 300.0)))
+    # one round, one trial, and trials gathered after round 1, after a
+    # middle round, or never (dense to round K, or none left pending)
+    cases += [(n, 1, (0.5, 3.0), (-10.0, 30.0)) for n in (1, 2, 5000)]
+    cases += [(1, k, (0.05, 3.0), (-10.0, 30.0)) for k in (2, 3, 8)]
+    phases = {}  # case: the gather round, for xp, inr outage and inr throughput
+    for rate, db, k_rounds, gathered in ((0.5, 25.0, 4, (1, 1, 1)), (1.0, 3.0, 6, (2, None, 2)),
+                                         (1.0, 6.0, 6, (1, 4, 1)), (3.0, -10.0, 5, (None,) * 3),
+                                         (0.3, 60.0, 3, (None,) * 3)):
+        for case in range(len(cases), len(cases) + 3):
+            phases[case] = gathered[case % 3]
+        cases += [(5000, k_rounds, (rate, rate), (db, db))] * 3
     for case, (n, k_rounds, rate_range, db_range) in enumerate(cases):
         rates = RateSchedule(tuple(float(r) for r in rng.uniform(*rate_range, k_rounds)))
         db = rng.uniform(*db_range, k_rounds)
@@ -118,6 +149,8 @@ def test_block_kernel_matches_trial_major_oracle():
         assert got == SimSummary(n, tuple(int(c) for c in counts)), (
             case, n, k_rounds, scheme, purpose
         )
+        if case in phases:
+            assert _gather_round(first, k_rounds) == phases[case], (case, scheme, purpose)
         assert all(type(c) is int for c in got.success_at_round)
 
 
@@ -182,8 +215,37 @@ def test_block_summary_pinned():
     gbars = np.array([1.0, 4.0, 2.0])
     thresholds = np.array([1.0, 2.0, 3.0])
     got = _run_block(0, 3, 1000, gbars, thresholds, _workspace(1000))
-    assert got == SimSummary(1000, (357, 410, 86))
-    assert got.outage_count == 147
+    assert got == SimSummary(1000, (382, 398, 90))
+    assert got.outage_count == 130
+
+
+def test_block_stream_advances_by_rows_drawn(monkeypatch):
+    # one row of n doubles per round, none once no trial is pending: a block
+    # emptied at round j leaves its stream at j n, one pending at K at K n
+    used = []
+
+    def spy(seed, block_index):
+        used.append(_block_rng(seed, block_index))
+        return used[-1]
+
+    monkeypatch.setattr(simulate, "_block_rng", spy)
+    n = 3000
+    for gbars, thresholds, rows in (
+        ([1e6] * 4, [0.5, 1.0, 1.5, 2.0], 1),
+        ([3.0, 30.0, 300.0, 3000.0], [1.0, 2.0, 3.0, 4.0], 3),
+        ([300.0] * 5, [0.5, 1.0, 1.5, 2.0, 2.5], 2),
+        ([1.0] * 4, [10.0, 20.0, 30.0, 40.0], 4),
+        ([2.0, 0.5, 8.0, 1.0], [0.5, 1.0, 2.0, 2.5], 4),
+    ):
+        got = _run_block(7, 2, n, np.array(gbars), np.array(thresholds), _workspace(n))
+        if rows < len(gbars):
+            assert got.outage_count == 0 and got.success_at_round[rows - 1] > 0, got
+            assert not any(got.success_at_round[rows:]), got
+        else:
+            assert got.outage_count > 0, got
+        ref = _block_rng(7, 2)
+        ref.random(rows * n)
+        assert used[-1].bit_generator.state == ref.bit_generator.state, (gbars, rows)
 
 
 def _serial_summary(cfg, thresholds):
@@ -348,7 +410,14 @@ def test_rare_event_reports_zero_honestly():
     )
     mc = estimate_outage(cfg)
     assert mc.value == 0.0
-    assert mc.uncertainty == 0.0
+    # no event seen: the rule of three bounds the outage probability
+    assert mc.uncertainty == 3.0 / 2000
+    # every trial an outage: the same bound on the success probability
+    low = estimate_outage(
+        SimConfig(scheme="xp", rates=cfg.rates, powers=PowerProfile((1e-8, 1e-8)),
+                  trials=2000, seed=0)
+    )
+    assert (low.value, low.uncertainty) == (1.0, 3.0 / 2000)
 
 
 def test_throughput_single_round_identity():
