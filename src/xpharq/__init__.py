@@ -42,13 +42,12 @@ from .asymptotic import (
     phi_asymptotic,
 )
 from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf,
-                     xp_outage, xp_outage_chain)
+                     throughput_recursion, xp_outage)
 from .simulate import (
     SimConfig,
     SimSummary,
     estimate_outage,
     estimate_throughput,
-    throughput_analytical,
 )
 from .sweep import (
     ConfigError,

@@ -1,38 +1,30 @@
-"""Outage probabilities of both schemes by one backward recursion, and the
-closed-form lower bound.
+"""Outage probabilities and analytical throughput of both schemes by one
+backward payoff recursion, and the closed-form lower bound.
 
-With x_0 = 1 and x_k = prod_{l<=k} (1 + gamma_l), every outage event here
-is a set of nested upper limits on the same chain, Pr(x_k < U_k for every
-k), for a nondecreasing threshold vector U:
+With x_0 = 1 and x_k = prod_{l<=k} (1 + gamma_l), round k decodes once x_k
+reaches U_k: 2^{R_k^sum} for XP, 2^{R_K^sum} for the HARQ-IR outage that
+bounds XP's, 2^{R_1} for the HARQ-IR protocol.  Round k pays r_k if it
+decodes and c_k if it fails.  With gamma_k = gbar_k u, a_k(x) =
+(U_k/x - 1)/gbar_k and V_{K+1} = 0, the payoff expected from round k on,
+given x_{k-1} = x, is
 
-* XP outage: U_k = 2^{R_k^sum}.
-* HARQ-IR outage at the total rate, the XP upper bound: U_k = 2^{R_K^sum}.
-* HARQ-IR fixed-rate chain, entry k: U = 2^{R_1} over the first k rounds.
+    V_k(x) = r_k e^{-a_k(x)} + c_k (1 - e^{-a_k(x)})
+             + int_0^{a_k(x)} e^{-u} V_{k+1}(x (1 + gbar_k u)) du,
 
-Writing gamma_k = gbar_k u and a_k(x) = (U_k/x - 1)/gbar_k, the
-probability of meeting the limits from round k on, given x_{k-1} = x, is
+and a cycle's is V_1(1).  Outage pays c = (0, ..., 0, 1).  Throughput is
+E[R] / E[T] (renewal reward): E[R] pays r_k = R_k^sum (XP) or R_1 (IR),
+E[T] pays r = c = 1, and both ride one recursion on a leading payoff
+axis.  No term is negative.  The last level is in closed form; each
+other V_{k+1} is a Chebyshev interpolant in ln x on [0, ln U_k]
+(Trefethen, *Approximation Theory and Approximation Practice*), its
+transform built once per node count.  The u-integral runs over the
+panels [0, 1], [1, 2], ..., [32, 64] clipped at a_k(x), Gauss-Legendre
+in v = ln(1 + gbar_k u); past u = 64, e^{-u} leaves under 1e-27 of the
+largest payoff.  Passes double (Chebyshev nodes, Gauss nodes per panel)
+from (32, 8) until two agree; the gap plus 1e-14 (of the value for
+outage, of the largest payoff for throughput) is the uncertainty.
 
-    G_K(x) = 1 - e^{-a_K(x)},
-    G_k(x) = int_0^{a_k(x)} e^{-u} G_{k+1}(x (1 + gbar_k u)) du,
-
-and the outage probability is G_1(1).  Every integrand is nonnegative, so
-relative accuracy survives at any SNR.  The last level stays in closed
-form; each intermediate G_{k+1} is held as a Chebyshev interpolant in
-ln x on [0, ln U_k] (Trefethen, *Approximation Theory and Approximation
-Practice*), cut from below where G_{k+1} is 1 in double (``_nested``).
-The transform from values at the Chebyshev points to coefficients is
-built once per process for each node count and reused.  The u-integral
-runs over the fixed dyadic panels [0, 1], [1, 2], ..., [32, 64], clipped
-at a_k(x), with Gauss-Legendre nodes in v = ln(1 + gbar_k u) inside each
-panel; panels past the largest a_k(x) over the nodes are skipped, and
-beyond u = 64 the weight e^{-u} leaves less than 1e-27 of the value.
-The recursion runs at (Chebyshev nodes, Gauss nodes per panel) = (32, 8)
-and doubles both until two successive results agree; their difference,
-plus a rounding floor of 1e-14 relative, is the reported uncertainty.
-
-The lower bound is the closed-form product of single-round outages,
-
-    P_lower = prod_k (1 - e^{-(2^{R_k}-1)/gbar_k}).
+The lower bound is prod_k (1 - e^{-(2^{R_k}-1)/gbar_k}).
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polyutils
-from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebval, chebvander
 
 from .core import (
     ConvergenceError,
@@ -59,7 +51,7 @@ __all__ = [
     "sum_info_cdf",
     "ir_outage_chain",
     "xp_outage",
-    "xp_outage_chain",
+    "throughput_recursion",
 ]
 
 _LN2 = math.log(2.0)
@@ -67,7 +59,7 @@ _LN2 = math.log(2.0)
 _PANEL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 # (Chebyshev nodes, Gauss nodes per panel) for successive passes
 _PASSES = ((32, 8), (64, 16), (128, 32), (256, 64))
-# relative rounding error of a converged pass, added to the reported gap
+# rounding error of a converged pass, relative to its scale, added to the gap
 _ROUNDOFF = 1e-14
 # e^{-u} is 0 in double beyond this u
 _U_TAIL = 745.0
@@ -96,27 +88,34 @@ def outage_lower(rates: RateSchedule, powers: PowerProfile) -> float:
     return p
 
 
-def _level(s: np.ndarray, limit: float, gbar: float, inner, m: int) -> np.ndarray:
-    """G_k at ln x = s, integrating e^{-u} inner(ln x + v) over the panels.
+def _failed(t: np.ndarray) -> np.ndarray:  # 1 - e^t: round k fails, at t = -a_k(x)
+    return -np.expm1(t)
 
-    Panels that start at or beyond the largest gbar * a_k(x) have zero
-    width at every node and are left out; at least one panel stays.
+
+def _level(s: np.ndarray, limit: float, gbar: float, inner=None, m=None,
+           paid=None) -> np.ndarray:
+    """V_k at ln x = s: what round k pays, plus e^{-u} inner(ln x + v) over the panels.
+
+    ``paid(t)`` is r_k e^t + c_k (1 - e^t) at t = -a_k(x), or None if round
+    k pays nothing; with a leading payoff axis its columns broadcast over
+    three trailing axes.  With no ``inner`` (the last level) V_k is that
+    payoff, in closed form.
+    Panels at or past the largest gbar * a_k(x) have zero width at every
+    node and are left out, but at least one panel stays.
     """
+    if inner is None:
+        return paid(np.minimum((1.0 - limit * np.exp(-s)) / gbar, 0.0))
     excess = np.maximum(limit * np.exp(-s) - 1.0, 0.0)  # gbar * a_k(x)
     edges = gbar * _PANEL_EDGES
-    edges = edges[:max(np.searchsorted(edges, excess.max()) + 1, 2)]
+    edges = edges[:max(edges.searchsorted(excess.max()) + 1, 2)]
     v_edges = np.log1p(np.minimum(edges, excess[..., None]))
     width = v_edges[..., 1:] - v_edges[..., :-1]
     t, w = _GAUSS[m]
     v = v_edges[..., :-1, None] + width[..., None] * t
     # u = (e^v - 1) / gbar and du = e^v / gbar dv
     f = np.exp(v - np.expm1(v) / gbar) * inner(s[..., None, None] + v)
-    return ((f @ w) * width).sum(axis=-1) / gbar
-
-
-def _closed_level(limit: float, gbar: float):
-    """The last level in closed form: s = ln x -> 1 - e^{-max(limit/x - 1, 0)/gbar}."""
-    return lambda s: -np.expm1(np.minimum((1.0 - limit * np.exp(-s)) / gbar, 0.0))
+    value = ((f @ w) * width).sum(axis=-1) / gbar
+    return value if paid is None else value + paid((excess / -gbar)[:, None, None])[..., 0, 0]
 
 
 @cache
@@ -129,68 +128,82 @@ def _cheb_transform(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vt
 
 
-def _interpolate(f, n: int, lo: float, hi: float) -> Chebyshev:
-    """The degree n-1 Chebyshev interpolant of f on [lo, hi].
-
-    The arithmetic of ``Chebyshev.interpolate(f, n - 1, domain=[lo, hi])``,
-    with the transform of each n built once per process.
-    """
+def _interpolate(f, n: int, lo: float, hi: float):
+    """The degree n-1 Chebyshev interpolant on [lo, hi] of each payoff row of f:
+    row by row, the arithmetic of ``Chebyshev.interpolate(f, n - 1, domain=[lo,
+    hi])`` and of its evaluation, with the transform of each n built once."""
     x, vt = _cheb_transform(n)
-    c = vt @ f(polyutils.mapdomain(x, Chebyshev.window, [lo, hi]))
+    c = (vt @ f(polyutils.mapdomain(x, Chebyshev.window, [lo, hi]))[..., None])[..., 0].T
     c[0] /= n
     c[1:] /= 0.5 * n
-    return Chebyshev(c, domain=[lo, hi])
+    off, scl = polyutils.mapparms([lo, hi], Chebyshev.window)
+    return lambda s: chebval(off + scl * s, c)
 
 
-def _nested(limits: Sequence[float], gbars: Sequence[float], n: int, m: int) -> float:
-    """G_1(1) at n Chebyshev nodes and m Gauss nodes per panel.
+def _outage(k_rounds: int):
+    """Outage as a payoff: costs c = (0, ..., 0, 1) and what each round pays."""
+    return [0.0] * (k_rounds - 1) + [1.0], [None] * (k_rounds - 1) + [_failed]
 
-    G_{k+1} is interpolated only on [max(0, lo_k), ln U_k] with
-    lo_k = ln U_{k+1} - sum_{l>k} ln(1 + 745 gbar_l), and is 1 below lo_k:
-    there x_j < U_j for every j > k as long as each gamma_l stays under
-    745 gbar_l, so 1 - G_{k+1} <= K e^{-745}, which is 0 in double.  At
-    large rates and low SNR the step of G_{k+1} from 1 to 0 is then no
-    longer a narrow feature of a wide interval.  The interpolant's own
-    value at lo_k misses 1 by its interpolation error, about 1e-12 there,
-    so values below lo_k are set to 1 rather than read from it.
+
+def _nested(limits: Sequence[float], gbars: Sequence[float], costs, paid,
+            n: int, m: int) -> list[float]:
+    """V_1(1) of each payoff at n Chebyshev nodes and m Gauss nodes per panel.
+
+    ``paid[k]`` is what 0-based round k pays (see ``_level``), ``costs[k]``
+    its c.  V_{k+1} is interpolated only on [max(0, lo_k), ln U_k] with
+    lo_k = ln U_{k+1} - sum_{l>k} ln(1 + 745 gbar_l).  Below lo_k every
+    later round fails as long as each gamma_l stays under 745 gbar_l, so
+    V_{k+1} is sum_{j>k} c_j but for K e^{-745}, 0 in double.  At large
+    rates and low SNR its step is then no narrow feature of a wide
+    interval.  The interpolant misses that sum by about 1e-12 at lo_k, so
+    below lo_k the sum is used rather than read from it.
     """
-
-    inner = _closed_level(limits[-1], gbars[-1])
+    inner = lambda s, k=len(limits) - 1: _level(s, limits[k], gbars[k], paid=paid[k])
     for k in range(len(limits) - 2, 0, -1):
         hi = math.log(limits[k - 1])
         lo = math.log(limits[k]) - sum(math.log1p(_U_TAIL * g) for g in gbars[k:])
+        failed = sum(costs[k:])
         if lo >= hi:
-            inner = np.ones_like
+            inner = lambda s, v=failed: v
             continue
         lo = max(lo, 0.0)
-        cheb = _interpolate(lambda s: _level(s, limits[k], gbars[k], inner, m), n, lo, hi)
-        inner = lambda s, c=cheb, lo=lo: np.where(s < lo, 1.0, c(np.maximum(s, lo)))
-    if len(limits) == 1:
-        return float(inner(0.0))
-    return float(_level(np.zeros(1), limits[0], gbars[0], inner, m)[0])
+        level = lambda s, k=k, f=inner: _level(s, limits[k], gbars[k], f, m, paid[k])
+        cheb = _interpolate(level, n, lo, hi)
+        inner = lambda s, c=cheb, lo=lo, v=failed: np.where(s < lo, v, c(np.maximum(s, lo)))
+    s = np.zeros(1)
+    top = inner(s) if len(limits) == 1 else _level(s, limits[0], gbars[0], inner, m, paid[0])
+    return top.ravel().tolist()
 
 
-def _refine(evaluate, tol: float, rel_tol: float, what: str) -> tuple[float, float]:
-    """A probability from ``evaluate(n, m)`` over ``_PASSES``, and its uncertainty.
-
-    Every recursion and the two-round closed form share this rule: stop
-    once two passes differ by at most max(tol, rel_tol * value), and report
-    that gap plus the rounding floor as the uncertainty.
-    """
+def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
+    """Values from ``evaluate(n, m)`` over ``_PASSES``, and their gaps to the
+    pass before, at the first pass where ``converged(values, gaps)`` holds."""
     previous = None
     for n, m in _PASSES:
-        value = evaluate(n, m)
+        values = evaluate(n, m)
         if previous is not None:
-            gap = abs(value - previous)
-            if gap <= max(tol, rel_tol * abs(value)):
-                return clamp_probability(value, 1e-9, what), gap + _ROUNDOFF * abs(value)
-        previous = value
+            gaps = [abs(v - p) for v, p in zip(values, previous)]
+            if converged(values, gaps):
+                return values, gaps
+        previous = values
     raise ConvergenceError(
         f"{what}: passes at {_PASSES[-2]} and {_PASSES[-1]} (Chebyshev, Gauss) nodes "
-        f"differ by {gap:.3e}",
-        best_estimate=value,
-        error_estimate=gap,
-    )
+        f"differ by {max(gaps):.3e}", best_estimate=values, error_estimate=gaps)
+
+
+def _probability(evaluate, tol: float, rel_tol: float, what: str) -> tuple[float, float]:
+    """One probability by ``_refine``, clamped to [0, 1], and its uncertainty.
+
+    Every outage recursion and the two-round closed form stop once two
+    passes differ by at most max(tol, rel_tol * value), and report that gap
+    plus 1e-14 of the value.
+    """
+    converged = lambda v, g: g[0] <= max(tol, rel_tol * abs(v[0]))
+    try:
+        (value,), (gap,) = _refine(evaluate, converged, what)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), exc.best_estimate[0], exc.error_estimate[0]) from None
+    return clamp_probability(value, 1e-9, what), gap + _ROUNDOFF * abs(value)
 
 
 def sum_info_cdf(
@@ -202,7 +215,8 @@ def sum_info_cdf(
     if r <= 0.0:
         return 0.0, 0.0
     limits = [2.0 ** r] * powers.K
-    return _refine(partial(_nested, limits, powers.snr_bars), 0.0, rel_tol, "IR outage")
+    evaluate = partial(_nested, limits, powers.snr_bars, *_outage(powers.K))
+    return _probability(evaluate, 0.0, rel_tol, "IR outage")
 
 
 def outage_upper_ir(
@@ -228,7 +242,7 @@ def ir_outage_chain(
     """Per-round HARQ-IR outage chain at the protocol's fixed rate R_1.
 
     Entry k is Pr(sum_{l<=k} I_l < R_1): the probability the first message
-    is still undecodable after k rounds.  Drives the IR throughput formula.
+    is still undecodable after k rounds.
     """
     _check_rounds(rates, powers)
     return [
@@ -251,18 +265,48 @@ def xp_outage(
     """
     _check_rounds(rates, powers)
     limits = [2.0 ** c for c in rates.cumulative()]
-    value, err = _refine(partial(_nested, limits, powers.snr_bars), tol, rel_tol, "XP outage")
+    evaluate = partial(_nested, limits, powers.snr_bars, *_outage(rates.K))
+    value, err = _probability(evaluate, tol, rel_tol, "XP outage")
     return Estimate(value, "xp-recursion", err)
 
 
-def xp_outage_chain(
+def _ratio(values, gaps) -> tuple[float, float]:
+    """eta = E[R] / E[T] and (dE[R] + eta dE[T]) / E[T]; E[R] below 0 by rounding reads 0."""
+    (rate, slots), (d_rate, d_slots) = values, gaps
+    eta = max(rate, 0.0) / slots
+    return eta, (d_rate + eta * d_slots) / slots
+
+
+def throughput_recursion(
     rates: RateSchedule,
     powers: PowerProfile,
-    tol: float = 1e-10,
-) -> list[float]:
-    """XP outage probabilities of every truncated schedule, k = 1..K."""
+    scheme: str = "xp",
+) -> Estimate:
+    """Long-term throughput E[R] / E[T] of XP or HARQ-IR for any K, by one recursion.
+
+    E[R] pays r_k = R_k^sum (XP) or R_1 (IR, every limit 2^{R_1}) when round
+    k decodes, E[T] 1 per round entered.  Scaled by max r_k and by K, each
+    pays at most 1, as outage does.  The passes stop once their gaps move
+    eta = E[R] / E[T] by at most max(1e-10, 1e-9 * eta).  The uncertainty is
+    (dE[R] + eta dE[T]) / E[T], each d the pass gap plus 1e-14 of that
+    scale, which covers the interpolation and truncation errors of a rarely
+    decoded E[R].
+    """
     _check_rounds(rates, powers)
-    return [
-        xp_outage(rates.prefix(k), powers.prefix(k), tol).value
-        for k in range(1, rates.K + 1)
-    ]
+    if scheme not in ("xp", "inr"):
+        raise ValueError(f"scheme must be 'xp' or 'inr', got {scheme!r}")
+    reward = rates.cumulative() if scheme == "xp" else (rates.rates[0],) * rates.K
+    top, slot = max(reward), 1.0 / rates.K
+    column = lambda *p: np.array(p)[:, None, None, None]  # E[R], E[T] on the payoff axis
+    cost = column(0.0, slot)
+    paid = [lambda t, p=column(r / top, 0.0): p * np.exp(t) + cost for r in reward]
+    limits = [2.0 ** r for r in reward]
+    evaluate = partial(_nested, limits, powers.snr_bars, [cost] * rates.K, paid)
+
+    def converged(values, gaps):
+        eta, gap = _ratio(values, gaps)
+        return gap <= max(1e-10, 1e-9 * eta)
+
+    values, gaps = _refine(evaluate, converged, f"{scheme} throughput")
+    eta, err = _ratio(values, [g + _ROUNDOFF for g in gaps])
+    return Estimate(eta * top * slot, f"analytical-{scheme}", err * top * slot)

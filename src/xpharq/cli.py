@@ -122,13 +122,11 @@ def _cmd_point(parser, args) -> int:
             file=sys.stderr,
         )
     elapsed = time.perf_counter() - start
-    chain = " chain=" + ",".join(_fmt(p) for p in est.chain) if est.chain else ""
     print(
         f"{args.command} scheme={args.scheme} method={args.method} K={rates.K} "
         f"rates={','.join(_fmt(r) for r in rates.rates)} "
         f"snr_db={','.join(_fmt(v) for v in args.snr_db)} "
         f"value={_fmt(est.value)} uncertainty={_fmt(est.uncertainty)} seconds={elapsed:.3f}"
-        f"{chain}"
     )
     if args.method == "upper":
         low = outage_lower(rates, powers)

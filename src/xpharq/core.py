@@ -121,18 +121,16 @@ class PowerProfile:
 class Estimate:
     """An outage probability or throughput with a method tag and an uncertainty.
 
-    ``uncertainty`` is a numerical error bound for deterministic methods (0
-    where none is computed) and a 95% confidence half-width for Monte
-    Carlo.  The 0 of ``lower`` (a bound) and ``asymptotic`` (an
-    approximation) covers their arithmetic only, not their distance from
-    the outage probability.  ``chain`` is the outage chain P_1..P_K behind
-    an analytical throughput, and empty otherwise.
+    ``uncertainty`` is a numerical error bound for deterministic methods
+    and a 95% confidence half-width for Monte Carlo.  It is 0 only for the
+    closed forms ``lower``, ``asymptotic`` and the one-round ``exact``; the
+    0 of ``lower`` (a bound) and ``asymptotic`` (an approximation) covers
+    their arithmetic only, not their distance from the outage probability.
     """
 
     value: float
     method: str
     uncertainty: float
-    chain: tuple[float, ...] = ()
 
 
 def clamp_probability(value: float, tol: float, what: str) -> float:

@@ -17,7 +17,7 @@ integral and no subtraction is left:
 
 That is one level of the backward recursion in ``bounds``, and
 ``outage_k2_exact`` takes it with the recursion's panels, passes,
-stopping rule and uncertainty (``bounds._refine``).
+stopping rule and uncertainty (``bounds._probability``).
 
 phi survives in the paper's Mellin-Barnes representation
 
@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .bounds import _GAUSS, _closed_level, _level, _refine
+from .bounds import _GAUSS, _failed, _level, _probability
 from .core import (
     ConvergenceError,
     Estimate,
@@ -113,16 +113,16 @@ def outage_k2_exact(
     """
     r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
     big_z = 2.0 ** (r1 + r2)
-    inner = _closed_level(big_z, g1)
+    inner = lambda s: _level(s, big_z, g1, paid=_failed)  # closed form: round 1 fails
     tail = math.exp(-a2)  # Pr(gamma_2 >= a2)
 
-    def assemble(n: int, m: int) -> float:
+    def assemble(n: int, m: int) -> list[float]:
         if tail == 0.0:  # g2 / 2^{R2} may underflow too; the term is 0 either way
-            return t1
+            return [t1]
         level = _level(np.array([r2 * _LN2]), big_z, g2 / 2.0 ** r2, inner, m)
-        return t1 + tail * float(level[0])
+        return [t1 + tail * level.item()]
 
-    value, uncertainty = _refine(assemble, tol, 1e-9, "two-round outage")
+    value, uncertainty = _probability(assemble, tol, 1e-9, "two-round outage")
     return Estimate(value, "k2-exact", uncertainty)
 
 

@@ -67,7 +67,6 @@ __all__ = [
     "SimSummary",
     "estimate_outage",
     "estimate_throughput",
-    "throughput_analytical",
 ]
 
 _BLOCK = 65536
@@ -257,60 +256,24 @@ def estimate_throughput(cfg: SimConfig) -> Estimate:
 
     A cycle's delivered rate and slot count are fixed by its success round
     (``rewards[k-1]`` and k, or 0 and K in outage), so the estimate and the
-    variance of the reward/slots ratio follow from the histogram alone.
+    variance of the reward/slots ratio follow from the histogram alone.  If
+    all trials share one outcome that variance is 0, and the half-width is
+    how far eta moves when 3/n of them take the unseen outcome moving it most.
     """
     rewards = _scheme_vectors(cfg, "throughput")
     summary = _simulate(cfg, rewards)
-    n, k_rounds, counts = summary.trials, cfg.rates.K, summary.success_at_round
-    slots = sum(k * c for k, c in enumerate(counts, start=1)) + k_rounds * summary.outage_count
-    eta = float(np.dot(counts, rewards)) / slots
-    # E[(reward - eta * slots)^2] over the outcome categories
-    sq = summary.outage_count * (eta * k_rounds) ** 2
-    for k, count in enumerate(counts, start=1):
-        sq += count * (float(rewards[k - 1]) - eta * k) ** 2
-    var_eta = sq / n / (n * (slots / n) ** 2)
-    return Estimate(eta, f"mc-{cfg.scheme}", 1.96 * math.sqrt(var_eta))
-
-
-def throughput_analytical(
-    scheme: str,
-    rates: RateSchedule,
-    powers: PowerProfile,
-    outage_chain: list[float],
-) -> float:
-    """Renewal-reward throughput from an outage chain P_1..P_K (P_0 = 1).
-
-    XP: eta = sum_k R_k^sum (P_{k-1} - P_k) / sum_{k=0}^{K-1} P_k, the
-    chain being XP outage probabilities of the truncated schedules.
-    INR: eta = R_1 (1 - P_K) / sum_{k=0}^{K-1} P_k with the chain
-    Pr(I_k^sum < R_1).  Both denominators are the expected number of rounds
-    spent per cycle.
-    """
-    if scheme not in ("xp", "inr"):
-        raise ValueError(f"scheme must be 'xp' or 'inr', got {scheme!r}")
-    if rates.K != powers.K:
-        raise ValueError(f"schedule has {rates.K} rounds but profile has {powers.K}")
-    chain = [float(p) for p in outage_chain]
-    if len(chain) != rates.K:
-        raise ValueError(f"chain has {len(chain)} entries for {rates.K} rounds")
-    prev = 1.0
-    for k, p in enumerate(chain, start=1):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"chain entry {k} = {p} outside [0, 1]")
-        if p > prev + 1e-12:
-            raise ValueError(
-                f"outage chain must be nonincreasing, entry {k} rises {prev} -> {p}"
-            )
-        prev = p
-    expected_slots = 1.0 + sum(chain[:-1])
-    if scheme == "xp":
-        cums = rates.cumulative()
-        reward = 0.0
-        prev = 1.0
-        for k in range(rates.K):
-            reward += cums[k] * (prev - chain[k])
-            prev = chain[k]
-    else:
-        reward = rates.rates[0] * (1.0 - chain[-1])
-    return reward / expected_slots
-
+    n, counts = summary.trials, summary.success_at_round
+    # (trials, delivered rate, slots) of each outcome: outage, then success at round k
+    outcomes = [(summary.outage_count, 0.0, cfg.rates.K)]
+    outcomes += [(c, float(r), k) for k, (c, r) in enumerate(zip(counts, rewards), start=1)]
+    slots = sum(c * t for c, _, t in outcomes)
+    delivered = float(np.dot(counts, rewards))
+    eta = delivered / slots
+    if max(c for c, _, _ in outcomes) == n:
+        q = min(3.0 / n, 1.0)
+        half = max(abs(((1.0 - q) * delivered / n + q * r) / ((1.0 - q) * slots / n + q * t) - eta)
+                   for _, r, t in outcomes)
+    else:  # E[(reward - eta * slots)^2] over the outcomes
+        sq = sum(c * (r - eta * t) ** 2 for c, r, t in outcomes)
+        half = 1.96 * math.sqrt(sq / n / (n * (slots / n) ** 2))
+    return Estimate(eta, f"mc-{cfg.scheme}", half)

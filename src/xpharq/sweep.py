@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, TextIO, Union
 
 from .asymptotic import outage_asymptotic_general
-from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, xp_outage, xp_outage_chain
+from .bounds import outage_lower, outage_upper_ir, throughput_recursion, xp_outage
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
 from .exact import outage_k1, outage_k2_exact
-from .simulate import SimConfig, estimate_outage, estimate_throughput, throughput_analytical
+from .simulate import SimConfig, estimate_outage, estimate_throughput
 
 __all__ = [
     "Method",
@@ -72,12 +72,6 @@ def _exact(rates, powers, scheme, tol, sim):
     return outage_k2_exact(rates, powers, tol)
 
 
-def _analytical_throughput(rates, powers, scheme, tol, sim):
-    chain = tuple((xp_outage_chain if scheme == "xp" else ir_outage_chain)(rates, powers))
-    value = throughput_analytical(scheme, rates, powers, chain)
-    return Estimate(value, f"analytical-{scheme}", 0.0, chain)
-
-
 _XP, _BOTH = ("xp",), ("xp", "inr")
 # Insertion order is the order of the CLI --method choices; the first is the default.
 METHODS = {
@@ -89,7 +83,7 @@ METHODS = {
     ("outage", "upper"): Method(_BOTH, lambda r, p, *_: outage_upper_ir(r, p)),
     ("outage", "mc"): Method(_BOTH, lambda r, p, s, tol, sim: estimate_outage(sim)),
     ("outage", "oracle"): Method(_XP, lambda r, p, s, tol, sim: xp_outage(r, p, tol)),
-    ("throughput", "analytical"): Method(_BOTH, _analytical_throughput),
+    ("throughput", "analytical"): Method(_BOTH, lambda r, p, s, *_: throughput_recursion(r, p, s)),
     ("throughput", "mc"): Method(_BOTH, lambda r, p, s, tol, sim: estimate_throughput(sim)),
 }
 

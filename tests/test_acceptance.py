@@ -25,13 +25,11 @@ from xpharq import (
     hbar_eval,
     hbar_quadrature,
     incomplete_gamma_difference,
-    ir_outage_chain,
     outage_k2_exact,
     outage_k2_via_foxh,
     outage_lower,
     outage_upper_ir,
-    throughput_analytical,
-    xp_outage_chain,
+    throughput_recursion,
     xp_outage_quadrature,
 )
 from xpharq.cli import main
@@ -178,8 +176,8 @@ def test_criterion_6_throughput_dominance(capsys):
     mc_ok = True
     for r1 in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
         rates = RateSchedule((r1, 2.0, 2.0))
-        ana_xp = throughput_analytical("xp", rates, powers, xp_outage_chain(rates, powers))
-        ana_inr = throughput_analytical("inr", rates, powers, ir_outage_chain(rates, powers))
+        ana_xp = throughput_recursion(rates, powers, "xp").value
+        ana_inr = throughput_recursion(rates, powers, "inr").value
         xp_vals.append(ana_xp)
         inr_vals.append(ana_inr)
         for scheme, ana in (("xp", ana_xp), ("inr", ana_inr)):

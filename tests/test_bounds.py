@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from xpharq import (
+    ConvergenceError,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -18,6 +19,7 @@ from xpharq import (
     outage_lower,
     outage_upper_ir,
     sum_info_cdf,
+    throughput_recursion,
     xp_outage,
     xp_outage_quadrature,
 )
@@ -158,6 +160,27 @@ def _mp_xp_three_rounds(limits, gbar: float):
         ))
 
 
+def _mp_throughput_two_rounds(scheme, r1: float, r2: float, gbar: float):
+    """Throughput E[R] / E[T] of two equal-SNR rounds, 40 digits.
+
+    E[T] = 2 - e^{-a_1}, and E[R] pays R_1 when round 1 decodes and R_2^sum
+    (XP) or R_1 (IR) when round 2 does; with x = 1 + gamma_1 the second is
+    an integral over x < U_1 whose exponent is least at x = sqrt(U_2).
+    """
+    with mp.workdps(40):
+        g = mp.mpf(gbar)
+        u1 = mp.mpf(2) ** r1
+        u2 = u1 if scheme == "inr" else mp.mpf(2) ** (r1 + r2)
+        second = r1 if scheme == "inr" else r1 + r2
+        first = mp.exp(-(u1 - 1) / g)
+        peak = mp.sqrt(u2)
+        decodes_second = mp.quad(
+            lambda x: mp.exp(-(x - 1) / g - (u2 / x - 1) / g) / g,
+            [1] + ([peak] if 1 < peak < u1 else []) + [u1],
+        )
+        return float((r1 * first + second * decodes_second) / (2 - first))
+
+
 def test_recursion_uncertainty_calibrated():
     # K = 2, R = (1, 1): XP outage is Pr(x_1 < 2, x_2 < 4), the IR bound
     # Pr(x_2 < 4); the two-round closed form shares the recursion's level
@@ -182,6 +205,20 @@ def test_recursion_uncertainty_calibrated():
     est = xp_outage(rates, PowerProfile((0.1,) * 3))
     ref = _mp_xp_three_rounds((2.0, 4.0, 8.0), 0.1)
     assert abs(est.value - ref) <= min(est.uncertainty, 1e-12 * est.value), (est, ref)
+    # analytical throughput, both schemes: at R = (1, 1) as accurate as the
+    # outage; at (8, 8) and 0 dB IR's 1 - P_K cancelled in the chain
+    # formula; at (20, 20) and 10 dB decoding needs u past the last panel,
+    # so the value is far off and the uncertainty, scaled by R_1, covers it
+    for scheme in ("xp", "inr"):
+        points = [((1.0, 1.0), snr_db) for snr_db in range(-10, 161, 10)]
+        for (r1, r2), snr_db in points + [((8.0, 8.0), 0), ((20.0, 20.0), 10)]:
+            gbar = 10.0 ** (snr_db / 10.0)
+            est = throughput_recursion(RateSchedule((r1, r2)), PowerProfile((gbar, gbar)), scheme)
+            ref = _mp_throughput_two_rounds(scheme, r1, r2, gbar)
+            err = abs(est.value - ref)
+            assert 0.0 < est.uncertainty and err <= est.uncertainty, (scheme, r1, snr_db, est, ref)
+            if r1 == 1.0:
+                assert err <= 1e-12 * ref, (scheme, snr_db, est, ref)
 
 
 @pytest.mark.parametrize("k_rounds", [3, 4])
@@ -198,6 +235,15 @@ def test_recursion_converges_at_saturated_outage(k_rounds):
                     assert abs(1.0 - est.value) <= est.uncertainty <= 1e-9, (
                         total, w, snr_db, est,
                     )
+
+
+def test_outage_convergence_error_carries_floats():
+    # no two passes agree to the bit, so a zero tolerance exhausts them; the
+    # error reports the one probability as a float, as the outage calls return it
+    with pytest.raises(ConvergenceError) as info:
+        xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), tol=0.0, rel_tol=0.0)
+    assert type(info.value.best_estimate) is float, info.value.best_estimate
+    assert type(info.value.error_estimate) is float and info.value.error_estimate > 0.0
 
 
 def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
@@ -245,7 +291,7 @@ def test_level_skips_only_panels_no_node_reaches(limit, panels, m):
     # excess limit e^{-s} - 1 is at s = 0
     gbar = 2.0
     s = np.linspace(0.0, 1.5, 7)
-    closed = bounds._closed_level(40.0, 3.0)
+    closed = lambda t: -np.expm1(np.minimum((1.0 - 40.0 * np.exp(-t)) / 3.0, 0.0))
     seen = []
 
     def inner(t):

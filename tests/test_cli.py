@@ -30,12 +30,12 @@ from xpharq import (
     outage_lower,
     outage_upper_ir,
     parse_config,
-    throughput_analytical,
-    xp_outage_chain,
 )
 from xpharq import cli, quadrature, sweep
 from xpharq.cli import main
 from xpharq.sweep import METHODS, evaluate, method_error
+
+from oracles import throughput_oracle
 
 
 def _field(output: str, name: str) -> str:
@@ -277,16 +277,18 @@ def test_readme_cli_examples_are_current(capsys):
 
 
 def test_throughput_analytical_chain_provenance(capsys):
-    rc = main(["throughput", "--rates", "1,1", "--snr-db", "10",
-               "--method", "analytical"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    chain_text = _field(out, "chain")
-    chain = [float(v) for v in chain_text.split(",")]
-    assert len(chain) == 2
-    rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
-    expected = throughput_analytical("xp", rates, powers, xp_outage_chain(rates, powers))
-    assert float(_field(out, "value")) == pytest.approx(expected, rel=1e-7)
+    # the printed value matches the chain formula, with a real uncertainty
+    # and no outage chain on the line
+    for scheme in ("xp", "inr"):
+        rc = main(["throughput", "--scheme", scheme, "--rates", "1,1", "--snr-db", "10",
+                   "--method", "analytical"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "chain=" not in out
+        rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
+        expected = throughput_oracle(scheme, rates, powers)
+        assert float(_field(out, "value")) == pytest.approx(expected, rel=1e-8)
+        assert 0.0 < float(_field(out, "uncertainty")) <= 1e-12
 
 
 def test_throughput_mc_matches_analytical_loosely(capsys):
@@ -294,7 +296,7 @@ def test_throughput_mc_matches_analytical_loosely(capsys):
           "--trials", "100000"])
     out = capsys.readouterr().out
     rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
-    expected = throughput_analytical("xp", rates, powers, xp_outage_chain(rates, powers))
+    expected = throughput_oracle("xp", rates, powers)
     assert float(_field(out, "value")) == pytest.approx(expected, abs=0.02)
     assert float(_field(out, "uncertainty")) > 0.0
 

