@@ -20,9 +20,12 @@ other V_{k+1} is a Chebyshev interpolant in ln x on [0, ln U_k]
 transform built once per node count.  The u-integral runs over the
 panels [0, 1], [1, 2], ..., [32, 64] clipped at a_k(x), Gauss-Legendre
 in v = ln(1 + gbar_k u); past u = 64, e^{-u} leaves under 1e-27 of the
-largest payoff.  Passes double (Chebyshev nodes, Gauss nodes per panel)
-from (32, 8) until two agree; the gap plus 1e-14 (of the value for
-outage, of the largest payoff for throughput) is the uncertainty.
+largest payoff.  Where v passes 8, the edges v = 8, 16, ... join them,
+so no panel is wider than 8 in v.  Passes double (Chebyshev nodes, Gauss
+nodes per panel) from (32, 8) until two agree, an outage to 1e-9 of its
+value: at high SNR outages of 1e-300 are normal, and only relative
+accuracy means anything.  The gap plus 1e-14 (of the value for outage, of
+the largest payoff for throughput) is the uncertainty.
 
 The lower bound is prod_k (1 - e^{-(2^{R_k}-1)/gbar_k}).
 """
@@ -57,6 +60,9 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 _PANEL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+# widest v-panel, and the gbar * a_k(x) past which a dyadic panel can be wider
+_V_WIDTH = 8.0
+_WIDE = math.expm1(_V_WIDTH)
 # (Chebyshev nodes, Gauss nodes per panel) for successive passes
 _PASSES = ((32, 8), (64, 16), (128, 32), (256, 64))
 # rounding error of a converged pass, relative to its scale, added to the gap
@@ -100,14 +106,20 @@ def _level(s: np.ndarray, limit: float, gbar: float, inner=None, m=None,
     k pays nothing; with a leading payoff axis its columns broadcast over
     three trailing axes.  With no ``inner`` (the last level) V_k is that
     payoff, in closed form.
-    Panels at or past the largest gbar * a_k(x) have zero width at every
-    node and are left out, but at least one panel stays.
+    Where the largest gbar * a_k(x) passes e^8 - 1, the v-edges 8, 16, ...
+    below it join the dyadic ones, so no panel is wider than 8 in v; the
+    guard spares the common path the merge.  Panels at or past the largest
+    gbar * a_k(x) have zero width at every node and are left out, but at
+    least one panel stays.
     """
     if inner is None:
         return paid(np.minimum((1.0 - limit * np.exp(-s)) / gbar, 0.0))
     excess = np.maximum(limit * np.exp(-s) - 1.0, 0.0)  # gbar * a_k(x)
+    top = excess.max()
     edges = gbar * _PANEL_EDGES
-    edges = edges[:max(edges.searchsorted(excess.max()) + 1, 2)]
+    if top > _WIDE:
+        edges = np.union1d(edges, np.expm1(np.arange(_V_WIDTH, math.log1p(top), _V_WIDTH)))
+    edges = edges[:max(edges.searchsorted(top) + 1, 2)]
     v_edges = np.log1p(np.minimum(edges, excess[..., None]))
     width = v_edges[..., 1:] - v_edges[..., :-1]
     t, w = _GAUSS[m]
@@ -191,14 +203,14 @@ def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
         f"differ by {max(gaps):.3e}", best_estimate=values, error_estimate=gaps)
 
 
-def _probability(evaluate, tol: float, rel_tol: float, what: str) -> tuple[float, float]:
+def _probability(evaluate, rel_tol: float, what: str) -> tuple[float, float]:
     """One probability by ``_refine``, clamped to [0, 1], and its uncertainty.
 
     Every outage recursion and the two-round closed form stop once two
-    passes differ by at most max(tol, rel_tol * value), and report that gap
-    plus 1e-14 of the value.
+    passes differ by at most rel_tol * value, and report that gap plus
+    1e-14 of the value.
     """
-    converged = lambda v, g: g[0] <= max(tol, rel_tol * abs(v[0]))
+    converged = lambda v, g: g[0] <= rel_tol * abs(v[0])
     try:
         (value,), (gap,) = _refine(evaluate, converged, what)
     except ConvergenceError as exc:
@@ -216,7 +228,7 @@ def sum_info_cdf(
         return 0.0, 0.0
     limits = [2.0 ** r] * powers.K
     evaluate = partial(_nested, limits, powers.snr_bars, *_outage(powers.K))
-    return _probability(evaluate, 0.0, rel_tol, "IR outage")
+    return _probability(evaluate, rel_tol, "IR outage")
 
 
 def outage_upper_ir(
@@ -230,8 +242,8 @@ def outage_upper_ir(
     """
     _check_rounds(rates, powers)
     rel = 1e-9 if budget is None else float(budget)
-    value, err = sum_info_cdf(rates.cumulative(rates.K), powers, rel_tol=rel)
-    return Estimate(value, "ir-quadrature", err)
+    value, err = sum_info_cdf(rates.cumulative()[-1], powers, rel_tol=rel)
+    return Estimate(value, "ir-recursion", err)
 
 
 def ir_outage_chain(
@@ -254,19 +266,19 @@ def ir_outage_chain(
 def xp_outage(
     rates: RateSchedule,
     powers: PowerProfile,
-    tol: float = 1e-10,
+    *,
     rel_tol: float = 1e-9,
 ) -> Estimate:
     """Exact XP outage probability for any K.
 
-    Converges until two passes differ by at most max(tol, rel_tol * value);
-    that difference, plus a rounding floor of 1e-14 relative, is the
-    reported uncertainty.
+    Converges until two passes differ by at most rel_tol * value; that
+    difference, plus a rounding floor of 1e-14 relative, is the reported
+    uncertainty.
     """
     _check_rounds(rates, powers)
     limits = [2.0 ** c for c in rates.cumulative()]
     evaluate = partial(_nested, limits, powers.snr_bars, *_outage(rates.K))
-    value, err = _probability(evaluate, tol, rel_tol, "XP outage")
+    value, err = _probability(evaluate, rel_tol, "XP outage")
     return Estimate(value, "xp-recursion", err)
 
 

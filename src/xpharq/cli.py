@@ -96,11 +96,10 @@ def _cmd_point(parser, args) -> int:
     if error is not None:
         parser.error(error)
     seed = _resolve_seed(parser, args.seed)
-    tol = {"tol": args.tol} if "tol" in args else {}  # throughput has no --tol
     start = time.perf_counter()
     try:
         est = evaluate(args.command, args.scheme, args.method, rates, powers, trials=args.trials,
-                       seed=seed, workers=args.workers, **tol)
+                       seed=seed, workers=args.workers)
     except XpharqError as exc:
         print(f"xpharq {args.command}: error: {exc}", file=sys.stderr)
         return 1
@@ -288,8 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=_positive_int, default=1)
         return p
 
-    p_out = add_point_args("outage", "single-point outage probability")
-    p_out.add_argument("--tol", type=_positive_float, default=1e-10)
+    add_point_args("outage", "single-point outage probability")
     add_point_args("throughput", "single-point throughput")
 
     p_sweep = sub.add_parser("sweep", help="config-driven CSV sweep")

@@ -7,9 +7,10 @@ SNR that is exponential with mean gamma_bar_k.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     "XpharqError",
@@ -78,18 +79,9 @@ class RateSchedule:
     def K(self) -> int:
         return len(self.rates)
 
-    def cumulative(self, k: Optional[int] = None):
-        """R_k^sum for round k (1-based), or the full tuple when k is None."""
-        cums = []
-        total = 0.0
-        for r in self.rates:
-            total += r
-            cums.append(total)
-        if k is None:
-            return tuple(cums)
-        if not 1 <= k <= len(cums):
-            raise ValueError(f"round index {k} outside 1..{len(cums)}")
-        return cums[k - 1]
+    def cumulative(self) -> tuple[float, ...]:
+        """R_k^sum for every round k = 1..K."""
+        return tuple(itertools.accumulate(self.rates))
 
     def prefix(self, k: int) -> "RateSchedule":
         """The schedule truncated to the first k rounds."""

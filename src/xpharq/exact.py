@@ -99,17 +99,13 @@ def _k2_terms(rates: RateSchedule, powers: PowerProfile):
     return r1, r2, g1, g2, t1, a2
 
 
-def outage_k2_exact(
-    rates: RateSchedule,
-    powers: PowerProfile,
-    tol: float = 1e-10,
-) -> Estimate:
+def outage_k2_exact(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     """Two-round XP outage probability from the closed form.
 
     t1 plus the nonnegative integral that replaces t23 - phi (module
     docstring), taken as one recursion level and stopped, as ``xp_outage``
-    is, at max(tol, 1e-9 * value); the uncertainty is the last gap plus a
-    rounding floor of 1e-14 relative.
+    is, once two passes differ by at most 1e-9 of the value; the
+    uncertainty is the last gap plus a rounding floor of 1e-14 relative.
     """
     r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
     big_z = 2.0 ** (r1 + r2)
@@ -122,7 +118,7 @@ def outage_k2_exact(
         level = _level(np.array([r2 * _LN2]), big_z, g2 / 2.0 ** r2, inner, m)
         return [t1 + tail * level.item()]
 
-    value, uncertainty = _probability(assemble, tol, 1e-9, "two-round outage")
+    value, uncertainty = _probability(assemble, 1e-9, "two-round outage")
     return Estimate(value, "k2-exact", uncertainty)
 
 

@@ -55,7 +55,7 @@ CSV_HEADER = ("snr_db", "K", "R_csv", "scheme", "method", "value", "uncertainty"
 class Method:
     """One way to compute a quantity, and the schemes and round counts K it covers.
 
-    ``compute(rates, powers, scheme, tol, sim)`` returns an ``Estimate``, or
+    ``compute(rates, powers, scheme, sim)`` returns an ``Estimate``, or
     a bare float that ``evaluate`` reports with uncertainty 0; ``sim`` is
     the Monte Carlo config for the ``mc`` entries and None otherwise.
     """
@@ -66,10 +66,10 @@ class Method:
     k_max: float = math.inf
 
 
-def _exact(rates, powers, scheme, tol, sim):
+def _exact(rates, powers, *_):
     if rates.K == 1:
         return outage_k1(rates.rates[0], powers.snr_bars[0])
-    return outage_k2_exact(rates, powers, tol)
+    return outage_k2_exact(rates, powers)
 
 
 _XP, _BOTH = ("xp",), ("xp", "inr")
@@ -81,10 +81,10 @@ METHODS = {
     ),
     ("outage", "lower"): Method(_XP, lambda r, p, *_: outage_lower(r, p)),
     ("outage", "upper"): Method(_BOTH, lambda r, p, *_: outage_upper_ir(r, p)),
-    ("outage", "mc"): Method(_BOTH, lambda r, p, s, tol, sim: estimate_outage(sim)),
-    ("outage", "oracle"): Method(_XP, lambda r, p, s, tol, sim: xp_outage(r, p, tol)),
+    ("outage", "mc"): Method(_BOTH, lambda r, p, s, sim: estimate_outage(sim)),
+    ("outage", "oracle"): Method(_XP, lambda r, p, *_: xp_outage(r, p)),
     ("throughput", "analytical"): Method(_BOTH, lambda r, p, s, *_: throughput_recursion(r, p, s)),
-    ("throughput", "mc"): Method(_BOTH, lambda r, p, s, tol, sim: estimate_throughput(sim)),
+    ("throughput", "mc"): Method(_BOTH, lambda r, p, s, sim: estimate_throughput(sim)),
 }
 
 
@@ -103,19 +103,19 @@ def method_error(quantity: str, scheme: str, method: str, k_rounds: int) -> Opti
 
 
 def evaluate(quantity: str, scheme: str, method: str, rates: RateSchedule,
-             powers: PowerProfile, tol: float = 1e-10, trials: int = 100_000,
-             seed: int = 0, workers: int = 1) -> Estimate:
+             powers: PowerProfile, trials: int = 100_000, seed: int = 0,
+             workers: int = 1) -> Estimate:
     """Compute ``quantity`` at one point by one table entry.
 
-    ``tol`` reaches the ``exact`` and ``oracle`` outage entries; ``trials``,
-    ``seed`` and ``workers`` reach the ``mc`` entries.  Raises ValueError
-    for an entry that cannot run (see ``method_error``).
+    ``trials``, ``seed`` and ``workers`` reach the ``mc`` entries; every
+    deterministic entry stops at its own relative tolerance.  Raises
+    ValueError for an entry that cannot run (see ``method_error``).
     """
     error = method_error(quantity, scheme, method, rates.K)
     if error is not None:
         raise ValueError(error)
     sim = SimConfig(scheme, rates, powers, trials, seed, workers) if method == "mc" else None
-    out = METHODS[quantity, method].compute(rates, powers, scheme, tol, sim)
+    out = METHODS[quantity, method].compute(rates, powers, scheme, sim)
     return out if isinstance(out, Estimate) else Estimate(out, method, 0.0)
 
 

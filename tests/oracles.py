@@ -10,12 +10,12 @@ void; the tests use it only away from that corner.
 from xpharq import ir_outage_chain, xp_outage
 
 
-def xp_outage_chain(rates, powers, tol=1e-10):
+def xp_outage_chain(rates, powers):
     """XP outage probabilities of every truncated schedule, k = 1..K."""
     if rates.K != powers.K:
         raise ValueError(f"schedule has {rates.K} rounds but profile has {powers.K}")
     return [
-        xp_outage(rates.prefix(k), powers.prefix(k), tol).value
+        xp_outage(rates.prefix(k), powers.prefix(k)).value
         for k in range(1, rates.K + 1)
     ]
 
@@ -39,10 +39,10 @@ def throughput_from_chain(scheme, rates, chain):
     return reward / expected_slots
 
 
-def throughput_oracle(scheme, rates, powers, tol=1e-10):
+def throughput_oracle(scheme, rates, powers):
     """Throughput by the chain formula on the package's per-prefix outages."""
     if scheme == "xp":
-        chain = xp_outage_chain(rates, powers, tol)
+        chain = xp_outage_chain(rates, powers)
     else:
         chain = ir_outage_chain(rates, powers)
     return throughput_from_chain(scheme, rates, chain)

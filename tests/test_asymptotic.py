@@ -108,7 +108,7 @@ def test_hbar_table_penultimate_linear_coefficient():
     rng = np.random.default_rng(3)
     rates = RateSchedule(tuple(rng.uniform(0.25, 3.0, 5)))
     table = build_hbar_table(rates)
-    expected = -(2.0 ** rates.cumulative(5))
+    expected = -(2.0 ** rates.cumulative()[-1])
     assert table.coeffs[3][1] == pytest.approx(expected, rel=1e-14)
 
 
@@ -193,7 +193,7 @@ def test_asymptotes_survive_an_overflowing_snr_product():
     # outage, about 1.1e-306, is a normal double deep in the asymptotic regime
     rates = RateSchedule((100.0, 100.0))
     powers = PowerProfile((10.0 ** 300, 10.0 ** 68))  # 3000 and 680 dB
-    ref = xp_outage(rates, powers, tol=0.0).value
+    ref = xp_outage(rates, powers).value
     assert 1e-307 < ref < 1e-305
     assert outage_k2_asymptotic(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)
     assert outage_asymptotic_general(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)

@@ -99,7 +99,7 @@ def test_outage_upper_two_rounds_against_scipy():
     est = outage_upper_ir(rates, PowerProfile((10.0, 10.0)))
     ref = _sum2_cdf_reference(2.0, 10.0, 10.0)
     assert est.value == pytest.approx(ref, rel=1e-7)
-    assert est.method == "ir-quadrature"
+    assert est.method == "ir-recursion"
 
 
 def test_outage_upper_matches_monte_carlo():
@@ -160,6 +160,22 @@ def _mp_xp_three_rounds(limits, gbar: float):
         ))
 
 
+def _mp_xp_two_rounds_high_snr(r1: float, r2: float, gbar: float):
+    """XP outage of two equal-SNR rounds by exponential integrals, 40 digits.
+
+    With x = 1 + gamma_1, X = 2^{R1} and Z = 2^{R1+R2} the outage is
+    (1/gbar) int_1^X e^{-(x-1)/gbar} (1 - e^{-(Z/x-1)/gbar}) dx.  Dropping
+    e^{-(x-1)/gbar} and the -1 of Z/x - 1, a relative change below
+    2^{-R2} + 2^{R1}/gbar, and putting w = Z/(x gbar) leaves
+    (Z/gbar^2) [H(2^{R2}/gbar) - H(Z/gbar)], H(w) = (1 - e^{-w})/w + E1(w).
+    """
+    with mp.workdps(40):
+        g = mp.mpf(gbar)
+        big_z = mp.mpf(2) ** (r1 + r2)
+        h = lambda w: -mp.expm1(-w) / w + mp.e1(w)
+        return float(big_z / g**2 * (h(mp.mpf(2) ** r2 / g) - h(big_z / g)))
+
+
 def _mp_throughput_two_rounds(scheme, r1: float, r2: float, gbar: float):
     """Throughput E[R] / E[T] of two equal-SNR rounds, 40 digits.
 
@@ -205,6 +221,16 @@ def test_recursion_uncertainty_calibrated():
     est = xp_outage(rates, PowerProfile((0.1,) * 3))
     ref = _mp_xp_three_rounds((2.0, 4.0, 8.0), 0.1)
     assert abs(est.value - ref) <= min(est.uncertainty, 1e-12 * est.value), (est, ref)
+    # R_1 ln 2 far past 8: the first v-panel is split, and the stopping
+    # rule, relative only, sees its error at outages of 1e-78 to 1e-297
+    for (r1, r2), snr_db in (((100.0, 100.0), 1000), ((200.0, 200.0), 1000),
+                             ((500.0, 500.0), 3000)):
+        gbar = 10.0 ** (snr_db / 10.0)
+        ref = _mp_xp_two_rounds_high_snr(r1, r2, gbar)
+        for solve in (xp_outage, outage_k2_exact):
+            est = solve(RateSchedule((r1, r2)), PowerProfile((gbar, gbar)))
+            err = abs(est.value - ref)
+            assert err <= est.uncertainty <= 1e-9 * est.value, (r1, snr_db, est, ref)
     # analytical throughput, both schemes: at R = (1, 1) as accurate as the
     # outage; at (8, 8) and 0 dB IR's 1 - P_K cancelled in the chain
     # formula; at (20, 20) and 10 dB decoding needs u past the last panel,
@@ -237,11 +263,33 @@ def test_recursion_converges_at_saturated_outage(k_rounds):
                     )
 
 
+def test_outage_recursions_meet_the_relative_rule_or_raise():
+    # each outage recursion either reports an uncertainty within 1e-9 of
+    # its value, plus the 1e-14 rounding floor, or raises; where both
+    # converge, lower <= oracle <= upper within their uncertainties
+    for k_rounds in (2, 3, 4):
+        for rate in (0.01, 0.5, 2.0, 8.0, 60.0 / k_rounds, 400.0 / k_rounds):
+            for snr_db in (-10, 0, 10, 30, 100, 1000, 3000):
+                rates = RateSchedule((rate,) * k_rounds)
+                powers = PowerProfile((10.0 ** (snr_db / 10.0),) * k_rounds)
+                got = {}
+                for solve in (xp_outage, outage_upper_ir):
+                    try:
+                        est = got[solve] = solve(rates, powers)
+                    except ConvergenceError:
+                        continue
+                    assert est.uncertainty <= (1e-9 + 1e-14) * est.value, (rate, snr_db, est)
+                if len(got) == 2:
+                    xp, ir = got[xp_outage], got[outage_upper_ir]
+                    assert outage_lower(rates, powers) <= xp.value + xp.uncertainty, (rate, snr_db)
+                    assert xp.value - xp.uncertainty <= ir.value + ir.uncertainty, (rate, snr_db)
+
+
 def test_outage_convergence_error_carries_floats():
     # no two passes agree to the bit, so a zero tolerance exhausts them; the
     # error reports the one probability as a float, as the outage calls return it
     with pytest.raises(ConvergenceError) as info:
-        xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), tol=0.0, rel_tol=0.0)
+        xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), rel_tol=0.0)
     assert type(info.value.best_estimate) is float, info.value.best_estimate
     assert type(info.value.error_estimate) is float and info.value.error_estimate > 0.0
 

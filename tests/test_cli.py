@@ -116,7 +116,7 @@ def test_usage_errors_exit_two(monkeypatch):
         ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--workers", "0"],
         ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--trials", "0"],
         ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc", "--trials", "-5"],
-        ["outage", "--rates", "1,1", "--snr-db", "10", "--tol", "0"],
+        ["outage", "--rates", "1,1", "--snr-db", "10", "--tol", "1e-10"],  # no such option
         ["outage", "--rates", "1,1", "--snr-db", "nan"],
         ["outage", "--rates", "1,1", "--snr-db", "inf"],
         ["sweep", "--config", "unused.cfg", "--seed", "-1"],

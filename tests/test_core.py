@@ -9,10 +9,7 @@ def test_rate_schedule_cumulative_and_prefix():
     r = RateSchedule((1.0, 0.5, 2.0))
     assert r.K == 3
     assert r.cumulative() == pytest.approx((1.0, 1.5, 3.5))
-    assert r.cumulative(2) == pytest.approx(1.5)
     assert r.prefix(2).rates == (1.0, 0.5)
-    with pytest.raises(ValueError):
-        r.cumulative(4)
     with pytest.raises(ValueError):
         r.prefix(0)
 
@@ -31,7 +28,7 @@ def test_rate_schedule_validation():
         RateSchedule((1000.0, 24.0))
     with pytest.raises(ValueError, match="1024"):
         RateSchedule((5000.0, 1.0))
-    assert RateSchedule((600.0, 400.0)).cumulative(2) == 1000.0
+    assert RateSchedule((600.0, 400.0)).cumulative() == (600.0, 1000.0)
 
 
 def test_power_profile_validation_and_prefix():
