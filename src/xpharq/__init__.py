@@ -1,9 +1,9 @@
 """Outage probability and throughput of cross-packet HARQ over Rayleigh fading.
 
-Exact closed forms (K <= 2), an exact backward recursion for any K, high-SNR
-asymptotics, lower and upper bounds, nested-quadrature references, and a
-deterministic parallel Monte Carlo engine, plus a CLI for single-point
-queries and CSV sweeps.
+An exact backward recursion for any K, the paper's two-round Mellin-Barnes
+form, high-SNR asymptotics, lower and upper bounds, nested-quadrature
+references, and a deterministic parallel Monte Carlo engine, plus a CLI for
+single-point queries and CSV sweeps.
 """
 
 from .core import (
@@ -26,8 +26,6 @@ from .quadrature import (
 from .exact import (
     foxh_h11_incomplete,
     incomplete_gamma_difference,
-    outage_k1,
-    outage_k2_exact,
     outage_k2_via_foxh,
     phi_foxh,
 )

@@ -27,6 +27,10 @@ value: at high SNR outages of 1e-300 are normal, and only relative
 accuracy means anything.  The gap plus 1e-14 (of the value for outage, of
 the largest payoff for throughput) is the uncertainty.
 
+Where U_k is below 2, gbar_k a_k(x) is taken as expm1(ln U_k - ln x),
+so rates near 0 keep their digits; elsewhere U_k/x - 1 keeps them at
+any rate.
+
 The lower bound is prod_k (1 - e^{-(2^{R_k}-1)/gbar_k}).
 """
 
@@ -98,10 +102,14 @@ def _failed(t: np.ndarray) -> np.ndarray:  # 1 - e^t: round k fails, at t = -a_k
     return -np.expm1(t)
 
 
-def _level(s: np.ndarray, limit: float, gbar: float, inner=None, m=None,
+def _level(s: np.ndarray, bits: float, gbar: float, inner=None, m=None,
            paid=None) -> np.ndarray:
     """V_k at ln x = s: what round k pays, plus e^{-u} inner(ln x + v) over the panels.
 
+    U_k is 2^bits.  gbar * a_k(x) = U_k/x - 1 is taken as
+    expm1(bits ln 2 - ln x) below one bit, where the subtraction would
+    cancel, and as U_k e^{-ln x} - 1 from one bit on, where the rounding of
+    bits ln 2 would cost up to bits ulps.
     ``paid(t)`` is r_k e^t + c_k (1 - e^t) at t = -a_k(x), or None if round
     k pays nothing; with a leading payoff axis its columns broadcast over
     three trailing axes.  With no ``inner`` (the last level) V_k is that
@@ -112,9 +120,10 @@ def _level(s: np.ndarray, limit: float, gbar: float, inner=None, m=None,
     gbar * a_k(x) have zero width at every node and are left out, but at
     least one panel stays.
     """
+    excess = np.expm1(bits * _LN2 - s) if bits < 1.0 else 2.0 ** bits * np.exp(-s) - 1.0
     if inner is None:
-        return paid(np.minimum((1.0 - limit * np.exp(-s)) / gbar, 0.0))
-    excess = np.maximum(limit * np.exp(-s) - 1.0, 0.0)  # gbar * a_k(x)
+        return paid(np.minimum(-excess / gbar, 0.0))
+    excess = np.maximum(excess, 0.0)  # gbar * a_k(x)
     top = excess.max()
     edges = gbar * _PANEL_EDGES
     if top > _WIDE:
@@ -157,39 +166,45 @@ def _outage(k_rounds: int):
     return [0.0] * (k_rounds - 1) + [1.0], [None] * (k_rounds - 1) + [_failed]
 
 
-def _nested(limits: Sequence[float], gbars: Sequence[float], costs, paid,
+def _nested(bits: Sequence[float], gbars: Sequence[float], costs, paid,
             n: int, m: int) -> list[float]:
     """V_1(1) of each payoff at n Chebyshev nodes and m Gauss nodes per panel.
 
-    ``paid[k]`` is what 0-based round k pays (see ``_level``), ``costs[k]``
-    its c.  V_{k+1} is interpolated only on [max(0, lo_k), ln U_k] with
-    lo_k = ln U_{k+1} - sum_{l>k} ln(1 + 745 gbar_l).  Below lo_k every
-    later round fails as long as each gamma_l stays under 745 gbar_l, so
-    V_{k+1} is sum_{j>k} c_j but for K e^{-745}, 0 in double.  At large
-    rates and low SNR its step is then no narrow feature of a wide
-    interval.  The interpolant misses that sum by about 1e-12 at lo_k, so
-    below lo_k the sum is used rather than read from it.
+    ``bits[k]`` is log2 U of 0-based round k, ``paid[k]`` what the round pays
+    (see ``_level``), ``costs[k]`` its c.  V_{k+1} is interpolated only on
+    [max(0, lo_k), ln U_k] with lo_k = ln U_{k+1} - sum_{l>k} ln(1 + 745
+    gbar_l).  Below lo_k every later round fails as long as each gamma_l
+    stays under 745 gbar_l, so V_{k+1} is sum_{j>k} c_j but for
+    K e^{-745}, 0 in double.  At large rates and low SNR its step is then
+    no narrow feature of a wide interval.  The interpolant misses that sum
+    by about 1e-12 at lo_k, so below lo_k the sum is used rather than read
+    from it.
     """
-    inner = lambda s, k=len(limits) - 1: _level(s, limits[k], gbars[k], paid=paid[k])
-    for k in range(len(limits) - 2, 0, -1):
-        hi = math.log(limits[k - 1])
-        lo = math.log(limits[k]) - sum(math.log1p(_U_TAIL * g) for g in gbars[k:])
+    inner = lambda s, k=len(bits) - 1: _level(s, bits[k], gbars[k], paid=paid[k])
+    for k in range(len(bits) - 2, 0, -1):
+        hi = bits[k - 1] * _LN2
+        lo = bits[k] * _LN2 - sum(math.log1p(_U_TAIL * g) for g in gbars[k:])
         failed = sum(costs[k:])
         if lo >= hi:
             inner = lambda s, v=failed: v
             continue
         lo = max(lo, 0.0)
-        level = lambda s, k=k, f=inner: _level(s, limits[k], gbars[k], f, m, paid[k])
+        level = lambda s, k=k, f=inner: _level(s, bits[k], gbars[k], f, m, paid[k])
         cheb = _interpolate(level, n, lo, hi)
         inner = lambda s, c=cheb, lo=lo, v=failed: np.where(s < lo, v, c(np.maximum(s, lo)))
     s = np.zeros(1)
-    top = inner(s) if len(limits) == 1 else _level(s, limits[0], gbars[0], inner, m, paid[0])
+    top = inner(s) if len(bits) == 1 else _level(s, bits[0], gbars[0], inner, m, paid[0])
     return top.ravel().tolist()
 
 
+@np.errstate(over="ignore")
 def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
     """Values from ``evaluate(n, m)`` over ``_PASSES``, and their gaps to the
-    pass before, at the first pass where ``converged(values, gaps)`` holds."""
+    pass before, at the first pass where ``converged(values, gaps)`` holds.
+
+    Where gbar_k is tiny against U_k, a_k(x) overflows to inf, and the e^{-inf}
+    = 0 that follows is exact, so overflow raises no warning here.
+    """
     previous = None
     for n, m in _PASSES:
         values = evaluate(n, m)
@@ -206,9 +221,8 @@ def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
 def _probability(evaluate, rel_tol: float, what: str) -> tuple[float, float]:
     """One probability by ``_refine``, clamped to [0, 1], and its uncertainty.
 
-    Every outage recursion and the two-round closed form stop once two
-    passes differ by at most rel_tol * value, and report that gap plus
-    1e-14 of the value.
+    Every outage recursion stops once two passes differ by at most
+    rel_tol * value, and reports that gap plus 1e-14 of the value.
     """
     converged = lambda v, g: g[0] <= rel_tol * abs(v[0])
     try:
@@ -226,8 +240,7 @@ def sum_info_cdf(
     """Pr(sum_{k<=K} I_k < r) and an error estimate."""
     if r <= 0.0:
         return 0.0, 0.0
-    limits = [2.0 ** r] * powers.K
-    evaluate = partial(_nested, limits, powers.snr_bars, *_outage(powers.K))
+    evaluate = partial(_nested, [r] * powers.K, powers.snr_bars, *_outage(powers.K))
     return _probability(evaluate, rel_tol, "IR outage")
 
 
@@ -276,8 +289,7 @@ def xp_outage(
     uncertainty.
     """
     _check_rounds(rates, powers)
-    limits = [2.0 ** c for c in rates.cumulative()]
-    evaluate = partial(_nested, limits, powers.snr_bars, *_outage(rates.K))
+    evaluate = partial(_nested, rates.cumulative(), powers.snr_bars, *_outage(rates.K))
     value, err = _probability(evaluate, rel_tol, "XP outage")
     return Estimate(value, "xp-recursion", err)
 
@@ -312,8 +324,7 @@ def throughput_recursion(
     column = lambda *p: np.array(p)[:, None, None, None]  # E[R], E[T] on the payoff axis
     cost = column(0.0, slot)
     paid = [lambda t, p=column(r / top, 0.0): p * np.exp(t) + cost for r in reward]
-    limits = [2.0 ** r for r in reward]
-    evaluate = partial(_nested, limits, powers.snr_bars, [cost] * rates.K, paid)
+    evaluate = partial(_nested, reward, powers.snr_bars, [cost] * rates.K, paid)
 
     def converged(values, gaps):
         eta, gap = _ratio(values, gaps)

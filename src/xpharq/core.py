@@ -115,9 +115,10 @@ class Estimate:
 
     ``uncertainty`` is a numerical error bound for deterministic methods
     and a 95% confidence half-width for Monte Carlo.  It is 0 only for the
-    closed forms ``lower``, ``asymptotic`` and the one-round ``exact``; the
-    0 of ``lower`` (a bound) and ``asymptotic`` (an approximation) covers
-    their arithmetic only, not their distance from the outage probability.
+    closed forms ``lower`` and ``asymptotic``, and it covers their
+    arithmetic only, not the distance of a bound or an approximation from
+    the outage probability.  The one-round ``exact`` reports the
+    recursion's rounding floor, 1e-14 of its value.
     """
 
     value: float

@@ -1,23 +1,16 @@
-"""Exact outage probabilities for one and two rounds.
+"""The paper's two-round XP outage probability by its Mellin-Barnes route.
 
-The paper's two-round XP outage probability, with g_k the per-round
-average SNRs, Z = 2^{R1+R2} and a_k = (2^{R_k}-1)/g_k, is
+With g_k the per-round average SNRs, Z = 2^{R1+R2} and a_k =
+(2^{R_k}-1)/g_k, the paper writes it as
 
     P = t1 + t23 - phi,   t1 = (1 - e^{-a1}) (1 - e^{-a2}),
     t23 = e^{-a2} - e^{-(Z-1)/g2},
     phi = (1/g2) e^{1/g1 + 1/g2} integral_{2^{R2}}^{Z} exp(-Z/(z g1) - z/g2) dz.
 
 At high SNR t23 and phi cancel to O(1/(g1 g2)) and the subtraction loses
-every digit.  t23 is the integral of (1/g2) e^{-(z-1)/g2} over the same
-interval, so with z = 2^{R2} + g2 u the two combine into one nonnegative
-integral and no subtraction is left:
-
-    P = t1 + e^{-a2} integral_0^{(Z-2^{R2})/g2} e^{-u}
-                 (1 - e^{-(Z/(2^{R2} + g2 u) - 1)/g1}) du.
-
-That is one level of the backward recursion in ``bounds``, and
-``outage_k2_exact`` takes it with the recursion's panels, passes,
-stopping rule and uncertainty (``bounds._probability``).
+every digit.  The production value is ``bounds.xp_outage``, whose
+backward recursion has no subtraction; this module is the independent
+route that ``selftest`` checks it against.
 
 phi survives in the paper's Mellin-Barnes representation
 
@@ -32,8 +25,8 @@ int_{b1}^{b2} t^s e^{-t} dt (``incomplete_gamma_difference``), taken by
 Gauss-Legendre panels in ln t for every contour node in one call; the
 contour is a trapezoid along Re(s) = 1/2.  With b = 0 the kernel is the
 complete Gamma(s+1) (``foxh_h11_incomplete``).  ``outage_k2_via_foxh``
-assembles t1 + t23 - phi from it as an independent cross-check, not the
-default: it keeps the cancellation, and its uncertainty grows with it.
+assembles t1 + t23 - phi from it; it keeps the cancellation, and its
+uncertainty grows with it.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ import math
 
 import numpy as np
 
-from .bounds import _GAUSS, _failed, _level, _probability
+from .bounds import _GAUSS
 from .core import (
     ConvergenceError,
     Estimate,
@@ -53,8 +46,6 @@ from .core import (
 from .quadrature import IntegrationResult
 
 __all__ = [
-    "outage_k1",
-    "outage_k2_exact",
     "outage_k2_via_foxh",
     "incomplete_gamma_difference",
     "foxh_h11_incomplete",
@@ -80,46 +71,6 @@ _KERNEL_DOUBLINGS = 6
 _T_UNDERFLOW = -math.log(math.ulp(0.0))
 # the contour assembly's excursions outside [0, 1] clamped as rounding
 _CLAMP_TOL = 1e-9
-
-
-def outage_k1(r1: float, snr_bar: float) -> float:
-    """Single-round outage 1 - e^{-(2^{r1}-1)/snr_bar}."""
-    if not (r1 > 0.0 and snr_bar > 0.0):
-        raise ValueError("rate and average SNR must be positive")
-    return -math.expm1(-math.expm1(r1 * _LN2) / snr_bar)
-
-
-def _k2_terms(rates: RateSchedule, powers: PowerProfile):
-    """R1, R2, g1, g2, the product term t1 and a2 of the two-round form."""
-    if rates.K != 2 or powers.K != 2:
-        raise ValueError("the closed form covers exactly K = 2")
-    (r1, r2), (g1, g2) = rates.rates, powers.snr_bars
-    a2 = math.expm1(r2 * _LN2) / g2
-    t1 = math.expm1(-math.expm1(r1 * _LN2) / g1) * math.expm1(-a2)  # (1-e^{-a1})(1-e^{-a2})
-    return r1, r2, g1, g2, t1, a2
-
-
-def outage_k2_exact(rates: RateSchedule, powers: PowerProfile) -> Estimate:
-    """Two-round XP outage probability from the closed form.
-
-    t1 plus the nonnegative integral that replaces t23 - phi (module
-    docstring), taken as one recursion level and stopped, as ``xp_outage``
-    is, once two passes differ by at most 1e-9 of the value; the
-    uncertainty is the last gap plus a rounding floor of 1e-14 relative.
-    """
-    r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
-    big_z = 2.0 ** (r1 + r2)
-    inner = lambda s: _level(s, big_z, g1, paid=_failed)  # closed form: round 1 fails
-    tail = math.exp(-a2)  # Pr(gamma_2 >= a2)
-
-    def assemble(n: int, m: int) -> list[float]:
-        if tail == 0.0:  # g2 / 2^{R2} may underflow too; the term is 0 either way
-            return [t1]
-        level = _level(np.array([r2 * _LN2]), big_z, g2 / 2.0 ** r2, inner, m)
-        return [t1 + tail * level.item()]
-
-    value, uncertainty = _probability(assemble, 1e-9, "two-round outage")
-    return Estimate(value, "k2-exact", uncertainty)
 
 
 def incomplete_gamma_difference(s, b1: float, b2: float):
@@ -252,12 +203,16 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     """Two-round outage with phi taken from the contour path.
 
     The paper's assembly t1 + t23 - phi with phi from the Mellin-Barnes
-    representation, a route independent of outage_k2_exact's integral.  At
+    representation, a route independent of ``xp_outage``'s recursion.  At
     high SNR t23 and phi cancel; the uncertainty is the contour's last
     refinement gap plus the assembly's rounding, so it grows with the
     cancellation.
     """
-    r1, r2, g1, g2, t1, a2 = _k2_terms(rates, powers)
+    if rates.K != 2 or powers.K != 2:
+        raise ValueError("the closed form covers exactly K = 2")
+    (r1, r2), (g1, g2) = rates.rates, powers.snr_bars
+    a2 = math.expm1(r2 * _LN2) / g2
+    t1 = math.expm1(-math.expm1(r1 * _LN2) / g1) * math.expm1(-a2)  # (1-e^{-a1})(1-e^{-a2})
     t23 = math.exp(-a2) * -math.expm1(-(2.0 ** r2) * math.expm1(r1 * _LN2) / g2)
     phi = phi_foxh(r1, r2, g1, g2)
     value = clamp_probability(t1 + t23 - phi.value, _CLAMP_TOL, "two-round outage (contour phi)")

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Optional, TextIO, Union
 from .asymptotic import outage_asymptotic_general
 from .bounds import outage_lower, outage_upper_ir, throughput_recursion, xp_outage
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
-from .exact import outage_k1, outage_k2_exact
 from .simulate import SimConfig, estimate_outage, estimate_throughput
 
 __all__ = [
@@ -66,16 +65,10 @@ class Method:
     k_max: float = math.inf
 
 
-def _exact(rates, powers, *_):
-    if rates.K == 1:
-        return outage_k1(rates.rates[0], powers.snr_bars[0])
-    return outage_k2_exact(rates, powers)
-
-
 _XP, _BOTH = ("xp",), ("xp", "inr")
 # Insertion order is the order of the CLI --method choices; the first is the default.
 METHODS = {
-    ("outage", "exact"): Method(_XP, _exact, k_max=2),
+    ("outage", "exact"): Method(_XP, lambda r, p, *_: xp_outage(r, p), k_max=2),
     ("outage", "asymptotic"): Method(
         _XP, lambda r, p, *_: outage_asymptotic_general(r, p), k_min=2
     ),

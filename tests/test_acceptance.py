@@ -25,11 +25,11 @@ from xpharq import (
     hbar_eval,
     hbar_quadrature,
     incomplete_gamma_difference,
-    outage_k2_exact,
     outage_k2_via_foxh,
     outage_lower,
     outage_upper_ir,
     throughput_recursion,
+    xp_outage,
     xp_outage_quadrature,
 )
 from xpharq.cli import main
@@ -44,7 +44,7 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_two_round_triangulation(capsys):
-    """Closed form, contour path, and oracle agree pairwise and with MC."""
+    """Recursion, contour path, and nested quadrature agree pairwise and with MC."""
     start = time.perf_counter()
     worst_rel = 0.0
     worst_z = 0.0
@@ -53,7 +53,7 @@ def test_criterion_1_two_round_triangulation(capsys):
             g = 10.0 ** (db / 10.0)
             rates, powers = RateSchedule(r), PowerProfile((g, g))
             vals = (
-                outage_k2_exact(rates, powers).value,
+                xp_outage(rates, powers).value,
                 outage_k2_via_foxh(rates, powers).value,
                 xp_outage_quadrature(rates, powers).value,
             )
@@ -82,7 +82,7 @@ def test_criterion_2_two_round_asymptote_convergence(capsys):
     rels = {}
     for db in (40.0, 60.0):
         g = 10.0 ** (db / 10.0)
-        p = outage_k2_exact(rates, PowerProfile((g, g))).value
+        p = xp_outage(rates, PowerProfile((g, g))).value
         rels[db] = abs(p * g * g - coeff) / coeff
     ok = rels[40.0] <= 0.03 and rels[60.0] <= 0.01
     _report(
@@ -150,7 +150,7 @@ def test_criterion_5_diversity_orders(capsys):
     pts2 = []
     for db in dbs:
         g = 10.0 ** (db / 10.0)
-        pts2.append((g, outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((g, g))).value))
+        pts2.append((g, xp_outage(RateSchedule((1.0, 1.0)), PowerProfile((g, g))).value))
     d2 = diversity_order_fit(pts2).diversity_order
     pts3 = []
     for db in dbs:

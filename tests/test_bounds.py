@@ -14,8 +14,7 @@ from xpharq import (
     SimConfig,
     estimate_outage,
     ir_outage_chain,
-    outage_k1,
-    outage_k2_exact,
+    outage_asymptotic_general,
     outage_lower,
     outage_upper_ir,
     sum_info_cdf,
@@ -56,9 +55,8 @@ def test_outage_lower_closed_form_values():
 
 
 def test_outage_lower_single_round_degenerates():
-    assert outage_lower(RateSchedule((1.5,)), PowerProfile((7.0,))) == pytest.approx(
-        outage_k1(1.5, 7.0), rel=1e-15
-    )
+    rates, powers = RateSchedule((1.5,)), PowerProfile((7.0,))
+    assert outage_lower(rates, powers) == pytest.approx(xp_outage(rates, powers).value, rel=1e-15)
 
 
 def test_outage_lower_joint_permutation_invariance():
@@ -199,8 +197,7 @@ def _mp_throughput_two_rounds(scheme, r1: float, r2: float, gbar: float):
 
 def test_recursion_uncertainty_calibrated():
     # K = 2, R = (1, 1): XP outage is Pr(x_1 < 2, x_2 < 4), the IR bound
-    # Pr(x_2 < 4); the two-round closed form shares the recursion's level
-    # and pass rule.  Above 160 dB mp.quad drifts, so the reference there is
+    # Pr(x_2 < 4).  Above 160 dB mp.quad drifts, so the reference there is
     # the leading high-SNR term, whose relative error O(1/gbar) is < 1e-16.
     rates = RateSchedule((1.0, 1.0))
     for snr_db in list(range(-10, 161, 10)) + [200, 250, 300]:
@@ -211,9 +208,7 @@ def test_recursion_uncertainty_calibrated():
         else:
             refs = ((4.0 * math.log(2.0) - 1.0) / gbar**2,
                     (8.0 * math.log(2.0) - 3.0) / gbar**2)
-        estimates = (xp_outage(rates, powers), outage_upper_ir(rates, powers),
-                     outage_k2_exact(rates, powers))
-        for est, ref in zip(estimates, refs + refs[:1]):
+        for est, ref in zip((xp_outage(rates, powers), outage_upper_ir(rates, powers)), refs):
             err = abs(est.value - ref)
             assert err <= est.uncertainty, (snr_db, est, ref)
             assert err <= 1e-12 * est.value, (snr_db, est, ref)
@@ -227,10 +222,19 @@ def test_recursion_uncertainty_calibrated():
                              ((500.0, 500.0), 3000)):
         gbar = 10.0 ** (snr_db / 10.0)
         ref = _mp_xp_two_rounds_high_snr(r1, r2, gbar)
-        for solve in (xp_outage, outage_k2_exact):
-            est = solve(RateSchedule((r1, r2)), PowerProfile((gbar, gbar)))
-            err = abs(est.value - ref)
-            assert err <= est.uncertainty <= 1e-9 * est.value, (r1, snr_db, est, ref)
+        est = xp_outage(RateSchedule((r1, r2)), PowerProfile((gbar, gbar)))
+        err = abs(est.value - ref)
+        assert err <= est.uncertainty <= 1e-9 * est.value, (r1, snr_db, est, ref)
+    # rates near 0: 2^R - 1 taken from 2^R keeps only the digits of R ln 2
+    # that survive the sum 1 + R ln 2, and expm1(R ln 2) keeps them all
+    a1 = math.expm1(1e-9 * math.log(2.0))
+    for rates, gbar, ref in (
+        ((1e-12,), 1.0, -math.expm1(-math.expm1(1e-12 * math.log(2.0)))),
+        ((1e-9, 2.0), 1e4, _mp_two_rounds(a1, 2.0 ** (2.0 + 1e-9), 1e4)),
+    ):
+        est = xp_outage(RateSchedule(rates), PowerProfile((gbar,) * len(rates)))
+        err = abs(est.value - ref)
+        assert err <= est.uncertainty <= 1e-9 * est.value, (rates, est, ref)
     # analytical throughput, both schemes: at R = (1, 1) as accurate as the
     # outage; at (8, 8) and 0 dB IR's 1 - P_K cancelled in the chain
     # formula; at (20, 20) and 10 dB decoding needs u past the last panel,
@@ -268,7 +272,7 @@ def test_outage_recursions_meet_the_relative_rule_or_raise():
     # its value, plus the 1e-14 rounding floor, or raises; where both
     # converge, lower <= oracle <= upper within their uncertainties
     for k_rounds in (2, 3, 4):
-        for rate in (0.01, 0.5, 2.0, 8.0, 60.0 / k_rounds, 400.0 / k_rounds):
+        for rate in (1e-12, 1e-9, 0.01, 0.5, 2.0, 8.0, 60.0 / k_rounds, 400.0 / k_rounds):
             for snr_db in (-10, 0, 10, 30, 100, 1000, 3000):
                 rates = RateSchedule((rate,) * k_rounds)
                 powers = PowerProfile((10.0 ** (snr_db / 10.0),) * k_rounds)
@@ -283,6 +287,20 @@ def test_outage_recursions_meet_the_relative_rule_or_raise():
                     xp, ir = got[xp_outage], got[outage_upper_ir]
                     assert outage_lower(rates, powers) <= xp.value + xp.uncertainty, (rate, snr_db)
                     assert xp.value - xp.uncertainty <= ir.value + ir.uncertainty, (rate, snr_db)
+
+
+def test_outage_recursion_meets_the_asymptote_at_high_snr():
+    # from 200 dB on the leading asymptote is the outage up to a relative
+    # O(2^{R_K^sum} / gbar), below 1e-12 here; at K = 4 and 1000 dB it
+    # underflows to 0
+    for k_rounds in (2, 3, 4):
+        for rate in (0.5, 1.0, 2.0, 8.0):
+            rates = RateSchedule((rate,) * k_rounds)
+            for snr_db in (200, 300) + ((1000,) if k_rounds <= 3 else ()):
+                powers = PowerProfile((10.0 ** (snr_db / 10.0),) * k_rounds)
+                est = xp_outage(rates, powers)
+                asym = outage_asymptotic_general(rates, powers)
+                assert abs(est.value - asym) <= 1e-12 * asym, (k_rounds, rate, snr_db, est, asym)
 
 
 def test_outage_convergence_error_carries_floats():
@@ -309,15 +327,16 @@ def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
     for rates in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
         domains.clear()
         est = xp_outage(RateSchedule(rates), PowerProfile((1.0,) * len(rates)))
-        assert est.value == pytest.approx(outage_k1(1.0, 1.0), rel=1e-14)
+        assert est.value == pytest.approx(
+            outage_lower(RateSchedule((1.0,)), PowerProfile((1.0,))), rel=1e-14)
         # only the level under U_2 = 2^101 is interpolated, and only at K = 4
         assert all(hi == pytest.approx(101.0 * math.log(2.0)) for _, hi in domains), domains
         assert bool(domains) == (len(rates) == 4)
 
 
-def _level_all_panels(s, limit, gbar, inner, m):
+def _level_all_panels(s, bits, gbar, inner, m):
     """``bounds._level`` over all seven dyadic panels, none skipped."""
-    excess = np.maximum(limit * np.exp(-s) - 1.0, 0.0)
+    excess = np.maximum(2.0 ** bits * np.exp(-s) - 1.0, 0.0)
     v_edges = np.log1p(np.minimum(gbar * bounds._PANEL_EDGES, excess[..., None]))
     width = np.diff(v_edges, axis=-1)
     t, w = bounds._GAUSS[m]
@@ -327,17 +346,17 @@ def _level_all_panels(s, limit, gbar, inner, m):
 
 
 @pytest.mark.parametrize("limit, panels", [
-    (9.0 - 2.0 ** -40, 3),  # largest gbar * a_k(x) just below the scaled edge 8
-    (9.0, 3),               # exactly on it
-    (9.0 + 2.0 ** -40, 4),  # just above it
-    (1000.0, 7),            # above 64 gbar: every panel
-    (0.5, 1),               # zero everywhere: one zero-width panel
+    (16.0 - 2.0 ** -40, 3),  # largest gbar * a_k(x) just below the scaled edge 15
+    (16.0, 3),               # exactly on it
+    (16.0 + 2.0 ** -40, 4),  # just above it
+    (1024.0, 7),             # above 64 gbar: every panel
+    (0.5, 1),                # zero everywhere: one zero-width panel
 ], ids=["below-edge", "on-edge", "above-edge", "above-64gbar", "zero"])
 @pytest.mark.parametrize("m", [8, 64])
 def test_level_skips_only_panels_no_node_reaches(limit, panels, m):
-    # gbar = 2 scales the panel edges to 0, 2, 4, 8, ..., 128; the largest
-    # excess limit e^{-s} - 1 is at s = 0
-    gbar = 2.0
+    # gbar = 3.75 scales the panel edges to 0, 3.75, 7.5, 15, ..., 240; the
+    # largest excess limit e^{-s} - 1 is at s = 0
+    bits, gbar = math.log2(limit), 3.75
     s = np.linspace(0.0, 1.5, 7)
     closed = lambda t: -np.expm1(np.minimum((1.0 - 40.0 * np.exp(-t)) / 3.0, 0.0))
     seen = []
@@ -346,9 +365,9 @@ def test_level_skips_only_panels_no_node_reaches(limit, panels, m):
         seen.append(t.shape[-2])
         return closed(t)
 
-    cut = bounds._level(s, limit, gbar, inner, m)
+    cut = bounds._level(s, bits, gbar, inner, m)
     assert seen == [panels]
-    np.testing.assert_allclose(cut, _level_all_panels(s, limit, gbar, closed, m),
+    np.testing.assert_allclose(cut, _level_all_panels(s, bits, gbar, closed, m),
                                rtol=1e-14, atol=0.0)
     if limit < 1.0:
         assert not cut.any()
@@ -368,7 +387,7 @@ def test_ir_chain_first_entry_single_round():
     powers = PowerProfile((8.0, 12.0, 5.0))
     chain = ir_outage_chain(rates, powers)
     assert len(chain) == 3
-    assert chain[0] == pytest.approx(outage_k1(1.2, 8.0), rel=1e-12)
+    assert chain[0] == pytest.approx(outage_lower(rates.prefix(1), powers.prefix(1)), rel=1e-12)
     assert all(0.0 <= p <= 1.0 for p in chain)
     assert all(a >= b - 1e-12 for a, b in zip(chain, chain[1:]))
 

@@ -26,10 +26,10 @@ from xpharq import (
     emit_config,
     estimate_outage,
     estimate_throughput,
-    outage_k2_exact,
     outage_lower,
     outage_upper_ir,
     parse_config,
+    xp_outage,
 )
 from xpharq import cli, quadrature, sweep
 from xpharq.cli import main
@@ -53,7 +53,7 @@ def test_outage_exact_record(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("outage scheme=xp method=exact K=2 ")
-    expected = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))).value
+    expected = xp_outage(RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))).value
     assert float(_field(out, "value")) == pytest.approx(expected, rel=1e-7)
 
 
@@ -104,6 +104,14 @@ def test_outage_broadcasts_single_snr(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert _field(out, "snr_db") == "10,10"
+
+
+def test_outage_at_rates_near_zero(capsys):
+    # 2^{1e-12} is 1 to 7e-13: the recursion takes 2^R - 1 as expm1(R ln 2)
+    rc = main(["outage", "--method", "oracle", "--rates", "1e-12,1e-12", "--snr-db", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert 0.0 < float(_field(out, "uncertainty")) <= 1e-9 * float(_field(out, "value"))
 
 
 def test_usage_errors_exit_two(monkeypatch):
@@ -478,7 +486,7 @@ def test_config_parse_errors_carry_line_numbers():
 
 def test_config_rejects_incompatible_combinations():
     with pytest.raises(ConfigError):
-        # exact closed form does not cover three rounds
+        # the exact method does not cover three rounds
         parse_config(_SWEEP_CONFIG.replace("rates = 1,1", "rates = 1,1,1"))
     with pytest.raises(ConfigError):
         # r1 axis needs a pinned SNR
@@ -615,7 +623,7 @@ def test_sweep_rows_match_direct_evaluation(tmp_path):
     assert len(exact_rows) == 3
     for row in exact_rows:
         g = 10.0 ** (float(row["snr_db"]) / 10.0)
-        want = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((g, g))).value
+        want = xp_outage(RateSchedule((1.0, 1.0)), PowerProfile((g, g))).value
         assert float(row["value"]) == pytest.approx(want, rel=1e-7)
         assert row["R_csv"] == "1,1"
         assert row["K"] == "2"

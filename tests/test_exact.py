@@ -1,8 +1,10 @@
-"""Two-round closed form, the phi integral, and the contour special functions.
+"""The one- and two-round exact outage, the phi integral, and the contour
+special functions.
 
+The exact outage at K <= 2 is the backward recursion ``xp_outage``.
 Reference values come from independent routes: composite Simpson on a dense
-fixed grid, mpmath's incomplete gamma, scipy's gamma, exp1 and Bessel K,
-and the backward recursion xp_outage.
+fixed grid, mpmath's incomplete gamma and outage integrals, scipy's gamma,
+exp1 and Bessel K, and, for the contour, the recursion.
 """
 
 import math
@@ -18,8 +20,6 @@ from xpharq import (
     RateSchedule,
     foxh_h11_incomplete,
     incomplete_gamma_difference,
-    outage_k1,
-    outage_k2_exact,
     outage_k2_via_foxh,
     phi_foxh,
     phi_quadrature,
@@ -57,15 +57,19 @@ def _outage_k2_mpmath(r1, r2, g1, g2, dps=40):
 # single round and phi
 
 
+def _outage_k1(r1, snr_bar):
+    return xp_outage(RateSchedule((r1,)), PowerProfile((snr_bar,))).value
+
+
 def test_outage_k1_reference_values():
-    assert outage_k1(1.0, 10.0) == pytest.approx(1.0 - math.exp(-0.1), rel=1e-14)
-    assert outage_k1(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    assert _outage_k1(1.0, 10.0) == pytest.approx(1.0 - math.exp(-0.1), rel=1e-14)
+    assert _outage_k1(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
 
 def test_outage_k1_rejects_bad_input():
     for args in ((0.0, 10.0), (1.0, -1.0), (math.nan, 10.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="must be positive"):
-            outage_k1(*args)
+            _outage_k1(*args)
 
 
 def test_phi_quadrature_against_simpson():
@@ -219,47 +223,50 @@ def test_outage_k2_exact_against_mpmath():
         (1.0, 2.0, 100.0, 100.0),
     )
     for r1, r2, g1, g2 in cases:
-        est = outage_k2_exact(RateSchedule((r1, r2)), PowerProfile((g1, g2)))
+        est = xp_outage(RateSchedule((r1, r2)), PowerProfile((g1, g2)))
         ref = _outage_k2_mpmath(r1, r2, g1, g2)
         assert est.value == pytest.approx(ref, rel=1e-9), (r1, r2, g1, g2)
-        assert est.method == "k2-exact"
+        assert est.method == "xp-recursion"
         assert est.uncertainty >= 0.0
 
 
 def test_outage_k2_exact_survives_cancellation():
-    # at high SNR the assembly is a difference of nearly equal terms
-    est = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((1e6, 1e6)))
+    # at high SNR the paper's assembly, the 40-digit reference, is a
+    # difference of nearly equal terms; the recursion has no subtraction
+    est = xp_outage(RateSchedule((1.0, 1.0)), PowerProfile((1e6, 1e6)))
     ref = _outage_k2_mpmath(1.0, 1.0, 1e6, 1e6)
     assert est.value == pytest.approx(ref, rel=1e-6)
     assert est.value > 0.0
 
 
 def test_outage_k2_exact_monotone_and_bounded():
-    base = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((5.0, 5.0))).value
-    better1 = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((8.0, 5.0))).value
-    better2 = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((5.0, 8.0))).value
-    greedy1 = outage_k2_exact(RateSchedule((1.5, 1.0)), PowerProfile((5.0, 5.0))).value
-    greedy2 = outage_k2_exact(RateSchedule((1.0, 1.5)), PowerProfile((5.0, 5.0))).value
+    outage = lambda r, g: xp_outage(RateSchedule(r), PowerProfile(g)).value
+    base = outage((1.0, 1.0), (5.0, 5.0))
+    better1 = outage((1.0, 1.0), (8.0, 5.0))
+    better2 = outage((1.0, 1.0), (5.0, 8.0))
+    greedy1 = outage((1.5, 1.0), (5.0, 5.0))
+    greedy2 = outage((1.0, 1.5), (5.0, 5.0))
     assert better1 <= base and better2 <= base
     assert greedy1 >= base and greedy2 >= base
     for g in (1e-3, 1.0, 1e8):
-        v = outage_k2_exact(RateSchedule((1.0, 1.0)), PowerProfile((g, g))).value
+        v = outage((1.0, 1.0), (g, g))
         assert 0.0 <= v <= 1.0
     # e^{-a2} and g2 / 2^{R2} underflow: the second round always fails
-    est = outage_k2_exact(RateSchedule((20.0, 1000.0)), PowerProfile((1e300, 1e-300)))
-    assert est.value == pytest.approx(outage_k1(20.0, 1e300), rel=1e-14)
+    est = xp_outage(RateSchedule((20.0, 1000.0)), PowerProfile((1e300, 1e-300)))
+    assert est.value == pytest.approx(_outage_k1(20.0, 1e300), rel=1e-14)
 
 
 def test_outage_k2_exact_rejects_other_round_counts():
+    # the paper's two-round form, the contour route to the exact outage
     with pytest.raises(ValueError):
-        outage_k2_exact(RateSchedule((1.0,)), PowerProfile((10.0,)))
+        outage_k2_via_foxh(RateSchedule((1.0,)), PowerProfile((10.0,)))
     with pytest.raises(ValueError):
-        outage_k2_exact(RateSchedule((1.0, 1.0, 1.0)), PowerProfile((10.0,) * 3))
+        outage_k2_via_foxh(RateSchedule((1.0, 1.0, 1.0)), PowerProfile((10.0,) * 3))
 
 
 def test_outage_k2_contour_path_agrees():
     for r, g in (((1.0, 1.0), (10.0, 10.0)), ((2.0, 1.0), (50.0, 5.0))):
-        a = outage_k2_exact(RateSchedule(r), PowerProfile(g)).value
+        a = xp_outage(RateSchedule(r), PowerProfile(g)).value
         b = outage_k2_via_foxh(RateSchedule(r), PowerProfile(g)).value
         assert b == pytest.approx(a, rel=1e-6), (r, g)
 

@@ -13,8 +13,8 @@ from xpharq import (
     integrate_adaptive,
     joint_density_x,
     outage_asymptotic_general,
-    outage_k1,
-    outage_k2_exact,
+    outage_lower,
+    xp_outage,
     xp_outage_quadrature,
 )
 
@@ -152,15 +152,16 @@ def test_joint_density_normalizes_k3():
 
 def test_oracle_k1_closed_form():
     est = xp_outage_quadrature(RateSchedule((1.5,)), PowerProfile((5.0,)))
-    assert est.value == pytest.approx(outage_k1(1.5, 5.0), rel=1e-12)
+    want = outage_lower(RateSchedule((1.5,)), PowerProfile((5.0,)))
+    assert est.value == pytest.approx(want, rel=1e-12)
 
 
 def test_oracle_matches_two_round_closed_form():
     for r, g in (((1.0, 1.0), (10.0, 10.0)), ((2.0, 0.5), (3.0, 30.0))):
         rates, powers = RateSchedule(r), PowerProfile(g)
         oracle = xp_outage_quadrature(rates, powers, tol=1e-12, rel_tol=1e-10)
-        exact = outage_k2_exact(rates, powers)
-        assert oracle.value == pytest.approx(exact.value, rel=1e-8), (r, g)
+        exact = xp_outage(rates, powers).value
+        assert oracle.value == pytest.approx(exact, rel=1e-8), (r, g)
 
 
 def test_oracle_vanishing_first_rate():
