@@ -1,9 +1,9 @@
 """Outage probability and throughput of cross-packet HARQ over Rayleigh fading.
 
 An exact backward recursion for any K, the paper's two-round Mellin-Barnes
-form, high-SNR asymptotics, lower and upper bounds, nested-quadrature
-references, and a deterministic parallel Monte Carlo engine, plus a CLI for
-single-point queries and CSV sweeps.
+form, the high-SNR asymptote for any K >= 2, lower and upper bounds,
+nested-quadrature references for the tests, and a deterministic parallel
+Monte Carlo engine, plus a CLI for single-point queries and CSV sweeps.
 """
 
 from .core import (
@@ -16,14 +16,13 @@ from .core import (
     clamp_probability,
 )
 from .quadrature import (
-    IntegrationResult,
     hbar_quadrature,
     integrate_adaptive,
-    joint_density_x,
     phi_quadrature,
     xp_outage_quadrature,
 )
 from .exact import (
+    IntegrationResult,
     foxh_h11_incomplete,
     incomplete_gamma_difference,
     outage_k2_via_foxh,
@@ -31,13 +30,9 @@ from .exact import (
 )
 from .asymptotic import (
     HbarTable,
-    SlopeFit,
     build_hbar_table,
-    diversity_order_fit,
     hbar_eval,
     outage_asymptotic_general,
-    outage_k2_asymptotic,
-    phi_asymptotic,
 )
 from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf,
                      throughput_recursion, xp_outage)
@@ -52,7 +47,6 @@ from .sweep import (
     SweepConfig,
     SweepRow,
     db_to_linear,
-    emit_config,
     emit_gnuplot,
     parse_config,
     run_sweep,

@@ -1,23 +1,19 @@
-"""High-SNR asymptotics of the XP outage probability.
+"""High-SNR asymptote of the XP outage probability for any K >= 2.
 
-Two layers:
+The dominant term is P ~ prod_k (1/gbar_k) * hbar_{K,1}(1), where the
+hbar family is a polynomial in ln x plus a linear term,
 
-* K = 2: the asymptotic phi and the resulting leading-order outage
-  (2^{R1+R2} R1 ln2 - (2^{R1}-1)) / (g1 g2).
-* general K: the leading coefficient hbar_{K,1}(1) of the dominant term
-  P ~ prod_k (1/gbar_k) * hbar_{K,1}(1), where the hbar family is a
-  polynomial in ln x plus a linear term,
+    hbar_{K,k}(x) = (-1)^{K-k+1} x + sum_{i=0}^{K-k} c_{k,i} (ln x)^i,
 
-      hbar_{K,k}(x) = (-1)^{K-k+1} x + sum_{i=0}^{K-k} c_{k,i} (ln x)^i,
+built by the recursion (from integrating t^{-1} (ln t)^{i-1} across each
+cell)
 
-  built by the recursion (from integrating t^{-1} (ln t)^{i-1} across each
-  cell)
+    c_{K,0} = 2^{R_K^sum}
+    c_{k,i} = -c_{k+1,i-1} / i                      (1 <= i <= K-k)
+    c_{k,0} = sum_{i=0}^{K-k-1} c_{k+1,i} ln(2^{R_k^sum})^{i+1} / (i+1)
+              + (-1)^{K-k} 2^{R_k^sum}.
 
-      c_{K,0} = 2^{R_K^sum}
-      c_{k,i} = -c_{k+1,i-1} / i                      (1 <= i <= K-k)
-      c_{k,0} = sum_{i=0}^{K-k-1} c_{k+1,i} ln(2^{R_k^sum})^{i+1} / (i+1)
-                + (-1)^{K-k} 2^{R_k^sum}.
-
+At K = 2 this is the paper's (2^{R1+R2} R1 ln2 - (2^{R1}-1)) / (g1 g2).
 The recursion is validated against the nested-integral oracle in
 ``quadrature.hbar_quadrature``; note the divisor in the c_{k,i} line is i
 (it comes from d/dx (ln x)^i = i (ln x)^{i-1} / x), which the oracle test
@@ -28,50 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .core import PowerProfile, RateSchedule
 
 __all__ = [
-    "phi_asymptotic",
-    "outage_k2_asymptotic",
     "HbarTable",
     "build_hbar_table",
     "hbar_eval",
     "outage_asymptotic_general",
-    "SlopeFit",
-    "diversity_order_fit",
 ]
 
 _LN2 = math.log(2.0)
-
-
-def phi_asymptotic(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> float:
-    """Leading-order phi: the exact difference terms minus the log residue.
-
-    e^{1/g1} (e^{-(2^{R2}-1)/g2} - e^{-(2^{R1+R2}-1)/g2})
-        - e^{1/g1 + 1/g2} 2^{R1+R2} R1 ln2 / (g1 g2)
-    """
-    if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
-        raise ValueError("rates and average SNRs must be positive")
-    big_z = 2.0 ** (r1 + r2)
-    a2 = math.expm1(r2 * _LN2) / snr_bar2
-    gap = (2.0 ** r2) * math.expm1(r1 * _LN2) / snr_bar2
-    diff = math.exp(-a2) * -math.expm1(-gap)
-    lead = math.exp(1.0 / snr_bar2) * big_z * r1 * _LN2 / (snr_bar1 * snr_bar2)
-    return math.exp(1.0 / snr_bar1) * (diff - lead)
-
-
-def outage_k2_asymptotic(rates: RateSchedule, powers: PowerProfile) -> float:
-    """Dominant high-SNR term of the two-round outage probability."""
-    if rates.K != 2 or powers.K != 2:
-        raise ValueError("this asymptotic form covers exactly K = 2")
-    r1, r2 = rates.rates
-    g1, g2 = powers.snr_bars
-    # g1 * g2 may overflow where the quotient does not
-    return ((2.0 ** (r1 + r2)) * r1 * _LN2 - math.expm1(r1 * _LN2)) / g1 / g2
 
 
 @dataclass(frozen=True)
@@ -133,37 +96,3 @@ def outage_asymptotic_general(rates: RateSchedule, powers: PowerProfile) -> floa
     for g in powers.snr_bars:  # in turn: prod(1/gbar) underflows where this does not
         value /= g
     return value
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    """Least-squares line through (log10 snr_bar, log10 outage) points.
-
-    ``points`` stores the inputs with SNR in dB; the diversity order is the
-    negated slope of the log-log fit.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    slope: float
-    intercept: float
-
-    @property
-    def diversity_order(self) -> float:
-        return -self.slope
-
-
-def diversity_order_fit(points: Sequence[tuple[float, float]]) -> SlopeFit:
-    """Fit the high-SNR outage slope; input SNRs are linear-scale."""
-    pts = [(float(g), float(p)) for g, p in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points for a slope fit")
-    snrs = [g for g, _ in pts]
-    if any(b <= a for a, b in zip(snrs, snrs[1:])):
-        raise ValueError("SNR values must be strictly increasing")
-    if any(p <= 0.0 for _, p in pts):
-        raise ValueError("outage values must be positive for a log-log fit")
-    lx = np.log10(snrs)
-    ly = np.log10([p for _, p in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    db_points = tuple((10.0 * math.log10(g), p) for g, p in pts)
-    return SlopeFit(points=db_points, slope=float(slope), intercept=float(intercept))

@@ -117,8 +117,9 @@ class Estimate:
     and a 95% confidence half-width for Monte Carlo.  It is 0 only for the
     closed forms ``lower`` and ``asymptotic``, and it covers their
     arithmetic only, not the distance of a bound or an approximation from
-    the outage probability.  The one-round ``exact`` reports the
-    recursion's rounding floor, 1e-14 of its value.
+    the outage probability.  The outage recursions (``exact``,
+    ``oracle``, ``upper``) report their last pass gap plus 1e-14 of the
+    value, at every K.
     """
 
     value: float

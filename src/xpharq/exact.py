@@ -32,6 +32,7 @@ uncertainty grows with it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from .core import (
     RateSchedule,
     clamp_probability,
 )
-from .quadrature import IntegrationResult
 
 __all__ = [
+    "IntegrationResult",
     "outage_k2_via_foxh",
     "incomplete_gamma_difference",
     "foxh_h11_incomplete",
@@ -71,6 +72,15 @@ _KERNEL_DOUBLINGS = 6
 _T_UNDERFLOW = -math.log(math.ulp(0.0))
 # the contour assembly's excursions outside [0, 1] clamped as rounding
 _CLAMP_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class IntegrationResult:
+    """An integral with its absolute error estimate and integrand evaluation count."""
+
+    value: float
+    abs_error_estimate: float
+    evaluations: int
 
 
 def incomplete_gamma_difference(s, b1: float, b2: float):

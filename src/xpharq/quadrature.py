@@ -2,10 +2,10 @@
 
 This module holds the reference oracles for the analytical formulas
 elsewhere in the package: a self-contained adaptive Gauss-Kronrod
-integrator, the joint density of the transformed per-round SNR products,
-the nested quadrature of the exact XP outage probability, the nested
-integral behind the high-SNR coefficients, and phi by direct quadrature.
-No production path calls them.
+integrator, the nested quadrature of the exact XP outage probability over
+the joint density below, the nested integral behind the high-SNR
+coefficients, and phi by direct quadrature.  No production path calls
+them, and no other module of the package imports this one.
 
 The change of variables behind the nested integrals is
 
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,22 +36,14 @@ from .core import (
     RateSchedule,
     clamp_probability,
 )
+from .exact import IntegrationResult
 
 __all__ = [
-    "IntegrationResult",
     "integrate_adaptive",
-    "joint_density_x",
     "xp_outage_quadrature",
     "hbar_quadrature",
     "phi_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (positive half;
@@ -167,26 +158,6 @@ def integrate_adaptive(
             total_val = sum(item[4] for item in heap)
             total_err = sum(item[5] for item in heap)
     return IntegrationResult(total_val, total_err, evaluations)
-
-
-def joint_density_x(x: Sequence[float], powers: PowerProfile) -> float:
-    """Joint density of the cumulative products x_k = prod_{l<=k}(1+gamma_l).
-
-    Returns 0 for points outside the support 1 <= x_1 <= x_2 <= ... .
-    """
-    xs = [float(v) for v in x]
-    if len(xs) != powers.K:
-        raise ValueError(f"point has {len(xs)} coordinates for {powers.K} rounds")
-    prev = 1.0
-    log_dens = 0.0
-    for k, (xk, gbar) in enumerate(zip(xs, powers.snr_bars), start=1):
-        if xk < prev:
-            return 0.0
-        log_dens += -math.log(gbar) - (xk / prev - 1.0) / gbar
-        if k < len(xs):
-            log_dens -= math.log(xk)
-        prev = xk
-    return math.exp(log_dens)
 
 
 def xp_outage_quadrature(

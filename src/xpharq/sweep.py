@@ -1,15 +1,18 @@
 """The method table, and config-driven parameter sweeps with deterministic
 CSV output.
 
-``METHODS`` maps each (quantity, method) to the schemes and round counts
-it supports and the function that computes it.  ``evaluate`` runs one
-entry and ``method_error`` explains why an entry cannot run; the CLI point
-queries, the sweep rows and the config checks all read these rules.
+``METHODS`` maps each (quantity, method) to the schemes it supports, the
+least round count it needs and the function that computes it.
+``evaluate`` runs one entry and ``method_error`` explains why an entry
+cannot run; the CLI point queries, the sweep rows and the config checks
+all read these rules.
 
 Configs are flat UTF-8 ``key = value`` lines; ``#`` lines are comments and
 lists are comma-separated.  Two sweep axes exist: ``snr_db`` (every round's
 average SNR set to the axis value, rates fixed) and ``r1`` (first-round
-rate replaced by the axis value, SNRs fixed from ``snr_db``).
+rate replaced by the axis value, SNRs fixed from ``snr_db``).  The
+``snr_db`` key is required on the ``r1`` axis and rejected on the
+``snr_db`` axis, which sets every SNR itself.
 
 Rows are emitted in axis-major order (axis value, then scheme, then
 method), each a pure function of the config, so output bytes do not depend
@@ -38,7 +41,6 @@ __all__ = [
     "SweepConfig",
     "ConfigError",
     "parse_config",
-    "emit_config",
     "run_sweep",
     "SweepRow",
     "write_csv",
@@ -52,7 +54,7 @@ CSV_HEADER = ("snr_db", "K", "R_csv", "scheme", "method", "value", "uncertainty"
 
 @dataclass(frozen=True)
 class Method:
-    """One way to compute a quantity, and the schemes and round counts K it covers.
+    """One way to compute a quantity, its schemes and the least round count K it needs.
 
     ``compute(rates, powers, scheme, sim)`` returns an ``Estimate``, or
     a bare float that ``evaluate`` reports with uncertainty 0; ``sim`` is
@@ -62,20 +64,20 @@ class Method:
     schemes: tuple[str, ...]
     compute: Callable[..., Union[Estimate, float]]
     k_min: int = 1
-    k_max: float = math.inf
 
 
 _XP, _BOTH = ("xp",), ("xp", "inr")
+_XP_OUTAGE = Method(_XP, lambda r, p, *_: xp_outage(r, p))
 # Insertion order is the order of the CLI --method choices; the first is the default.
 METHODS = {
-    ("outage", "exact"): Method(_XP, lambda r, p, *_: xp_outage(r, p), k_max=2),
+    ("outage", "exact"): _XP_OUTAGE,
     ("outage", "asymptotic"): Method(
         _XP, lambda r, p, *_: outage_asymptotic_general(r, p), k_min=2
     ),
     ("outage", "lower"): Method(_XP, lambda r, p, *_: outage_lower(r, p)),
     ("outage", "upper"): Method(_BOTH, lambda r, p, *_: outage_upper_ir(r, p)),
     ("outage", "mc"): Method(_BOTH, lambda r, p, s, sim: estimate_outage(sim)),
-    ("outage", "oracle"): Method(_XP, lambda r, p, *_: xp_outage(r, p)),
+    ("outage", "oracle"): _XP_OUTAGE,
     ("throughput", "analytical"): Method(_BOTH, lambda r, p, s, *_: throughput_recursion(r, p, s)),
     ("throughput", "mc"): Method(_BOTH, lambda r, p, s, sim: estimate_throughput(sim)),
 }
@@ -90,8 +92,6 @@ def method_error(quantity: str, scheme: str, method: str, k_rounds: int) -> Opti
         return f"method {method} supports scheme {' and '.join(entry.schemes)}, not {scheme!r}"
     if k_rounds < entry.k_min:
         return f"method {method} needs K >= {entry.k_min}, got K={k_rounds}"
-    if k_rounds > entry.k_max:
-        return f"method {method} supports K <= {entry.k_max}, got K={k_rounds}"
     return None
 
 
@@ -193,6 +193,8 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("rates must be positive")
     if cfg.axis == "r1" and not cfg.snr_db:
         raise ConfigError("axis=r1 requires snr_db")
+    if cfg.axis == "snr_db" and cfg.snr_db:
+        raise ConfigError("axis=snr_db sets every round's SNR; remove the snr_db key")
     if cfg.snr_db and len(cfg.snr_db) not in (1, k_rounds):
         raise ConfigError(f"snr_db needs 1 or {k_rounds} entries")
     if cfg.trials < 1:
@@ -209,23 +211,6 @@ def _validate_config(cfg: SweepConfig) -> None:
             _row_params(cfg, axis_value)
         except ValueError as exc:
             raise ConfigError(f"{cfg.axis} = {axis_value!r}: {exc}") from None
-
-
-def emit_config(cfg: SweepConfig) -> str:
-    """Canonical text form; parse_config(emit_config(c)) == c."""
-    lines = [
-        f"quantity = {cfg.quantity}",
-        f"axis = {cfg.axis}",
-        f"values = {','.join(repr(v) for v in cfg.values)}",
-        f"rates = {','.join(repr(v) for v in cfg.rates)}",
-        f"methods = {','.join(cfg.methods)}",
-        f"schemes = {','.join(cfg.schemes)}",
-    ]
-    if cfg.snr_db:
-        lines.append(f"snr_db = {','.join(repr(v) for v in cfg.snr_db)}")
-    lines.append(f"trials = {cfg.trials}")
-    lines.append(f"seed = {cfg.seed}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

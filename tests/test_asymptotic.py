@@ -1,4 +1,4 @@
-"""High-SNR coefficient recursion, asymptotic outage terms, and slope fits."""
+"""High-SNR coefficient recursion, the asymptotic outage term, and slope fits."""
 
 import math
 
@@ -9,16 +9,14 @@ from xpharq import (
     PowerProfile,
     RateSchedule,
     build_hbar_table,
-    diversity_order_fit,
     hbar_eval,
     hbar_quadrature,
     integrate_adaptive,
     outage_asymptotic_general,
-    outage_k2_asymptotic,
-    phi_asymptotic,
-    phi_quadrature,
     xp_outage,
 )
+
+from oracles import loglog_slope
 
 _LN2 = math.log(2.0)
 
@@ -27,61 +25,18 @@ _LN2 = math.log(2.0)
 # two-round asymptote
 
 
-def test_phi_asymptotic_equals_residue_assembly():
-    """The implemented form must equal the two-pole residue sum.
-
-    Residues at s = 0 and s = -1 of the contour integrand give
-    e^{1/g1+1/g2} [Gamma(1,b1) - Gamma(1,b2) + z ln(b1/b2)] with
-    b_i the scaled thresholds and z the contour argument.
-    """
-    for r1, r2, g1, g2 in ((1.0, 1.0, 100.0, 100.0), (0.5, 2.0, 50.0, 200.0)):
-        b1 = 2.0**r2 / g2
-        b2 = 2.0 ** (r1 + r2) / g2
-        z = 2.0 ** (r1 + r2) / (g1 * g2)
-        # Gamma(1, b) = e^{-b}
-        residues = math.exp(1.0 / g1 + 1.0 / g2) * (
-            math.exp(-b1) - math.exp(-b2) + z * (math.log(b1) - math.log(b2))
-        )
-        assert phi_asymptotic(r1, r2, g1, g2) == pytest.approx(residues, rel=1e-9)
-
-
-def test_phi_asymptotic_approaches_phi():
-    g = 1e4
-    exact = phi_quadrature(1.0, 1.0, g, g).value
-    approx = phi_asymptotic(1.0, 1.0, g, g)
-    assert abs(approx - exact) / exact < 0.01
-
-
-def test_phi_asymptotic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        phi_asymptotic(0.0, 1.0, 10.0, 10.0)
-    with pytest.raises(ValueError):
-        phi_asymptotic(1.0, 1.0, -5.0, 10.0)
-    # NaN in each slot, which an ordering test such as min(...) <= 0 lets through
-    for slot in range(4):
-        args = [1.0, 1.0, 10.0, 10.0]
-        args[slot] = math.nan
-        with pytest.raises(ValueError, match="must be positive"):
-            phi_asymptotic(*args)
-
-
 def test_outage_k2_asymptotic_coefficient():
     # R = (1, 1): the gamma1*gamma2-scaled outage tends to 4 ln 2 - 1
-    v = outage_k2_asymptotic(RateSchedule((1.0, 1.0)), PowerProfile((100.0, 50.0)))
+    v = outage_asymptotic_general(RateSchedule((1.0, 1.0)), PowerProfile((100.0, 50.0)))
     assert v * 100.0 * 50.0 == pytest.approx(4.0 * _LN2 - 1.0, rel=1e-14)
 
 
 def test_outage_k2_asymptotic_matches_general_path():
-    rates = RateSchedule((0.7, 1.3))
-    powers = PowerProfile((30.0, 400.0))
-    a = outage_k2_asymptotic(rates, powers)
-    b = outage_asymptotic_general(rates, powers)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_outage_k2_asymptotic_rejects_other_k():
-    with pytest.raises(ValueError):
-        outage_k2_asymptotic(RateSchedule((1.0,)), PowerProfile((10.0,)))
+    # the paper's two-round term (2^{R1+R2} R1 ln2 - (2^{R1}-1)) / (g1 g2)
+    for r1, r2 in ((1.0, 1.0), (0.7, 1.3)):
+        paper = (2.0 ** (r1 + r2) * r1 * _LN2 - math.expm1(r1 * _LN2)) / (30.0 * 400.0)
+        general = outage_asymptotic_general(RateSchedule((r1, r2)), PowerProfile((30.0, 400.0)))
+        assert paper == pytest.approx(general, rel=1e-12), (r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +150,6 @@ def test_asymptotes_survive_an_overflowing_snr_product():
     powers = PowerProfile((10.0 ** 300, 10.0 ** 68))  # 3000 and 680 dB
     ref = xp_outage(rates, powers).value
     assert 1e-307 < ref < 1e-305
-    assert outage_k2_asymptotic(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)
     assert outage_asymptotic_general(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)
     # three rounds: the term is 1/gbar_1 times a function of the other SNRs
     rates3 = RateSchedule((30.0, 30.0, 30.0))
@@ -213,27 +167,12 @@ def test_outage_asymptotic_general_validation():
 
 
 def test_diversity_fit_recovers_synthetic_power_law():
-    points = [(g, 0.37 / g**2) for g in (1e4, 1e5, 1e6)]
-    fit = diversity_order_fit(points)
-    assert fit.diversity_order == pytest.approx(2.0, abs=1e-12)
-    assert fit.intercept == pytest.approx(math.log10(0.37), abs=1e-12)
-    assert fit.points[0][0] == pytest.approx(40.0)  # stored in dB
+    snrs = (1e4, 1e5, 1e6)
+    assert -loglog_slope(snrs, [0.37 / g**2 for g in snrs]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_diversity_fit_on_asymptotic_three_rounds():
     rates = RateSchedule((1.0, 1.0, 1.0))
-    points = []
-    for db in (50.0, 55.0, 60.0):
-        g = 10.0 ** (db / 10.0)
-        points.append((g, outage_asymptotic_general(rates, PowerProfile((g, g, g)))))
-    fit = diversity_order_fit(points)
-    assert fit.diversity_order == pytest.approx(3.0, abs=1e-9)
-
-
-def test_diversity_fit_validation():
-    with pytest.raises(ValueError):
-        diversity_order_fit([(1e4, 1e-3), (1e5, 1e-5)])
-    with pytest.raises(ValueError):
-        diversity_order_fit([(1e5, 1e-3), (1e4, 1e-5), (1e6, 1e-7)])
-    with pytest.raises(ValueError):
-        diversity_order_fit([(1e4, 1e-3), (1e5, 0.0), (1e6, 1e-7)])
+    snrs = [10.0 ** (db / 10.0) for db in (50.0, 55.0, 60.0)]
+    outages = [outage_asymptotic_general(rates, PowerProfile((g, g, g))) for g in snrs]
+    assert -loglog_slope(snrs, outages) == pytest.approx(3.0, abs=1e-9)

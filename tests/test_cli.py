@@ -23,7 +23,6 @@ from xpharq import (
     RateSchedule,
     SimConfig,
     SweepConfig,
-    emit_config,
     estimate_outage,
     estimate_throughput,
     outage_lower,
@@ -116,7 +115,6 @@ def test_outage_at_rates_near_zero(capsys):
 
 def test_usage_errors_exit_two(monkeypatch):
     for argv in (
-        ["outage", "--rates", "1,1,1", "--snr-db", "10", "--method", "exact"],
         ["outage", "--rates", "1,1", "--snr-db", "10", "--scheme", "inr", "--method", "exact"],
         ["outage", "--rates", "1,-1", "--snr-db", "10"],
         ["outage", "--rates", "1,1", "--snr-db", "10,10,10"],
@@ -146,7 +144,7 @@ def test_usage_errors_exit_two(monkeypatch):
 def test_outage_mc_rare_event_warning(capsys):
     # the warning names only methods that run for the scheme and K
     for scheme, rates, named in (("xp", "1,1", {"exact", "oracle", "asymptotic"}),
-                                 ("xp", "1,1,1", {"oracle", "asymptotic"}),
+                                 ("xp", "1,1,1", {"exact", "oracle", "asymptotic"}),
                                  ("inr", "1,1", {"upper"})):
         rc = main([
             "outage", "--rates", rates, "--snr-db", "80", "--scheme", scheme,
@@ -246,8 +244,8 @@ def test_seed_env_read_on_every_call(capsys, monkeypatch):
 def test_usage_error_after_a_successful_call(capsys):
     ok = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "lower"]
     for argv, message in (
-        (["outage", "--rates", "1,1,1", "--snr-db", "10", "--method", "exact"],
-         "xpharq: error: method exact supports K <= 2, got K=3"),
+        (["outage", "--rates", "1", "--snr-db", "10", "--method", "asymptotic"],
+         "xpharq: error: method asymptotic needs K >= 2, got K=1"),
         (["outage", "--rates", "1,1", "--snr-db", "10", "--method", "bogus"],
          "xpharq outage: error: argument --method: invalid choice"),
     ):
@@ -455,8 +453,12 @@ seed = 3
 """
 
 
-def test_config_parse_and_emit_round_trip():
-    cfg = SweepConfig(
+def test_config_parse_reads_every_key():
+    text = (
+        "quantity = throughput\naxis = r1\nvalues = 0.5, 2.25\nrates = 1,2\n"
+        "methods = analytical\nschemes = xp, inr\nsnr_db = 7.5\ntrials = 50000\nseed = 12\n"
+    )
+    assert parse_config(text) == SweepConfig(
         quantity="throughput",
         axis="r1",
         values=(0.5, 2.25),
@@ -467,7 +469,6 @@ def test_config_parse_and_emit_round_trip():
         trials=50000,
         seed=12,
     )
-    assert parse_config(emit_config(cfg)) == cfg
 
 
 def test_config_parse_errors_carry_line_numbers():
@@ -485,9 +486,9 @@ def test_config_parse_errors_carry_line_numbers():
 
 
 def test_config_rejects_incompatible_combinations():
-    with pytest.raises(ConfigError):
-        # the exact method does not cover three rounds
-        parse_config(_SWEEP_CONFIG.replace("rates = 1,1", "rates = 1,1,1"))
+    with pytest.raises(ConfigError, match="snr_db key"):
+        # the snr_db axis sets every SNR, so an snr_db key would be ignored
+        parse_config(_SWEEP_CONFIG.replace("values = 0,5,10", "values = 10\nsnr_db = 40"))
     with pytest.raises(ConfigError):
         # r1 axis needs a pinned SNR
         parse_config(_SWEEP_CONFIG.replace("axis = snr_db", "axis = r1"))
@@ -515,6 +516,7 @@ def test_recursion_methods_have_no_round_cap(capsys, k_rounds):
     rates, powers = RateSchedule((1.0,) * k_rounds), PowerProfile((1.0,) * k_rounds)
     point = ["--rates", ",".join(["1"] * k_rounds), "--snr-db", "0"]
     for argv, estimate, scheme in (
+        (["outage", "--method", "exact"], estimate_outage, "xp"),
         (["outage", "--method", "oracle"], estimate_outage, "xp"),
         (["outage", "--method", "upper"], estimate_outage, "inr"),
         (["throughput", "--method", "analytical"], estimate_throughput, "xp"),
@@ -527,9 +529,9 @@ def test_recursion_methods_have_no_round_cap(capsys, k_rounds):
         assert abs(value - mc.value) <= 4.0 * mc.uncertainty / 1.96, (argv, value, mc)
     cfg = parse_config(
         _SWEEP_CONFIG.replace("rates = 1,1", "rates = 1,1,1,1,1")
-        .replace("methods = exact,mc", "methods = oracle,upper")
+        .replace("methods = exact,mc", "methods = exact,oracle,upper")
     )
-    assert cfg.methods == ("oracle", "upper")
+    assert cfg.methods == ("exact", "oracle", "upper")
 
 
 @pytest.mark.parametrize(

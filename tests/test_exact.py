@@ -1,7 +1,8 @@
 """The one- and two-round exact outage, the phi integral, and the contour
 special functions.
 
-The exact outage at K <= 2 is the backward recursion ``xp_outage``.
+The exact outage is the backward recursion ``xp_outage``; this file checks it
+at K <= 2.
 Reference values come from independent routes: composite Simpson on a dense
 fixed grid, mpmath's incomplete gamma and outage integrals, scipy's gamma,
 exp1 and Bessel K, and, for the contour, the recursion.

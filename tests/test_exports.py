@@ -1,5 +1,6 @@
-"""Package exports: every ``__all__`` entry resolves, and the package
-re-exports only names that its modules list in ``__all__``."""
+"""Package exports: every ``__all__`` entry resolves, the package
+re-exports only names that its modules list in ``__all__``, and only the
+package itself imports the test-reference module ``quadrature``."""
 
 import ast
 import importlib
@@ -31,3 +32,20 @@ def test_package_imports_only_listed_names():
         listed = importlib.import_module(f"xpharq.{node.module}").__all__
         unlisted = [alias.name for alias in node.names if alias.name not in listed]
         assert not unlisted, (node.module, unlisted)
+
+
+def test_only_the_package_imports_the_quadrature_references():
+    importers = []
+    for path in sorted(Path(xpharq.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for a in node.names for p in a.name.split(".")]
+            else:
+                continue
+            if "quadrature" in parts:
+                importers.append((path.name, node.lineno))
+    assert not importers

@@ -11,12 +11,13 @@ from xpharq import (
     RateSchedule,
     hbar_quadrature,
     integrate_adaptive,
-    joint_density_x,
     outage_asymptotic_general,
     outage_lower,
     xp_outage,
     xp_outage_quadrature,
 )
+
+from oracles import joint_density_x
 
 
 # ---------------------------------------------------------------------------
