@@ -28,12 +28,7 @@ from .exact import (
     outage_k2_via_foxh,
     phi_foxh,
 )
-from .asymptotic import (
-    HbarTable,
-    build_hbar_table,
-    hbar_eval,
-    outage_asymptotic_general,
-)
+from .asymptotic import build_hbar_table, hbar_eval, outage_asymptotic_general
 from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf,
                      throughput_recursion, xp_outage)
 from .simulate import (

@@ -49,6 +49,7 @@ from .core import (
     Estimate,
     PowerProfile,
     RateSchedule,
+    _check_rounds,
     clamp_probability,
 )
 
@@ -84,18 +85,17 @@ def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
 _GAUSS = {m: _unit_gauss(m) for _, m in _PASSES}
 
 
-def _check_rounds(rates: RateSchedule, powers: PowerProfile) -> None:
-    if rates.K != powers.K:
-        raise ValueError(f"schedule has {rates.K} rounds but profile has {powers.K}")
+def outage_lower(rates: RateSchedule, powers: PowerProfile) -> Estimate:
+    """Product of per-round outage probabilities (independent fading).
 
-
-def outage_lower(rates: RateSchedule, powers: PowerProfile) -> float:
-    """Product of per-round outage probabilities (independent fading)."""
+    The uncertainty bounds its rounding: (8 + 2 R_k) 2^-53 of the value per
+    round, as 2^{R_k} - 1 magnifies the rounding of R_k ln 2.
+    """
     _check_rounds(rates, powers)
     p = 1.0
     for r, g in zip(rates.rates, powers.snr_bars):
         p *= -math.expm1(-math.expm1(r * _LN2) / g)
-    return p
+    return Estimate(p, "lower-bound", (8 * rates.K + 2 * sum(rates.rates)) * 2.0 ** -53 * p)
 
 
 def _failed(t: np.ndarray) -> np.ndarray:  # 1 - e^t: round k fails, at t = -a_k(x)
@@ -162,29 +162,28 @@ def _interpolate(f, n: int, lo: float, hi: float):
 
 
 def _outage(k_rounds: int):
-    """Outage as a payoff: costs c = (0, ..., 0, 1) and what each round pays."""
-    return [0.0] * (k_rounds - 1) + [1.0], [None] * (k_rounds - 1) + [_failed]
+    """Outage as a payoff: what each round pays, c = (0, ..., 0, 1)."""
+    return [None] * (k_rounds - 1) + [_failed]
 
 
-def _nested(bits: Sequence[float], gbars: Sequence[float], costs, paid,
+def _nested(bits: Sequence[float], gbars: Sequence[float], paid,
             n: int, m: int) -> list[float]:
     """V_1(1) of each payoff at n Chebyshev nodes and m Gauss nodes per panel.
 
     ``bits[k]`` is log2 U of 0-based round k, ``paid[k]`` what the round pays
-    (see ``_level``), ``costs[k]`` its c.  V_{k+1} is interpolated only on
-    [max(0, lo_k), ln U_k] with lo_k = ln U_{k+1} - sum_{l>k} ln(1 + 745
-    gbar_l).  Below lo_k every later round fails as long as each gamma_l
-    stays under 745 gbar_l, so V_{k+1} is sum_{j>k} c_j but for
-    K e^{-745}, 0 in double.  At large rates and low SNR its step is then
-    no narrow feature of a wide interval.  The interpolant misses that sum
-    by about 1e-12 at lo_k, so below lo_k the sum is used rather than read
-    from it.
+    (see ``_level``); paid[k](-inf) is its c, and None pays 0.  V_{k+1} is
+    interpolated only on [max(0, lo_k), ln U_k] with lo_k = ln U_{k+1} -
+    sum_{l>k} ln(1 + 745 gbar_l).  Below lo_k every later round fails as long
+    as each gamma_l stays under 745 gbar_l, so V_{k+1} is sum_{j>k} c_j but for
+    K e^{-745}, 0 in double.  At large rates and low SNR its step is then no
+    narrow feature of a wide interval.  The interpolant misses that sum by
+    about 1e-12 at lo_k, so below lo_k the sum itself is used.
     """
     inner = lambda s, k=len(bits) - 1: _level(s, bits[k], gbars[k], paid=paid[k])
     for k in range(len(bits) - 2, 0, -1):
         hi = bits[k - 1] * _LN2
         lo = bits[k] * _LN2 - sum(math.log1p(_U_TAIL * g) for g in gbars[k:])
-        failed = sum(costs[k:])
+        failed = sum(p(-math.inf) for p in paid[k:] if p is not None)
         if lo >= hi:
             inner = lambda s, v=failed: v
             continue
@@ -240,7 +239,7 @@ def sum_info_cdf(
     """Pr(sum_{k<=K} I_k < r) and an error estimate."""
     if r <= 0.0:
         return 0.0, 0.0
-    evaluate = partial(_nested, [r] * powers.K, powers.snr_bars, *_outage(powers.K))
+    evaluate = partial(_nested, [r] * powers.K, powers.snr_bars, _outage(powers.K))
     return _probability(evaluate, rel_tol, "IR outage")
 
 
@@ -289,7 +288,7 @@ def xp_outage(
     uncertainty.
     """
     _check_rounds(rates, powers)
-    evaluate = partial(_nested, rates.cumulative(), powers.snr_bars, *_outage(rates.K))
+    evaluate = partial(_nested, rates.cumulative(), powers.snr_bars, _outage(rates.K))
     value, err = _probability(evaluate, rel_tol, "XP outage")
     return Estimate(value, "xp-recursion", err)
 
@@ -324,7 +323,7 @@ def throughput_recursion(
     column = lambda *p: np.array(p)[:, None, None, None]  # E[R], E[T] on the payoff axis
     cost = column(0.0, slot)
     paid = [lambda t, p=column(r / top, 0.0): p * np.exp(t) + cost for r in reward]
-    evaluate = partial(_nested, reward, powers.snr_bars, [cost] * rates.K, paid)
+    evaluate = partial(_nested, reward, powers.snr_bars, paid)
 
     def converged(values, gaps):
         eta, gap = _ratio(values, gaps)

@@ -127,7 +127,7 @@ def _cmd_point(parser, args) -> int:
         f"value={_fmt(est.value)} uncertainty={_fmt(est.uncertainty)} seconds={elapsed:.3f}"
     )
     if args.method == "upper":
-        low = outage_lower(rates, powers)
+        low = outage_lower(rates, powers).value
         gap = (est.value - low) / est.value if est.value > 0 else math.nan
         # when both bounds round to 1 the lower one can land an ulp above;
         # a larger negative gap is a real defect and is printed as it is
@@ -170,13 +170,13 @@ def _cmd_hbar(parser, args) -> int:
         parser.error(f"--rates: {exc}")
     if rates.K < 2:
         parser.error("the coefficient table needs K >= 2")
-    table = build_hbar_table(rates)
-    print(f"K = {table.K}")
-    for k in range(1, table.K + 1):
-        for i, c in enumerate(table.coeffs[k - 1]):
+    coeffs = build_hbar_table(rates)
+    print(f"K = {rates.K}")
+    for k, row in enumerate(coeffs, start=1):
+        for i, c in enumerate(row):
             print(f"c[k={k},i={i}] = {c!r}")
-    for k in range(1, table.K + 1):
-        print(f"hbar[K={table.K},k={k}]({_fmt(args.x)}) = {hbar_eval(table, k, args.x)!r}")
+    for k in range(1, rates.K + 1):
+        print(f"hbar[K={rates.K},k={k}]({_fmt(args.x)}) = {hbar_eval(coeffs, k, args.x)!r}")
     return 0
 
 
@@ -234,7 +234,7 @@ def _cmd_selftest(parser, args) -> int:
     )
 
     g3 = PowerProfile([10.0, 10.0, 10.0])
-    low = outage_lower(r3, g3)
+    low = outage_lower(r3, g3).value
     mid = xp_outage(r3, g3).value
     up = outage_upper_ir(r3, g3).value
     check(

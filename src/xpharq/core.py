@@ -114,17 +114,21 @@ class Estimate:
     """An outage probability or throughput with a method tag and an uncertainty.
 
     ``uncertainty`` is a numerical error bound for deterministic methods
-    and a 95% confidence half-width for Monte Carlo.  It is 0 only for the
-    closed forms ``lower`` and ``asymptotic``, and it covers their
-    arithmetic only, not the distance of a bound or an approximation from
-    the outage probability.  The outage recursions (``exact``,
-    ``oracle``, ``upper``) report their last pass gap plus 1e-14 of the
-    value, at every K.
+    and a 95% confidence half-width for Monte Carlo.  The outage recursions
+    (``exact``, ``oracle``, ``upper``) report their last pass gap plus 1e-14
+    of the value, at every K; ``lower`` the rounding of its product; and
+    ``asymptotic`` the width of its bracket [A e^{-S}, A] around the outage
+    probability, plus rounding.
     """
 
     value: float
     method: str
     uncertainty: float
+
+
+def _check_rounds(rates: RateSchedule, powers: PowerProfile) -> None:
+    if rates.K != powers.K:
+        raise ValueError(f"schedule has {rates.K} rounds but profile has {powers.K}")
 
 
 def clamp_probability(value: float, tol: float, what: str) -> float:

@@ -34,6 +34,7 @@ from .core import (
     Estimate,
     PowerProfile,
     RateSchedule,
+    _check_rounds,
     clamp_probability,
 )
 from .exact import IntegrationResult
@@ -173,9 +174,8 @@ def xp_outage_quadrature(
     tightens the tolerance tenfold so inner errors stay inside the outer
     budget; the innermost level is analytic.
     """
+    _check_rounds(rates, powers)
     K = rates.K
-    if K != powers.K:
-        raise ValueError(f"schedule has {K} rounds but profile has {powers.K}")
     if K > 4:
         raise ValueError("nested quadrature supports K <= 4; use Monte Carlo beyond")
     thresholds = [2.0 ** c for c in rates.cumulative()]

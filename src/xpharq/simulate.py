@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Estimate, PowerProfile, RateSchedule
+from .core import Estimate, PowerProfile, RateSchedule, _check_rounds
 
 __all__ = [
     "SimConfig",
@@ -92,10 +92,7 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in ("xp", "inr"):
             raise ValueError(f"scheme must be 'xp' or 'inr', got {self.scheme!r}")
-        if self.rates.K != self.powers.K:
-            raise ValueError(
-                f"schedule has {self.rates.K} rounds but profile has {self.powers.K}"
-            )
+        _check_rounds(self.rates, self.powers)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 2 ** 64:

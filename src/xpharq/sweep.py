@@ -26,7 +26,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, TextIO, Union
+from typing import Callable, Iterable, Optional, TextIO
 
 from .asymptotic import outage_asymptotic_general
 from .bounds import outage_lower, outage_upper_ir, throughput_recursion, xp_outage
@@ -56,30 +56,32 @@ CSV_HEADER = ("snr_db", "K", "R_csv", "scheme", "method", "value", "uncertainty"
 class Method:
     """One way to compute a quantity, its schemes and the least round count K it needs.
 
-    ``compute(rates, powers, scheme, sim)`` returns an ``Estimate``, or
-    a bare float that ``evaluate`` reports with uncertainty 0; ``sim`` is
-    the Monte Carlo config for the ``mc`` entries and None otherwise.
+    ``compute(point)`` returns an ``Estimate`` at a ``SimConfig`` point; only
+    the ``mc`` entries read its trials, seed and workers.  Each entry looks
+    its function up per call, so a wrapper set on the module sees the call.
     """
 
     schemes: tuple[str, ...]
-    compute: Callable[..., Union[Estimate, float]]
+    compute: Callable[[SimConfig], Estimate]
     k_min: int = 1
 
 
 _XP, _BOTH = ("xp",), ("xp", "inr")
-_XP_OUTAGE = Method(_XP, lambda r, p, *_: xp_outage(r, p))
+_XP_OUTAGE = Method(_XP, lambda c: xp_outage(c.rates, c.powers))
 # Insertion order is the order of the CLI --method choices; the first is the default.
 METHODS = {
     ("outage", "exact"): _XP_OUTAGE,
     ("outage", "asymptotic"): Method(
-        _XP, lambda r, p, *_: outage_asymptotic_general(r, p), k_min=2
+        _XP, lambda c: outage_asymptotic_general(c.rates, c.powers), k_min=2
     ),
-    ("outage", "lower"): Method(_XP, lambda r, p, *_: outage_lower(r, p)),
-    ("outage", "upper"): Method(_BOTH, lambda r, p, *_: outage_upper_ir(r, p)),
-    ("outage", "mc"): Method(_BOTH, lambda r, p, s, sim: estimate_outage(sim)),
+    ("outage", "lower"): Method(_XP, lambda c: outage_lower(c.rates, c.powers)),
+    ("outage", "upper"): Method(_BOTH, lambda c: outage_upper_ir(c.rates, c.powers)),
+    ("outage", "mc"): Method(_BOTH, lambda c: estimate_outage(c)),
     ("outage", "oracle"): _XP_OUTAGE,
-    ("throughput", "analytical"): Method(_BOTH, lambda r, p, s, *_: throughput_recursion(r, p, s)),
-    ("throughput", "mc"): Method(_BOTH, lambda r, p, s, sim: estimate_throughput(sim)),
+    ("throughput", "analytical"): Method(
+        _BOTH, lambda c: throughput_recursion(c.rates, c.powers, c.scheme)
+    ),
+    ("throughput", "mc"): Method(_BOTH, lambda c: estimate_throughput(c)),
 }
 
 
@@ -107,9 +109,8 @@ def evaluate(quantity: str, scheme: str, method: str, rates: RateSchedule,
     error = method_error(quantity, scheme, method, rates.K)
     if error is not None:
         raise ValueError(error)
-    sim = SimConfig(scheme, rates, powers, trials, seed, workers) if method == "mc" else None
-    out = METHODS[quantity, method].compute(rates, powers, scheme, sim)
-    return out if isinstance(out, Estimate) else Estimate(out, method, 0.0)
+    point = SimConfig(scheme, rates, powers, trials, seed, workers)
+    return METHODS[quantity, method].compute(point)
 
 
 class ConfigError(XpharqError):

@@ -7,12 +7,14 @@ is within rounding of 1, the formula's 1 - P_K cancels and the check is
 void; the tests use it only away from that corner.
 
 Also the joint density of the cumulative SNR products behind the nested
-quadrature, and the log-log slope through high-SNR outage points, whose
-negation is the diversity order.
+quadrature, the log-log slope through high-SNR outage points, whose
+negation is the diversity order, and the high-SNR coefficient recursion in
+mpmath.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from xpharq import ir_outage_chain, xp_outage
@@ -77,3 +79,18 @@ def throughput_oracle(scheme, rates, powers):
     else:
         chain = ir_outage_chain(rates, powers)
     return throughput_from_chain(scheme, rates, chain)
+
+
+def hbar_mp(rates, digits):
+    """hbar_{K,1}(1) by the coefficient recursion in ``digits``-digit mpmath,
+    the rates taken exactly as the doubles they are."""
+    with mp.workdps(digits):
+        logs = [mp.mpf(c) * mp.log(2) for c in rates.cumulative()]
+        K = len(logs)
+        row = [mp.exp(logs[-1])]  # c_{K, .}
+        for k in range(K - 1, 0, -1):  # row c_{k, .} from c_{k+1, .}
+            lt = logs[k - 1]
+            head = sum(c * lt ** (i + 1) / (i + 1) for i, c in enumerate(row))
+            row = [head + (-1) ** (K - k) * mp.exp(lt)] + [
+                -c / i for i, c in enumerate(row, start=1)]
+        return row[0] + (-1) ** K

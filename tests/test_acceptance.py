@@ -127,7 +127,7 @@ def test_criterion_4_three_round_bound_sandwich(capsys):
         for db in range(0, 45, 5):
             g = 10.0 ** (db / 10.0)
             powers = PowerProfile((g,) * 3)
-            lo = outage_lower(rates, powers)
+            lo = outage_lower(rates, powers).value
             mid = xp_outage_quadrature(rates, powers, tol=1e-30, rel_tol=1e-7).value
             up = outage_upper_ir(rates, powers).value
             mc = estimate_outage(

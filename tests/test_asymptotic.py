@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from xpharq import (
     xp_outage,
 )
 
-from oracles import loglog_slope
+from oracles import hbar_mp, loglog_slope
 
 _LN2 = math.log(2.0)
 
@@ -27,7 +28,7 @@ _LN2 = math.log(2.0)
 
 def test_outage_k2_asymptotic_coefficient():
     # R = (1, 1): the gamma1*gamma2-scaled outage tends to 4 ln 2 - 1
-    v = outage_asymptotic_general(RateSchedule((1.0, 1.0)), PowerProfile((100.0, 50.0)))
+    v = outage_asymptotic_general(RateSchedule((1.0, 1.0)), PowerProfile((100.0, 50.0))).value
     assert v * 100.0 * 50.0 == pytest.approx(4.0 * _LN2 - 1.0, rel=1e-14)
 
 
@@ -35,7 +36,8 @@ def test_outage_k2_asymptotic_matches_general_path():
     # the paper's two-round term (2^{R1+R2} R1 ln2 - (2^{R1}-1)) / (g1 g2)
     for r1, r2 in ((1.0, 1.0), (0.7, 1.3)):
         paper = (2.0 ** (r1 + r2) * r1 * _LN2 - math.expm1(r1 * _LN2)) / (30.0 * 400.0)
-        general = outage_asymptotic_general(RateSchedule((r1, r2)), PowerProfile((30.0, 400.0)))
+        general = outage_asymptotic_general(
+            RateSchedule((r1, r2)), PowerProfile((30.0, 400.0))).value
         assert paper == pytest.approx(general, rel=1e-12), (r1, r2)
 
 
@@ -45,15 +47,15 @@ def test_outage_k2_asymptotic_matches_general_path():
 
 def test_hbar_table_two_rounds_unit_rates():
     table = build_hbar_table(RateSchedule((1.0, 1.0)))
-    assert table.coeffs[1] == pytest.approx((4.0,))
-    assert table.coeffs[0] == pytest.approx((4.0 * _LN2 - 2.0, -4.0))
+    assert table[1] == pytest.approx((4.0,))
+    assert table[0] == pytest.approx((4.0 * _LN2 - 2.0, -4.0))
 
 
 def test_hbar_table_three_rounds_unit_rates():
     table = build_hbar_table(RateSchedule((1.0, 1.0, 1.0)))
-    assert table.coeffs[2] == pytest.approx((8.0,))
-    assert table.coeffs[1] == pytest.approx((16.0 * _LN2 - 4.0, -8.0))
-    assert table.coeffs[0] == pytest.approx(
+    assert table[2] == pytest.approx((8.0,))
+    assert table[1] == pytest.approx((16.0 * _LN2 - 4.0, -8.0))
+    assert table[0] == pytest.approx(
         (12.0 * _LN2**2 - 4.0 * _LN2 + 2.0, 4.0 - 16.0 * _LN2, 4.0)
     )
 
@@ -64,7 +66,7 @@ def test_hbar_table_penultimate_linear_coefficient():
     rates = RateSchedule(tuple(rng.uniform(0.25, 3.0, 5)))
     table = build_hbar_table(rates)
     expected = -(2.0 ** rates.cumulative()[-1])
-    assert table.coeffs[3][1] == pytest.approx(expected, rel=1e-14)
+    assert table[3][1] == pytest.approx(expected, rel=1e-14)
 
 
 def test_hbar_eval_reference_values():
@@ -138,7 +140,7 @@ def test_hbar_top_coefficient_positive():
 def test_outage_asymptotic_general_three_rounds():
     v = outage_asymptotic_general(
         RateSchedule((1.0, 1.0, 1.0)), PowerProfile((100.0, 100.0, 100.0))
-    )
+    ).value
     expected = (12.0 * _LN2**2 - 4.0 * _LN2 + 1.0) / 1e6
     assert v == pytest.approx(expected, rel=1e-12)
 
@@ -150,13 +152,59 @@ def test_asymptotes_survive_an_overflowing_snr_product():
     powers = PowerProfile((10.0 ** 300, 10.0 ** 68))  # 3000 and 680 dB
     ref = xp_outage(rates, powers).value
     assert 1e-307 < ref < 1e-305
-    assert outage_asymptotic_general(rates, powers) == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert outage_asymptotic_general(rates, powers).value == pytest.approx(ref, rel=1e-9, abs=0.0)
     # three rounds: the term is 1/gbar_1 times a function of the other SNRs
     rates3 = RateSchedule((30.0, 30.0, 30.0))
-    low = outage_asymptotic_general(rates3, PowerProfile((1e10, 1e12, 1e15)))
-    high = outage_asymptotic_general(rates3, PowerProfile((1e300, 1e12, 1e15)))
+    low = outage_asymptotic_general(rates3, PowerProfile((1e10, 1e12, 1e15))).value
+    high = outage_asymptotic_general(rates3, PowerProfile((1e300, 1e12, 1e15))).value
     assert high > 0.0
     assert high == pytest.approx(low * 1e-290, rel=1e-14, abs=0.0)
+
+
+_RATES = (1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def test_asymptote_rounding_bound_covers_the_recursion():
+    # with gbar_k = 1e20 2^{R_k^sum} the bracket width is below 1e-19 A, so
+    # the uncertainty is the rounding bound alone; against an mpmath copy of
+    # the recursion with enough digits to carry its cancellation, the double
+    # asymptote stays inside it, at large rates too
+    for K in (2, 3, 4, 5):
+        for rate in _RATES + (30.0, 60.0, 100.0, 200.0):
+            if K * (K - 1) * rate > 1200.0:  # A underflows
+                continue
+            rates = RateSchedule((rate,) * K)
+            gbars = [1e20 * 2.0 ** c for c in rates.cumulative()]
+            est = outage_asymptotic_general(rates, PowerProfile(gbars))
+            digits = 30 + K * math.ceil(abs(math.log10(rate)))
+            with mp.workdps(digits):
+                ref = hbar_mp(rates, digits) / mp.fprod(mp.mpf(g) for g in gbars)
+            assert abs(est.value - float(ref)) <= est.uncertainty, (K, rate, est, ref)
+
+
+def test_asymptote_uncertainty_covers_the_outage():
+    # |P - A| <= A (1 - e^{-S}) + rounding, so the exact recursion lies
+    # within the two uncertainties of the asymptote at every point
+    for K in (2, 3, 4, 5):
+        for rate in _RATES:
+            rates = RateSchedule((rate,) * K)
+            for snr_db in (-10.0, 0.0, 10.0, 20.0, 40.0, 60.0, 100.0):
+                for step_db in (0.0, 5.0):
+                    powers = PowerProfile([10.0 ** ((snr_db + step_db * k) / 10.0)
+                                           for k in range(K)])
+                    exact = xp_outage(rates, powers)
+                    asym = outage_asymptotic_general(rates, powers)
+                    gap = abs(exact.value - asym.value)
+                    assert gap <= asym.uncertainty + exact.uncertainty, (K, rate, snr_db, step_db)
+
+
+def test_asymptote_uncertainty_readings():
+    est = outage_asymptotic_general(RateSchedule((1.0,) * 3), PowerProfile((1e4,) * 3))
+    assert est.value == pytest.approx(3.99284744e-12, rel=1e-9)
+    assert 0.0 < est.uncertainty <= 1e-14
+    # the double recursion cancels at tiny rates, and says so
+    est = outage_asymptotic_general(RateSchedule((1e-4,) * 4), PowerProfile((1e10,) * 4))
+    assert est.uncertainty >= 1.02e-56
 
 
 def test_outage_asymptotic_general_validation():
@@ -174,5 +222,5 @@ def test_diversity_fit_recovers_synthetic_power_law():
 def test_diversity_fit_on_asymptotic_three_rounds():
     rates = RateSchedule((1.0, 1.0, 1.0))
     snrs = [10.0 ** (db / 10.0) for db in (50.0, 55.0, 60.0)]
-    outages = [outage_asymptotic_general(rates, PowerProfile((g, g, g))) for g in snrs]
+    outages = [outage_asymptotic_general(rates, PowerProfile((g, g, g))).value for g in snrs]
     assert -loglog_slope(snrs, outages) == pytest.approx(3.0, abs=1e-9)

@@ -48,21 +48,41 @@ def _sum2_cdf_reference(r: float, g1: float, g2: float) -> float:
 
 def test_outage_lower_closed_form_values():
     p1 = -math.expm1(-0.1)
-    v2 = outage_lower(RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0)))
+    v2 = outage_lower(RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))).value
     assert v2 == pytest.approx(p1**2, rel=1e-14)
-    v3 = outage_lower(RateSchedule((1.0, 1.0, 1.0)), PowerProfile((10.0, 10.0, 10.0)))
+    v3 = outage_lower(RateSchedule((1.0, 1.0, 1.0)), PowerProfile((10.0, 10.0, 10.0))).value
     assert v3 == pytest.approx(p1**3, rel=1e-14)
 
 
 def test_outage_lower_single_round_degenerates():
     rates, powers = RateSchedule((1.5,)), PowerProfile((7.0,))
-    assert outage_lower(rates, powers) == pytest.approx(xp_outage(rates, powers).value, rel=1e-15)
+    assert outage_lower(rates, powers).value == pytest.approx(
+        xp_outage(rates, powers).value, rel=1e-15)
 
 
 def test_outage_lower_joint_permutation_invariance():
-    a = outage_lower(RateSchedule((1.0, 2.0)), PowerProfile((10.0, 40.0)))
-    b = outage_lower(RateSchedule((2.0, 1.0)), PowerProfile((40.0, 10.0)))
+    a = outage_lower(RateSchedule((1.0, 2.0)), PowerProfile((10.0, 40.0))).value
+    b = outage_lower(RateSchedule((2.0, 1.0)), PowerProfile((40.0, 10.0))).value
     assert a == pytest.approx(b, rel=1e-15)
+
+
+def test_outage_lower_uncertainty_covers_its_rounding():
+    # against the product in 40 digits, rounded to double: an underflowed
+    # product reads 0, and so does its reference
+    rng = np.random.default_rng(23)
+    for K in (1, 2, 8, 64):
+        for top_rate in (0.01, 1.0, 15.0):
+            for _ in range(40):
+                rates = tuple(rng.uniform(top_rate / 100.0, top_rate, K))
+                snr_db = tuple(rng.uniform(-10.0, 20.0 if K == 64 else 60.0, K))
+                gbars = [10.0 ** (v / 10.0) for v in snr_db]
+                est = outage_lower(RateSchedule(rates), PowerProfile(gbars))
+                with mp.workdps(40):
+                    ref = mp.fprod(-mp.expm1(-mp.expm1(mp.mpf(r) * mp.log(2)) / mp.mpf(g))
+                                   for r, g in zip(rates, gbars))
+                assert abs(est.value - float(ref)) <= est.uncertainty, (K, rates, gbars)
+    high = outage_lower(RateSchedule((1.0,) * 64), PowerProfile((1e10,) * 64))
+    assert (high.value, high.uncertainty) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +136,7 @@ def test_bound_sandwich_moderate_snr():
     for K in (2, 3, 4):
         rates = RateSchedule((1.0,) * K)
         powers = PowerProfile((10.0,) * K)
-        lo = outage_lower(rates, powers)
+        lo = outage_lower(rates, powers).value
         mid = xp_outage_quadrature(rates, powers).value
         up = outage_upper_ir(rates, powers).value
         assert lo < mid < up, (K, lo, mid, up)
@@ -285,7 +305,8 @@ def test_outage_recursions_meet_the_relative_rule_or_raise():
                     assert est.uncertainty <= (1e-9 + 1e-14) * est.value, (rate, snr_db, est)
                 if len(got) == 2:
                     xp, ir = got[xp_outage], got[outage_upper_ir]
-                    assert outage_lower(rates, powers) <= xp.value + xp.uncertainty, (rate, snr_db)
+                    low = outage_lower(rates, powers).value
+                    assert low <= xp.value + xp.uncertainty, (rate, snr_db)
                     assert xp.value - xp.uncertainty <= ir.value + ir.uncertainty, (rate, snr_db)
 
 
@@ -299,7 +320,7 @@ def test_outage_recursion_meets_the_asymptote_at_high_snr():
             for snr_db in (200, 300) + ((1000,) if k_rounds <= 3 else ()):
                 powers = PowerProfile((10.0 ** (snr_db / 10.0),) * k_rounds)
                 est = xp_outage(rates, powers)
-                asym = outage_asymptotic_general(rates, powers)
+                asym = outage_asymptotic_general(rates, powers).value
                 assert abs(est.value - asym) <= 1e-12 * asym, (k_rounds, rate, snr_db, est, asym)
 
 
@@ -328,7 +349,7 @@ def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
         domains.clear()
         est = xp_outage(RateSchedule(rates), PowerProfile((1.0,) * len(rates)))
         assert est.value == pytest.approx(
-            outage_lower(RateSchedule((1.0,)), PowerProfile((1.0,))), rel=1e-14)
+            outage_lower(RateSchedule((1.0,)), PowerProfile((1.0,))).value, rel=1e-14)
         # only the level under U_2 = 2^101 is interpolated, and only at K = 4
         assert all(hi == pytest.approx(101.0 * math.log(2.0)) for _, hi in domains), domains
         assert bool(domains) == (len(rates) == 4)
@@ -387,7 +408,8 @@ def test_ir_chain_first_entry_single_round():
     powers = PowerProfile((8.0, 12.0, 5.0))
     chain = ir_outage_chain(rates, powers)
     assert len(chain) == 3
-    assert chain[0] == pytest.approx(outage_lower(rates.prefix(1), powers.prefix(1)), rel=1e-12)
+    first = outage_lower(rates.prefix(1), powers.prefix(1)).value
+    assert chain[0] == pytest.approx(first, rel=1e-12)
     assert all(0.0 <= p <= 1.0 for p in chain)
     assert all(a >= b - 1e-12 for a, b in zip(chain, chain[1:]))
 

@@ -19,6 +19,7 @@ import pytest
 from xpharq import (
     ConfigError,
     ConvergenceError,
+    Estimate,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -74,7 +75,7 @@ def test_outage_upper_prints_bound_gap(capsys):
     up = float(_field(gap_line[0], "upper"))
     gap = float(_field(gap_line[0], "relative_gap"))
     assert low == pytest.approx(
-        outage_lower(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3)), rel=1e-8
+        outage_lower(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3)).value, rel=1e-8
     )
     assert gap == pytest.approx((up - low) / up, rel=1e-6)
     assert 0.0 < gap < 1.0
@@ -90,7 +91,8 @@ def test_bound_gap_prints_a_real_crossing(monkeypatch, capsys):
     # only an ulp-sized crossing is rounding; a lower bound 1 % above the
     # upper one must show as a negative gap
     upper = outage_upper_ir(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3)).value
-    monkeypatch.setattr("xpharq.cli.outage_lower", lambda rates, powers: 1.01 * upper)
+    monkeypatch.setattr("xpharq.cli.outage_lower",
+                        lambda rates, powers: Estimate(1.01 * upper, "lower-bound", 0.0))
     rc = main(["outage", "--rates", "1,1,1", "--snr-db", "10", "--method", "upper"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -568,6 +570,32 @@ def test_numerical_failure_is_one_line_exit_one(tmp_path, capsys, monkeypatch):
         "xpharq outage: error: IR outage: passes disagree\n"
         "xpharq sweep: error: IR outage: passes disagree\n"
     )
+
+
+def test_asymptote_overflow_is_one_line_exit_one(capsys):
+    # the true outage underflows to 0 here, but hbar_{K,1}(1) overflows
+    for rates in ("255,255,255,255", "1000,1,1,1"):
+        argv = ["outage", "--rates", rates, "--snr-db", "3000", "--method", "asymptotic"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("xpharq outage: error: the asymptote overflows")
+        assert "nan" not in captured.err
+
+
+@pytest.mark.parametrize("quantity,method", list(METHODS))
+def test_every_method_returns_an_estimate_with_a_bound(quantity, method):
+    entry = METHODS[quantity, method]
+    for scheme in entry.schemes:
+        for k_rounds in range(entry.k_min, 4):
+            rates = RateSchedule((1.0,) * k_rounds)
+            powers = PowerProfile((10.0,) * k_rounds)
+            est = evaluate(quantity, scheme, method, rates, powers, trials=2000, seed=1)
+            where = (scheme, k_rounds, est)
+            assert isinstance(est, Estimate), where
+            assert math.isfinite(est.value) and est.uncertainty >= 0.0, where
+            assert est.uncertainty > 0.0 or est.value <= 0.0, where
 
 
 def test_sweep_csv_deterministic_across_workers(tmp_path):

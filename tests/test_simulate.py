@@ -466,7 +466,7 @@ def test_throughput_single_outcome_reports_rule_of_three():
 def test_throughput_analytical_reference_cases():
     # K = 1: eta = R_1 (1 - P_1); both schemes are one round of rate R_1
     rates, powers = RateSchedule((1.5,)), PowerProfile((5.0,))
-    p1 = outage_lower(rates, powers)
+    p1 = outage_lower(rates, powers).value
     for scheme in ("xp", "inr"):
         est = throughput_recursion(rates, powers, scheme)
         assert est.value == pytest.approx(1.5 * (1.0 - p1), rel=1e-14)
@@ -477,7 +477,7 @@ def test_throughput_analytical_reference_cases():
     assert throughput_recursion(rates3, powers3).value == pytest.approx(1.0, rel=1e-11)
     # R_2 = 100: no round after the first ever decodes, so every round is
     # entered while round 1 fails, and the levels past it are saturated
-    p1 = outage_lower(RateSchedule((1.0,)), PowerProfile((1.0,)))
+    p1 = outage_lower(RateSchedule((1.0,)), PowerProfile((1.0,))).value
     for rates_k in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
         est = throughput_recursion(RateSchedule(rates_k), PowerProfile((1.0,) * len(rates_k)))
         want = (1.0 - p1) / (1.0 + (len(rates_k) - 1) * p1)
@@ -527,7 +527,8 @@ def test_xp_outage_chain_matches_per_prefix_solvers():
     rates = RateSchedule((1.0, 0.5, 1.5))
     powers = PowerProfile((10.0, 20.0, 5.0))
     chain = xp_outage_chain(rates, powers)  # the test oracle's chain
-    assert chain[0] == pytest.approx(outage_lower(rates.prefix(1), powers.prefix(1)), rel=1e-12)
+    first = outage_lower(rates.prefix(1), powers.prefix(1)).value
+    assert chain[0] == pytest.approx(first, rel=1e-12)
     assert chain[1] == pytest.approx(xp_outage(rates.prefix(2), powers.prefix(2)).value, rel=1e-9)
     assert chain[2] == pytest.approx(
         xp_outage_quadrature(rates, powers).value, rel=1e-8
