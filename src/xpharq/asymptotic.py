@@ -43,12 +43,13 @@ def build_hbar_table(rates: RateSchedule, sign: float = -1.0) -> tuple[tuple[flo
     """Rows c_{k,0..K-k}, k = 1..K, by the recursion from k = K down (K >= 2).
 
     ``sign`` = +1 takes every term positive and bounds the magnitudes summed.
+    Raises XpharqError where a coefficient overflows a double.
     """
     K = rates.K
     if K < 2:
         raise ValueError("the recursion needs at least two rounds")
     log_thresholds = [c * _LN2 for c in rates.cumulative()]  # ln 2^{R_k^sum}
-    thresholds = [math.exp(lt) for lt in log_thresholds]
+    thresholds = [2.0 ** c for c in rates.cumulative()]  # exact at integer rates
 
     rows: list[list[float]] = [[] for _ in range(K)]
     rows[K - 1] = [thresholds[-1]]
@@ -63,11 +64,16 @@ def build_hbar_table(rates: RateSchedule, sign: float = -1.0) -> tuple[tuple[flo
             acc = (acc + above[i] / (i + 1)) * lt
         row[0] = acc + sign ** (K - k) * thresholds[k - 1]
         rows[k - 1] = row
+    if not all(math.isfinite(c) for row in rows for c in row):
+        raise XpharqError(f"the asymptote overflows a double at rates {rates.rates}")
     return tuple(tuple(r) for r in rows)
 
 
 def hbar_eval(coeffs: tuple[tuple[float, ...], ...], k: int, x: float) -> float:
-    """Evaluate hbar_{K,k}(x) from the coefficient rows (Horner in ln x)."""
+    """Evaluate hbar_{K,k}(x) from the coefficient rows (Horner in ln x).
+
+    Raises XpharqError where the value overflows a double.
+    """
     K = len(coeffs)
     if not 1 <= k <= K:
         raise ValueError(f"level {k} outside 1..{K}")
@@ -77,7 +83,10 @@ def hbar_eval(coeffs: tuple[tuple[float, ...], ...], k: int, x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs[k - 1]):
         acc = acc * lx + c
-    return (-1.0) ** (K - k + 1) * x + acc
+    value = (-1.0) ** (K - k + 1) * x + acc
+    if not math.isfinite(value):
+        raise XpharqError(f"hbar_{{{K},{k}}}({x!r}) overflows a double")
+    return value
 
 
 def outage_asymptotic_general(rates: RateSchedule, powers: PowerProfile) -> Estimate:

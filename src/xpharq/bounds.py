@@ -14,15 +14,22 @@ given x_{k-1} = x, is
 and a cycle's is V_1(1).  Outage pays c = (0, ..., 0, 1).  Throughput is
 E[R] / E[T] (renewal reward): E[R] pays r_k = R_k^sum (XP) or R_1 (IR),
 E[T] pays r = c = 1, and both ride one recursion on a leading payoff
-axis.  No term is negative.  The last level is in closed form; each
-other V_{k+1} is a Chebyshev interpolant in ln x on [0, ln U_k]
+axis.  No term is negative.  The last level is in closed form.  Each
+other V_{k+1} is read at the ln x its caller's panels reach: at most n
+of them (the pass's Chebyshev node count) are evaluated directly; more
+are read from a degree n-1 Chebyshev interpolant in ln x on [0, ln U_k]
 (Trefethen, *Approximation Theory and Approximation Practice*), its
-transform built once per node count.  The u-integral runs over the
-panels [0, 1], [1, 2], ..., [32, 64] clipped at a_k(x), Gauss-Legendre
-in v = ln(1 + gbar_k u); past u = 64, e^{-u} leaves under 1e-27 of the
-largest payoff.  Where v passes 8, the edges v = 8, 16, ... join them,
-so no panel is wider than 8 in v.  Passes double (Chebyshev nodes, Gauss
-nodes per panel) from (32, 8) until two agree, an outage to 1e-9 of its
+transform built once per node count, evaluated by Clenshaw's recurrence
+on flat buffers in numpy ``chebval``'s order of operations.  The top
+level reads V_2 at m Gauss nodes per panel and n = 4m, so wherever it
+has at most 4 panels K = 3 needs no interpolant and K = 4 one, of V_3.
+
+The u-integral runs over the panels [0, 1], [1, 2], ..., [32, 64]
+clipped at a_k(x), Gauss-Legendre in v = ln(1 + gbar_k u); past u = 64,
+e^{-u} leaves under 1e-27 of the largest payoff.  Where v passes 8, the
+edges v = 8, 16, ... join them, so no panel is wider than 8 in v.
+Passes double (Chebyshev nodes, Gauss nodes per panel) from (32, 8)
+until two agree, an outage to 1e-9 of its
 value: at high SNR outages of 1e-300 are normal, and only relative
 accuracy means anything.  The gap plus 1e-14 (of the value for outage, of
 the largest payoff for throughput) is the uncertainty.
@@ -42,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polyutils
-from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebval, chebvander
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
 from .core import (
     ConvergenceError,
@@ -149,6 +156,25 @@ def _cheb_transform(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vt
 
 
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``chebval(x, c)`` for c of shape (n,) or (n, columns), n >= 2: the same
+    operations in the same order, so the same bits, on three flat buffers
+    that each coefficient row updates in place."""
+    rows, shape = c.reshape(len(c), -1, 1), c.shape[1:] + x.shape
+    x = x.ravel()
+    x2 = 2 * x
+    c0, c1, t = (np.empty((rows.shape[1], x.size)) for _ in range(3))
+    c0[...], c1[...] = rows[-2], rows[-1]
+    for row in rows[-3::-1]:
+        np.multiply(c1, x2, out=t)
+        np.add(c0, t, out=t)
+        np.subtract(row, c1, out=c0)
+        c1, t = t, c1
+    np.multiply(c1, x, out=t)
+    np.add(c0, t, out=t)
+    return t.reshape(shape)
+
+
 def _interpolate(f, n: int, lo: float, hi: float):
     """The degree n-1 Chebyshev interpolant on [lo, hi] of each payoff row of f:
     row by row, the arithmetic of ``Chebyshev.interpolate(f, n - 1, domain=[lo,
@@ -158,7 +184,21 @@ def _interpolate(f, n: int, lo: float, hi: float):
     c[0] /= n
     c[1:] /= 0.5 * n
     off, scl = polyutils.mapparms([lo, hi], Chebyshev.window)
-    return lambda s: chebval(off + scl * s, c)
+    return lambda s: _clenshaw(c, off + scl * s)
+
+
+def _sampled(level, n: int, lo: float, hi: float, failed):
+    """V_{k+1} = ``level`` at any array of ln x.  At most n points are
+    evaluated directly, flattened, with the payoff axis restored in front;
+    more are read from the n-node interpolant on [lo, hi], built per call,
+    and below lo V_{k+1} is ``failed``."""
+    def at(s):
+        if s.size <= n:
+            value = level(s.ravel())
+            return value.reshape(value.shape[:-1] + s.shape)
+        cheb = _interpolate(level, n, lo, hi)
+        return np.where(s < lo, failed, cheb(np.maximum(s, lo)))
+    return at
 
 
 def _outage(k_rounds: int):
@@ -187,10 +227,8 @@ def _nested(bits: Sequence[float], gbars: Sequence[float], paid,
         if lo >= hi:
             inner = lambda s, v=failed: v
             continue
-        lo = max(lo, 0.0)
         level = lambda s, k=k, f=inner: _level(s, bits[k], gbars[k], f, m, paid[k])
-        cheb = _interpolate(level, n, lo, hi)
-        inner = lambda s, c=cheb, lo=lo, v=failed: np.where(s < lo, v, c(np.maximum(s, lo)))
+        inner = _sampled(level, n, max(lo, 0.0), hi, failed)
     s = np.zeros(1)
     top = inner(s) if len(bits) == 1 else _level(s, bits[0], gbars[0], inner, m, paid[0])
     return top.ravel().tolist()

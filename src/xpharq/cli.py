@@ -170,13 +170,18 @@ def _cmd_hbar(parser, args) -> int:
         parser.error(f"--rates: {exc}")
     if rates.K < 2:
         parser.error("the coefficient table needs K >= 2")
-    coeffs = build_hbar_table(rates)
+    try:
+        coeffs = build_hbar_table(rates)
+        values = [hbar_eval(coeffs, k, args.x) for k in range(1, rates.K + 1)]
+    except XpharqError as exc:
+        print(f"xpharq hbar: error: {exc}", file=sys.stderr)
+        return 1
     print(f"K = {rates.K}")
     for k, row in enumerate(coeffs, start=1):
         for i, c in enumerate(row):
             print(f"c[k={k},i={i}] = {c!r}")
-    for k in range(1, rates.K + 1):
-        print(f"hbar[K={rates.K},k={k}]({_fmt(args.x)}) = {hbar_eval(coeffs, k, args.x)!r}")
+    for k, value in enumerate(values, start=1):
+        print(f"hbar[K={rates.K},k={k}]({_fmt(args.x)}) = {value!r}")
     return 0
 
 

@@ -60,6 +60,15 @@ def test_hbar_table_three_rounds_unit_rates():
     )
 
 
+def test_hbar_table_thresholds_are_exact():
+    # 2^{R_k^sum} is a power of two at integer rates, so the last two rows
+    # hold it to the bit
+    for rates in ((1.0, 2.0), (3.0, 3.0, 2.0), (100.0, 200.0, 300.0, 400.0)):
+        table = build_hbar_table(RateSchedule(rates))
+        top = 2.0 ** sum(rates)
+        assert table[-1] == (top,) and table[-2][1] == -top, (rates, table)
+
+
 def test_hbar_table_penultimate_linear_coefficient():
     # c_{K-1,1} = -2^{R_K^sum} regardless of the schedule
     rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import quad
 
 from xpharq import (
@@ -325,18 +326,22 @@ def test_outage_recursion_meets_the_asymptote_at_high_snr():
 
 
 def test_outage_convergence_error_carries_floats():
-    # no two passes agree to the bit, so a zero tolerance exhausts them; the
-    # error reports the one probability as a float, as the outage calls return it
+    # at K = 3 the top level reads V_2 directly, so the passes agree to the
+    # bit and a zero tolerance is met; at K = 4 V_3 is interpolated, no two
+    # passes agree to the bit, and the error reports the one probability as
+    # a float, as the outage calls return it
+    est = xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), rel_tol=0.0)
+    assert est.uncertainty == 1e-14 * est.value
     with pytest.raises(ConvergenceError) as info:
-        xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), rel_tol=0.0)
+        xp_outage(RateSchedule((1.0,) * 4), PowerProfile((10.0,) * 4), rel_tol=0.0)
     assert type(info.value.best_estimate) is float, info.value.best_estimate
     assert type(info.value.error_estimate) is float and info.value.error_estimate > 0.0
 
 
 def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
     # R_2 = 100 lifts U_2 past every x_2 the second round can reach, so the
-    # outage is that of the first round alone, and G_2 on [0, ln U_1] is 1
-    # without being interpolated
+    # outage is that of the first round alone, and G_2 on [0, ln U_1] is 1:
+    # nothing under it is evaluated, let alone interpolated
     domains = []
     real = bounds._interpolate
 
@@ -345,14 +350,62 @@ def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
         return real(f, n, lo, hi)
 
     monkeypatch.setattr(bounds, "_interpolate", recording)
-    for rates in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0)):
-        domains.clear()
+    for rates in ((1.0, 100.0, 1.0), (1.0, 100.0, 1.0, 1.0), (1.0, 100.0, 1.0, 1.0, 1.0)):
         est = xp_outage(RateSchedule(rates), PowerProfile((1.0,) * len(rates)))
         assert est.value == pytest.approx(
             outage_lower(RateSchedule((1.0,)), PowerProfile((1.0,))).value, rel=1e-14)
-        # only the level under U_2 = 2^101 is interpolated, and only at K = 4
-        assert all(hi == pytest.approx(101.0 * math.log(2.0)) for _, hi in domains), domains
-        assert bool(domains) == (len(rates) == 4)
+        assert domains == [], (rates, domains)
+
+
+def test_levels_read_at_most_n_points_are_not_interpolated(monkeypatch):
+    # the top level reads V_2 at 4 panels of m Gauss nodes, n = 4 m points:
+    # K = 3 builds no interpolant, K = 4 one per pass (V_3), K = 5 two
+    passes, built = [], []
+    nested, interpolate = bounds._nested, bounds._interpolate
+
+    def recording_nested(bits, gbars, paid, n, m):
+        passes.append(n)
+        return nested(bits, gbars, paid, n, m)
+
+    def recording_interpolate(f, n, lo, hi):
+        built.append(n)
+        return interpolate(f, n, lo, hi)
+
+    monkeypatch.setattr(bounds, "_nested", recording_nested)
+    monkeypatch.setattr(bounds, "_interpolate", recording_interpolate)
+    for k_rounds in (3, 4, 5):
+        passes.clear()
+        built.clear()
+        xp_outage(RateSchedule((1.0,) * k_rounds), PowerProfile((10.0,) * k_rounds))
+        assert len(passes) >= 2
+        assert sorted(built) == sorted(passes * (k_rounds - 3)), (k_rounds, passes, built)
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_clenshaw_is_chebval_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    decay = np.exp(-np.arange(n) / 4.0)
+    for c in (rng.standard_normal(n) * decay, rng.standard_normal((n, 2)) * decay[:, None]):
+        for shape in ((37,), (5, 3, 8)):
+            x = rng.uniform(-1.0, 1.0, shape)
+            got, want = bounds._clenshaw(c, x), chebval(x, c)
+            assert got.shape == want.shape and np.array_equal(got, want), (c.shape, shape)
+
+
+def test_outage_upper_at_large_rates_and_high_snr():
+    # IR outage at K = 3, 8 bits a round: Pr(sum_k ln(1 + gamma_k) < ln U),
+    # U = 2^24.  At 100 dB the reference is a 30-digit mpmath double integral
+    # in x_l = 1 + gamma_l, split at powers of 2 in x_1 and x_2 (about a
+    # minute to run).  At 1000 dB the outage is the volume of x_1 x_2 x_3 < U,
+    # x_l >= 1, over gbar^3 up to a relative U / gbar, below 1e-90.
+    rates = RateSchedule((8.0,) * 3)
+    with mp.workdps(30):
+        u = mp.mpf(2) ** 24
+        volume = u * mp.log(u) ** 2 / 2 - u * mp.log(u) + u - 1
+        high = float(volume / mp.mpf(1e100) ** 3)
+    for snr_db, ref in ((100, 2.0591083109225136e-21), (1000, high)):
+        est = outage_upper_ir(rates, PowerProfile((10.0 ** (snr_db / 10.0),) * 3))
+        assert abs(est.value - ref) <= est.uncertainty <= 1e-9 * est.value, (snr_db, est, ref)
 
 
 def _level_all_panels(s, bits, gbar, inner, m):

@@ -584,6 +584,20 @@ def test_asymptote_overflow_is_one_line_exit_one(capsys):
         assert "nan" not in captured.err
 
 
+def test_hbar_overflow_is_one_line_exit_one(capsys):
+    # at 255 bits a round the coefficients overflow; at 250 they do not, but
+    # hbar_{4,1}(1e-308) does
+    for argv, message in (
+        (["hbar", "--rates", "255,255,255,255"], "the asymptote overflows a double"),
+        (["hbar", "--rates", "250,250,250,250", "--x", "1e-308"], "hbar_{4,1}(1e-308) overflows"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"xpharq hbar: error: {message}"), captured.err
+
+
 @pytest.mark.parametrize("quantity,method", list(METHODS))
 def test_every_method_returns_an_estimate_with_a_bound(quantity, method):
     entry = METHODS[quantity, method]
