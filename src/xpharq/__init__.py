@@ -6,6 +6,17 @@ nested-quadrature references for the tests, and a deterministic parallel
 Monte Carlo engine, plus a CLI for single-point queries and CSV sweeps.
 """
 
+import os as _os
+import sys as _sys
+
+# xpharq's parallelism is its own (Monte Carlo threads, sweep processes); an
+# OpenBLAS helper thread would only spin on another CPU.  So unless numpy is
+# already loaded or the caller has chosen a thread count, load it with one.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .core import (
     ConsistencyError,
     ConvergenceError,

@@ -142,6 +142,8 @@ def _level(s: np.ndarray, bits: float, gbar: float, inner=None, m=None,
     v = v_edges[..., :-1, None] + width[..., None] * t
     # u = (e^v - 1) / gbar and du = e^v / gbar dv
     f = np.exp(v - np.expm1(v) / gbar) * inner(s[..., None, None] + v)
+    # a stack of m-point dot products, each far below OpenBLAS's threading
+    # threshold, so ``@`` wakes no helper thread here (unlike the contour's)
     value = ((f @ w) * width).sum(axis=-1) / gbar
     return value if paid is None else value + paid((excess / -gbar)[:, None, None])[..., 0, 0]
 
@@ -180,6 +182,8 @@ def _interpolate(f, n: int, lo: float, hi: float):
     row by row, the arithmetic of ``Chebyshev.interpolate(f, n - 1, domain=[lo,
     hi])`` and of its evaluation, with the transform of each n built once."""
     x, vt = _cheb_transform(n)
+    # at most 256 x 256 by one or two columns: under OpenBLAS's threading
+    # threshold, so ``@`` wakes no helper thread (unlike the contour's)
     c = (vt @ f(polyutils.mapdomain(x, Chebyshev.window, [lo, hi]))[..., None])[..., 0].T
     c[0] /= n
     c[1:] /= 0.5 * n

@@ -93,6 +93,11 @@ def incomplete_gamma_difference(s, b1: float, b2: float):
     [0, W] start from the oscillation count max |Im s| W of t^s and double
     until two passes agree to 1e-13 relative, or to 2e-12 of the
     integrand's L1 scale where rounding noise dominates.
+
+    The weighted sums are taken by ``np.einsum``, not ``@``: a (nodes) x
+    (32 panels) product is above OpenBLAS's threading threshold, so ``@``
+    would wake its helper thread, which then spins on another CPU long
+    after the call returns.
     """
     s_arr = np.asarray(s, dtype=complex)
     if not 0.0 < b1 <= b2:
@@ -112,10 +117,10 @@ def incomplete_gamma_difference(s, b1: float, b2: float):
         decay = b1 * np.expm1(u)
         terms = np.multiply.outer(a, u)
         terms -= decay
-        vals = np.exp(terms, out=terms) @ w
+        vals = np.einsum("ij,j->i", np.exp(terms, out=terms), w)
         # L1 scale per distinct Re(s): the rounding noise of a pass is a
         # few eps of it, so it sets the absolute floor of the test
-        l1 = np.exp(np.multiply.outer(re, u) - decay) @ w
+        l1 = np.einsum("ij,j->i", np.exp(np.multiply.outer(re, u) - decay), w)
         return vals, l1[which]
 
     scale = np.exp(a * math.log(b1) - b1)  # b1^{s+1} e^{-b1}
@@ -142,35 +147,40 @@ def _mellin_contour(z: float, kernel) -> tuple[float, float, int]:
     """(1/2 pi i) int Gamma(s) kernel(s) z^{-s} ds along Re(s) = 1/2.
 
     Returns the value, the gap between the last two passes and the number
-    of contour nodes evaluated.  Uses conjugate symmetry to fold the
-    contour onto tau >= 0 and refines the trapezoid until two successive
-    node counts agree to 1e-8; step-halving on this analytic integrand
-    converges spectrally, so the stopping gap vastly overstates the final
-    error.
+    of distinct contour nodes evaluated.  Uses conjugate symmetry to fold
+    the contour onto tau >= 0 and refines the trapezoid until two
+    successive node counts agree to 1e-8; step-halving on this analytic
+    integrand converges spectrally, so the stopping gap vastly overstates
+    the final error.  The grids are nested: the n nodes of one pass are the
+    even-indexed nodes of the next pass's 2n - 1, so each pass evaluates
+    the integrand only at its n - 1 new odd-indexed nodes, and the node
+    count of the last pass is the number of evaluations.
     """
     from scipy.special import gamma as complex_gamma
 
     log_z = math.log(z)
 
-    def pass_value(n: int) -> float:
-        tau = np.linspace(0.0, _CONTOUR_HALFSPAN, n)
+    def integrand(tau: np.ndarray) -> np.ndarray:
         s = _CONTOUR_C + 1j * tau
-        vals = (complex_gamma(s) * kernel(s) * np.exp(-s * log_z)).real
-        h = tau[1] - tau[0]
+        return (complex_gamma(s) * kernel(s) * np.exp(-s * log_z)).real
+
+    def trapezoid(vals: np.ndarray) -> float:
+        h = _CONTOUR_HALFSPAN / (len(vals) - 1)
         return float((np.sum(vals) - 0.5 * (vals[0] + vals[-1])) * h / math.pi)
 
-    n = _CONTOUR_NODES
-    evaluations = n
-    prev = pass_value(n)
+    vals = integrand(np.linspace(0.0, _CONTOUR_HALFSPAN, _CONTOUR_NODES))
+    prev = trapezoid(vals)
     for _ in range(4):
-        n = 2 * n - 1
-        evaluations += n
-        cur = pass_value(n)
+        finer = np.empty(2 * len(vals) - 1)
+        finer[0::2] = vals
+        finer[1::2] = integrand(np.linspace(0.0, _CONTOUR_HALFSPAN, len(finer))[1::2])
+        vals = finer
+        cur = trapezoid(vals)
         if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
-            return cur, abs(cur - prev), evaluations
+            return cur, abs(cur - prev), len(vals)
         prev = cur
     raise ConvergenceError(
-        f"Mellin-Barnes contour not converged at {n} nodes (last {cur})",
+        f"Mellin-Barnes contour not converged at {len(vals)} nodes (last {cur})",
         best_estimate=cur,
         error_estimate=abs(cur - prev),
     )

@@ -409,6 +409,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_package_import_starts_no_blas_helper():
+    # xpharq's parallelism is its own; OpenBLAS gets one thread unless the
+    # caller chose a count, and a caller's choice is left as it is
+    probe = ("import os, xpharq; "
+             "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in _src_env().items() if k not in _BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "2"
+
+
 def test_cli_import_builds_no_parser():
     # the parser is built at the first main call, not at import
     probe = (

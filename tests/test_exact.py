@@ -9,6 +9,10 @@ exp1 and Bessel K, and, for the contour, the recursion.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +30,7 @@ from xpharq import (
     phi_quadrature,
     xp_outage,
 )
+from xpharq import exact
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -280,3 +285,73 @@ def test_outage_k2_contour_uncertainty_calibrated():
             est = outage_k2_via_foxh(rates, powers)
             ref = xp_outage(rates, powers).value
             assert abs(est.value - ref) <= est.uncertainty, (r, db)
+
+
+def test_contour_evaluates_each_node_once(monkeypatch):
+    # the n-node grid is the even-indexed half of the next pass's 2n - 1
+    # nodes, so a pass evaluates the kernel only at its new odd nodes
+    seen = []
+    real = exact.incomplete_gamma_difference
+
+    def counting(s, b1, b2):
+        seen.append(np.asarray(s).imag.copy())
+        return real(s, b1, b2)
+
+    monkeypatch.setattr(exact, "incomplete_gamma_difference", counting)
+    res = phi_foxh(1.0, 1.0, 10.0, 10.0)
+    assert [len(t) for t in seen] == [257, 256, 512]
+    assert res.evaluations == 1025
+    nodes = np.concatenate(seen)
+    assert len(np.unique(nodes)) == len(nodes)
+    assert np.array_equal(np.sort(nodes), np.linspace(0.0, 60.0, 1025))
+    # the value computed when every pass evaluated its whole grid
+    assert abs(res.value - 0.1576149085553178) <= res.abs_error_estimate
+
+
+_HELPER_CPU_PROBE = """
+import os, time
+import scipy.special
+import xpharq
+
+def helper_ticks():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:
+            continue
+        total += int(fields[11]) + int(fields[12])  # utime + stime
+    return total
+
+def settled():
+    last = helper_ticks()
+    for _ in range(100):
+        time.sleep(0.05)
+        now = helper_ticks()
+        if now == last:
+            return now
+        last = now
+    return last
+
+rates, powers = xpharq.RateSchedule((1.0, 1.0)), xpharq.PowerProfile((10.0, 10.0))
+before = settled()
+for _ in range(5):
+    xpharq.outage_k2_via_foxh(rates, powers)
+print(settled() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_contour_wakes_no_blas_helper():
+    # with the helper threads allowed, the contour kernel must still not
+    # hand them work: a woken helper spins on another CPU after the call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _HELPER_CPU_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 2
