@@ -29,9 +29,22 @@ transforms and updates only those positions.  Once no trial is pending the
 block draws no further row, so a block whose last pending trial succeeds at
 round j has advanced its stream by exactly j n doubles.  The arithmetic of
 a trial is the same in both phases, so where the switch falls changes no
-count.  Each worker reuses one workspace (rows u, y and step, and the
+count.  Each worker reuses one workspace (rows g, y and step, and the
 pending and hit masks) sized to its largest block; of W workers, worker w
 runs blocks w, w + W, ... and sums their histograms.
+
+Because round k of trial t sits at one stream position for every point, a
+group of points that share seed, trials and K (a sweep's Monte Carlo rows)
+is one simulation read at several points.  A group's block draws each
+round's row once, keeps it in the workspace (K rows more, whatever the
+number of points) and runs its points one after another through the kept
+rows.  It forms log1p(-U) of a row once, in place, where some point needs
+the full row; a point then multiplies by its own -gbar, and a point that
+carries only its pending trials gathers them from the row as it stands.
+The arithmetic of each trial is the one it has alone, so each point's
+counts are bit-identical to a run of that point alone, and the stream
+advances by the rows its most demanding point needs.  A lone point keeps
+no row: it draws round 1 into y and every later round into g.
 
 The engine itself is scheme-agnostic: a cycle succeeds at the first round
 k whose accumulated mutual information reaches ``thresholds[k-1]``,
@@ -133,15 +146,22 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows u, y and step, then the pending and hit masks, for n trials."""
-    return np.empty((3, n)), np.empty((2, n), dtype=bool)
+def _workspace(n: int, kept: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows g, y and step, then ``kept`` rows of draws, and the pending and
+    hit masks, for n trials.  A point keeps no row (it draws into y and g);
+    a group of points keeps one per round."""
+    return np.empty((3 + kept, n)), np.empty((2, n), dtype=bool)
+
+
+def _log1m(row: np.ndarray) -> None:
+    """Uniform draws U in [0, 1) to log1p(-U), in place."""
+    np.negative(row, out=row)
+    np.log1p(row, out=row)
 
 
 def _to_snr(row: np.ndarray, gbar: float) -> None:
     """Uniform draws U in [0, 1) to exponential SNRs gbar * -log1p(-U), in place."""
-    np.negative(row, out=row)
-    np.log1p(row, out=row)
+    _log1m(row)
     row *= -gbar
 
 
@@ -152,66 +172,124 @@ def _run_block(
     gbars: np.ndarray,
     thresholds: np.ndarray,
     work: tuple[np.ndarray, np.ndarray],
-) -> SimSummary:
+):
+    """First-success histogram of block ``block_index`` (n trials).
+
+    ``gbars`` and ``thresholds`` are one point's K-vectors, giving one
+    ``SimSummary``, or the (S, K) rows of a group of S points, giving a list
+    of S; a group needs a workspace that keeps K rows (module docstring).
+    """
     rng = _block_rng(seed, block_index)
-    u, y, step = work[0][:, :n]
-    pending, hit = work[1][:, :n]
-    limits = np.expm1(thresholds * _LN2)
-    counts = [0] * len(gbars)
-    rng.random(out=y)
-    _to_snr(y, gbars[0])
-    np.less(y, limits[0], out=pending)
-    left = int(np.count_nonzero(pending))
-    counts[0] = n - left
-    g, index = u, None
-    for k in range(1, len(gbars)):
-        if left == 0:
-            break
-        if index is None and left <= _COMPACT_SHARE * n:
-            # few trials pending: gather them once and carry only them; the
-            # dead rows y and u then hold their draws and scratch.  The
-            # indices are in range, and mode="clip" writes straight into out
-            # where the default mode buffers a copy
-            index = np.flatnonzero(pending)
-            np.take(y, index, out=step[:left], mode="clip")
-            y, g, step = step[:left], y[:left], u[:left]
-            pending, hit = pending[:left], hit[:left]
-            pending.fill(True)
-        rng.random(out=u)  # round k + 1 of trial t is stream position k n + t
-        if index is not None:
-            np.take(u, index, out=g, mode="clip")
-        _to_snr(g, gbars[k])
-        np.add(y, 1.0, out=step)
-        step *= g
-        y += step  # y_k = y_{k-1} + g_k (1 + y_{k-1})
-        np.less(y, limits[k], out=hit)
-        pending &= hit
-        now = int(np.count_nonzero(pending))
-        counts[k] = left - now
-        left = now
-    return SimSummary(trials=n, success_at_round=tuple(counts))
+    group = np.ndim(gbars) == 2
+    gbars, limits = np.atleast_2d(gbars), np.expm1(np.atleast_2d(thresholds) * _LN2)
+    k_rounds = gbars.shape[1]
+    rows, masks = work[0][:, :n], work[1][:, :n]
+    # a lone point draws round 1 into y and every later round into g
+    draws = rows[3:3 + k_rounds] if len(gbars) > 1 else [rows[1]] + [rows[0]] * (k_rounds - 1)
+    logged = []  # per round drawn: whether its row holds log1p(-U) yet
+
+    def draw(k: int, full: bool) -> np.ndarray:
+        if k == len(logged):
+            rng.random(out=draws[k])  # round k + 1 of trial t is stream position k n + t
+            logged.append(False)
+        if full and not logged[k]:
+            _log1m(draws[k])
+            logged[k] = True
+        return draws[k]
+
+    summaries = []
+    for gbar, limit in zip(gbars, limits):
+        g, y, step = rows[:3]
+        pending, hit = masks
+        counts = [0] * k_rounds
+        np.multiply(draw(0, True), -gbar[0], out=y)
+        np.less(y, limit[0], out=pending)
+        left = int(np.count_nonzero(pending))
+        counts[0] = n - left
+        index = None
+        for k in range(1, k_rounds):
+            if left == 0:
+                break
+            if index is None and left <= _COMPACT_SHARE * n:
+                # few trials pending: gather them once and carry only them; the
+                # dead rows y and g then hold their SNRs and scratch.  The
+                # indices are in range, and mode="clip" writes straight into out
+                # where the default mode buffers a copy
+                index = np.flatnonzero(pending)
+                np.take(y, index, out=step[:left], mode="clip")
+                y, g, step = step[:left], y[:left], g[:left]
+                pending, hit = pending[:left], hit[:left]
+                pending.fill(True)
+            if index is None:
+                np.multiply(draw(k, True), -gbar[k], out=g)
+            else:
+                np.take(draw(k, False), index, out=g, mode="clip")
+                if logged[k]:
+                    g *= -gbar[k]
+                else:  # transform only the pending trials' draws
+                    _to_snr(g, gbar[k])
+            np.add(y, 1.0, out=step)
+            step *= g
+            y += step  # y_k = y_{k-1} + g_k (1 + y_{k-1})
+            np.less(y, limit[k], out=hit)
+            pending &= hit
+            now = int(np.count_nonzero(pending))
+            counts[k] = left - now
+            left = now
+        summaries.append(SimSummary(trials=n, success_at_round=tuple(counts)))
+    return summaries if group else summaries[0]
+
+
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    """(index, size) of each block of ``trials``."""
+    return [(i, min(_BLOCK, trials - i * _BLOCK)) for i in range((trials + _BLOCK - 1) // _BLOCK)]
+
+
+def _run_share(seed: int, share, gbars: np.ndarray, thresholds: np.ndarray) -> list[SimSummary]:
+    """Each point's histogram summed over the blocks ``share``, on one workspace.
+
+    ``gbars`` and ``thresholds`` hold one row per point of the group.
+    """
+    kept = gbars.shape[1] if len(gbars) > 1 else 0
+    work = _workspace(max(size for _, size in share), kept)
+    return functools.reduce(
+        _merge_each,
+        (_run_block(seed, index, size, gbars, thresholds, work) for index, size in share),
+    )
+
+
+def _merge_each(a: list[SimSummary], b: list[SimSummary]) -> list[SimSummary]:
+    return [x.merge(y) for x, y in zip(a, b)]
 
 
 def _simulate(cfg: SimConfig, thresholds: np.ndarray) -> SimSummary:
-    gbars = np.asarray(cfg.powers.snr_bars)
-    blocks = [
-        (i, min(_BLOCK, cfg.trials - i * _BLOCK))
-        for i in range((cfg.trials + _BLOCK - 1) // _BLOCK)
-    ]
+    gbars, thresholds = np.asarray([cfg.powers.snr_bars]), np.asarray([thresholds])
+    blocks = _blocks(cfg.trials)
     workers = min(cfg.workers, len(blocks))
 
     def run(share) -> SimSummary:
-        work = _workspace(max(size for _, size in share))
-        return functools.reduce(
-            SimSummary.merge,
-            (_run_block(cfg.seed, index, size, gbars, thresholds, work) for index, size in share),
-        )
+        return _run_share(cfg.seed, share, gbars, thresholds)[0]
 
     if workers == 1:
         return run(blocks)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         shares = pool.map(run, [blocks[w::workers] for w in range(workers)])
         return functools.reduce(SimSummary.merge, shares)
+
+
+def _simulate_share(points, purpose: str, part: int, parts: int) -> list[SimSummary]:
+    """Each point's histogram over blocks part, part + parts, ... of a group.
+
+    The points share seed, trials and K and run on shared draws; a point's
+    counts are those it has on its own.  Merging the summaries of parts 0 to
+    parts - 1 gives the whole run.
+    """
+    key = (points[0].seed, points[0].trials, points[0].rates.K)
+    if any((p.seed, p.trials, p.rates.K) != key for p in points):
+        raise ValueError("a group's points must share seed, trials and K")
+    gbars = np.array([p.powers.snr_bars for p in points])
+    thresholds = np.array([_scheme_vectors(p, purpose) for p in points])
+    return _run_share(key[0], _blocks(key[1])[part::parts], gbars, thresholds)
 
 
 def _scheme_vectors(cfg: SimConfig, purpose: str) -> np.ndarray:
@@ -236,16 +314,7 @@ def estimate_outage(cfg: SimConfig) -> Estimate:
     short of R_K^sum — the XP upper bound — not the fixed-rate protocol
     event used for INR throughput.
     """
-    summary = _simulate(cfg, _scheme_vectors(cfg, "outage"))
-    n = summary.trials
-    p = summary.outage_count / n
-    if summary.outage_count in (0, n):
-        # no outage, or no success: the binomial half-width would be 0; the
-        # rule of three, 3/n, bounds the unseen probability at 95 %
-        ci = min(3.0 / n, 1.0)
-    else:
-        ci = 1.96 * math.sqrt(p * (1.0 - p) / n)
-    return Estimate(p, f"mc-{cfg.scheme}", ci)
+    return _estimate(cfg, "outage", _simulate(cfg, _scheme_vectors(cfg, "outage")))
 
 
 def estimate_throughput(cfg: SimConfig) -> Estimate:
@@ -257,9 +326,22 @@ def estimate_throughput(cfg: SimConfig) -> Estimate:
     all trials share one outcome that variance is 0, and the half-width is
     how far eta moves when 3/n of them take the unseen outcome moving it most.
     """
-    rewards = _scheme_vectors(cfg, "throughput")
-    summary = _simulate(cfg, rewards)
+    return _estimate(cfg, "throughput", _simulate(cfg, _scheme_vectors(cfg, "throughput")))
+
+
+def _estimate(cfg: SimConfig, purpose: str, summary: SimSummary) -> Estimate:
+    """The ``purpose`` estimate at ``cfg`` from its merged histogram."""
     n, counts = summary.trials, summary.success_at_round
+    if purpose == "outage":
+        p = summary.outage_count / n
+        if summary.outage_count in (0, n):
+            # no outage, or no success: the binomial half-width would be 0; the
+            # rule of three, 3/n, bounds the unseen probability at 95 %
+            ci = min(3.0 / n, 1.0)
+        else:
+            ci = 1.96 * math.sqrt(p * (1.0 - p) / n)
+        return Estimate(p, f"mc-{cfg.scheme}", ci)
+    rewards = _scheme_vectors(cfg, "throughput")
     # (trials, delivered rate, slots) of each outcome: outage, then success at round k
     outcomes = [(summary.outage_count, 0.0, cfg.rates.K)]
     outcomes += [(c, float(r), k) for k, (c, r) in enumerate(zip(counts, rewards), start=1)]

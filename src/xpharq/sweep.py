@@ -16,22 +16,27 @@ rate replaced by the axis value, SNRs fixed from ``snr_db``).  The
 
 Rows are emitted in axis-major order (axis value, then scheme, then
 method), each a pure function of the config, so output bytes do not depend
-on the worker count.  All SNR handling here is in dB; conversion to linear
-scale happens exactly once, at the row boundary.
+on the worker count.  A deterministic row is one task; the ``mc`` rows of
+every axis value and scheme are one group on each block's shared draws,
+run as block-share tasks in the same process pool, and the parent merges
+each point's integer counts.  All SNR handling here is in dB; conversion
+to linear scale happens exactly once, at the row boundary.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, TextIO
 
 from .asymptotic import outage_asymptotic_general
 from .bounds import outage_lower, outage_upper_ir, throughput_recursion, xp_outage
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
-from .simulate import SimConfig, estimate_outage, estimate_throughput
+from .simulate import (SimConfig, _blocks, _estimate, _merge_each, _simulate_share,
+                       estimate_outage, estimate_throughput)
 
 __all__ = [
     "Method",
@@ -59,11 +64,19 @@ class Method:
     ``compute(point)`` returns an ``Estimate`` at a ``SimConfig`` point; only
     the ``mc`` entries read its trials, seed and workers.  Each entry looks
     its function up per call, so a wrapper set on the module sees the call.
+
+    ``purpose`` names the Monte Carlo entries' group form: points that share
+    seed, trials and K run together on each block's draws
+    (``simulate._simulate_share`` over block shares, merged and finished by
+    ``simulate._estimate``), with each point's value that of ``compute``.
+    The deterministic entries have none, and a group of their points is
+    ``compute`` mapped over them.
     """
 
     schemes: tuple[str, ...]
     compute: Callable[[SimConfig], Estimate]
     k_min: int = 1
+    purpose: Optional[str] = None
 
 
 _XP, _BOTH = ("xp",), ("xp", "inr")
@@ -76,12 +89,12 @@ METHODS = {
     ),
     ("outage", "lower"): Method(_XP, lambda c: outage_lower(c.rates, c.powers)),
     ("outage", "upper"): Method(_BOTH, lambda c: outage_upper_ir(c.rates, c.powers)),
-    ("outage", "mc"): Method(_BOTH, lambda c: estimate_outage(c)),
+    ("outage", "mc"): Method(_BOTH, lambda c: estimate_outage(c), purpose="outage"),
     ("outage", "oracle"): _XP_OUTAGE,
     ("throughput", "analytical"): Method(
         _BOTH, lambda c: throughput_recursion(c.rates, c.powers, c.scheme)
     ),
-    ("throughput", "mc"): Method(_BOTH, lambda c: estimate_throughput(c)),
+    ("throughput", "mc"): Method(_BOTH, lambda c: estimate_throughput(c), purpose="throughput"),
 }
 
 
@@ -239,10 +252,9 @@ def _row_params(cfg: SweepConfig, axis_value: float):
     return RateSchedule(rates), powers, column_db
 
 
-def _compute_row(args: tuple[SweepConfig, float, str, str]) -> SweepRow:
-    cfg, axis_value, scheme, method = args
-    rates, powers, column_db = _row_params(cfg, axis_value)
-    est = evaluate(cfg.quantity, scheme, method, rates, powers, trials=cfg.trials, seed=cfg.seed)
+def _sweep_row(cfg: SweepConfig, axis_value: float, scheme: str, method: str,
+               est: Estimate) -> SweepRow:
+    rates, _, column_db = _row_params(cfg, axis_value)
     return SweepRow(
         snr_db=column_db,
         K=rates.K,
@@ -255,26 +267,61 @@ def _compute_row(args: tuple[SweepConfig, float, str, str]) -> SweepRow:
     )
 
 
+def _compute_row(args: tuple[SweepConfig, float, str, str]) -> SweepRow:
+    cfg, axis_value, scheme, method = args
+    rates, powers, _ = _row_params(cfg, axis_value)
+    est = evaluate(cfg.quantity, scheme, method, rates, powers, trials=cfg.trials, seed=cfg.seed)
+    return _sweep_row(cfg, axis_value, scheme, method, est)
+
+
+def _run_task(task: tuple):
+    fn, *args = task
+    return fn(*args)
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) -> list[SweepRow]:
     """Compute all rows in deterministic axis-major order.
 
-    Rows are independent pure functions of the config, so any worker count
-    yields identical output.  The pool has at most one process per row.
-    ``seed`` overrides the config seed.
+    Each deterministic row is one task.  The rows of a method with a group
+    form (``Method.purpose``: ``mc``) run as one group over every axis value
+    and scheme, split into min(workers, blocks) block-share tasks; the
+    parent merges each point's integer summaries.  Every task is a pure
+    function of the config, so any worker count yields identical output.
+    The pool has at most one process per task, and a sweep of one task runs
+    in this process.  ``seed`` overrides the config seed.
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    specs = [
-        (cfg, axis_value, scheme, method)
-        for axis_value in cfg.values
-        for scheme in cfg.schemes
-        for method in cfg.methods
-    ]
-    workers = min(workers, len(specs))
+    cells = [(axis_value, scheme) for axis_value in cfg.values for scheme in cfg.schemes]
+    groups = {}  # method: (points, purpose, share count)
+    for method in cfg.methods:
+        purpose = METHODS[cfg.quantity, method].purpose
+        if purpose is not None:
+            points = []
+            for axis_value, scheme in cells:
+                rates, powers, _ = _row_params(cfg, axis_value)
+                points.append(SimConfig(scheme, rates, powers, cfg.trials, cfg.seed))
+            groups[method] = (points, purpose, min(workers, len(_blocks(cfg.trials))))
+    # the block shares go first: they are the longest tasks
+    tasks = [(_simulate_share, points, purpose, part, parts)
+             for points, purpose, parts in groups.values() for part in range(parts)]
+    singles = [(cell, method) for cell in cells for method in cfg.methods if method not in groups]
+    tasks += [(_compute_row, (cfg, *cell, method)) for cell, method in singles]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return [_compute_row(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_row, specs))
+        results = [_run_task(task) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task, tasks))
+    results, rows = iter(results), {}
+    for method, (points, purpose, parts) in groups.items():
+        merged = functools.reduce(_merge_each, itertools.islice(results, parts))
+        for cell, point, summary in zip(cells, points, merged):
+            rows[cell, method] = _sweep_row(cfg, *cell, method, _estimate(point, purpose, summary))
+    rows.update(zip(singles, results))
+    return [rows[cell, method] for cell in cells for method in cfg.methods]
 
 
 def _fmt(x: float) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface and sweep configuration round trips."""
 
 import argparse
+import concurrent.futures
 import csv
 import filecmp
 import io
@@ -33,6 +34,7 @@ from xpharq import (
 )
 from xpharq import cli, quadrature, sweep
 from xpharq.cli import main
+from xpharq.simulate import _BLOCK
 from xpharq.sweep import METHODS, evaluate, method_error
 
 from oracles import throughput_oracle
@@ -409,6 +411,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a sweep that builds a process pool imports multiprocessing
+    probe = ("import sys, xpharq.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -633,15 +646,47 @@ def test_every_method_returns_an_estimate_with_a_bound(quantity, method):
 
 def test_sweep_csv_deterministic_across_workers(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
-    cfg_path.write_text(_SWEEP_CONFIG)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    # three blocks: the mc rows run as one, two and three block shares
+    cfg_path.write_text(_SWEEP_CONFIG.replace("trials = 20000", f"trials = {2 * _BLOCK + 999}"))
+    out1 = tmp_path / "w1.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2),
-                 "--workers", "3"]) == 0
-    assert filecmp.cmp(out1, out2, shallow=False)
+    for workers in ("2", "3"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", workers]) == 0
+        assert filecmp.cmp(out1, out, shallow=False), workers
     lines = out1.read_text().splitlines()
     assert lines[0] == "snr_db,K,R_csv,scheme,method,value,uncertainty,seed"
     assert len(lines) == 1 + 3 * 2  # header + values x methods
+
+
+class _SerialPool:
+    """Records (pool size, task count) of each map and maps in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.size = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.started.append((self.size, len(items)))
+        return map(fn, items)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands ``_SerialPool`` in for the process pool; yields its records."""
+    # the sweep imports the pool class where it builds a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    return _SerialPool.started
 
 
 @pytest.mark.parametrize("values, workers, pools", [
@@ -649,30 +694,53 @@ def test_sweep_csv_deterministic_across_workers(tmp_path):
     ("0,5,10,15", 3, [3]),    # more rows than workers: the worker count
     ("0", 16, []),            # one row runs in this process
 ])
-def test_sweep_pool_never_exceeds_row_count(monkeypatch, values, workers, pools):
-    started = []
-
-    class SerialPool:
-        """Records the pool size it is asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
+def test_sweep_pool_never_exceeds_row_count(serial_pool, values, workers, pools):
     cfg = parse_config(_SWEEP_CONFIG.replace("values = 0,5,10", f"values = {values}")
                        .replace("methods = exact,mc", "methods = lower"))
     serial = sweep.run_sweep(cfg)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
     assert sweep.run_sweep(cfg, workers=workers) == serial
-    assert started == pools
+    assert [size for size, _ in serial_pool] == pools
+
+
+@pytest.mark.parametrize("methods, blocks, workers, tasks", [
+    ("mc", 1, 16, None),        # one block: one task, run in this process
+    ("mc", 3, 16, (3, 3)),      # one share per block, not sixteen
+    ("mc", 3, 2, (2, 2)),       # more blocks than workers: one share per worker
+    ("upper,mc", 1, 2, (2, 7)), # one share, and a task per upper row
+    ("upper,mc", 3, 8, (8, 9)), # three shares and six upper rows
+])
+def test_sweep_mc_rows_run_as_block_shares(serial_pool, methods, blocks, workers, tasks):
+    # every axis value and scheme of the mc rows shares each block's draws
+    cfg = parse_config(
+        _SWEEP_CONFIG.replace("methods = exact,mc", f"methods = {methods}")
+        .replace("trials = 20000", f"trials = {(blocks - 1) * _BLOCK + 777}")
+        .replace("schemes = xp", "schemes = xp,inr")
+    )
+    serial = sweep.run_sweep(cfg)
+    assert sweep.run_sweep(cfg, workers=workers) == serial
+    assert serial_pool == ([] if tasks is None else [tasks])
+
+
+@pytest.mark.parametrize("quantity", ["outage", "throughput"])
+@pytest.mark.parametrize("axis", ["snr_db", "r1"])
+def test_sweep_mc_rows_equal_point_evaluation(serial_pool, quantity, axis):
+    # a group's rows are bit for bit the point queries at every worker count
+    points = ("values = -5,10,25\n" if axis == "snr_db"
+              else "values = 0.5,1.5,4\nsnr_db = 12,6\n")
+    cfg = parse_config(
+        f"quantity = {quantity}\naxis = {axis}\n{points}rates = 1,2\nmethods = mc\n"
+        f"schemes = xp,inr\ntrials = {2 * _BLOCK + 3}\nseed = 41\n"
+    )
+    for workers in (1, 2, 3):
+        rows = sweep.run_sweep(cfg, workers=workers)
+        assert len(rows) == 6
+        for row in rows:
+            snr_db = ((row.snr_db,) * 2 if axis == "snr_db" else cfg.snr_db)
+            powers = PowerProfile([10.0 ** (db / 10.0) for db in snr_db])
+            est = evaluate(quantity, row.scheme, "mc", RateSchedule(row.rates), powers,
+                           trials=cfg.trials, seed=41)
+            assert (row.value, row.uncertainty) == (est.value, est.uncertainty), (workers, row)
+    assert serial_pool == [(2, 2), (3, 3)]  # the three blocks split into two, then three shares
 
 
 def test_sweep_rows_match_direct_evaluation(tmp_path):

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from xpharq.simulate import (
     _COMPACT_SHARE,
     _LN2,
     _block_rng,
+    _merge_each,
     _run_block,
     _scheme_vectors,
     _simulate,
+    _simulate_share,
     _workspace,
 )
 
@@ -227,14 +230,17 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
 
     monkeypatch.setattr(simulate, "_block_rng", spy)
     n = 3000
-    for gbars, thresholds, rows in (
+    cases = (
         ([1e6] * 4, [0.5, 1.0, 1.5, 2.0], 1),
         ([3.0, 30.0, 300.0, 3000.0], [1.0, 2.0, 3.0, 4.0], 3),
         ([300.0] * 5, [0.5, 1.0, 1.5, 2.0, 2.5], 2),
         ([1.0] * 4, [10.0, 20.0, 30.0, 40.0], 4),
         ([2.0, 0.5, 8.0, 1.0], [0.5, 1.0, 2.0, 2.5], 4),
-    ):
+    )
+    alone = []
+    for gbars, thresholds, rows in cases:
         got = _run_block(7, 2, n, np.array(gbars), np.array(thresholds), _workspace(n))
+        alone.append(got)
         if rows < len(gbars):
             assert got.outage_count == 0 and got.success_at_round[rows - 1] > 0, got
             assert not any(got.success_at_round[rows:]), got
@@ -243,6 +249,78 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         ref = _block_rng(7, 2)
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, (gbars, rows)
+    # a group draws each round once, as far as its most demanding point needs
+    for group in ((0, 0), (0, 1), (1, 0), (0, 1, 0), (0, 1, 3), (4, 1), (3, 4)):
+        gbars = np.array([cases[i][0] for i in group])
+        thresholds = np.array([cases[i][1] for i in group])
+        got = _run_block(7, 2, n, gbars, thresholds, _workspace(n, 4))
+        assert got == [alone[i] for i in group], group
+        ref = _block_rng(7, 2)
+        ref.random(max(cases[i][2] for i in group) * n)
+        assert used[-1].bit_generator.state == ref.bit_generator.state, group
+
+
+def test_group_block_equals_each_point_alone():
+    # a group draws each round once for all its points; each point's counts
+    # are those of a run of that point alone, whether its rounds are dense or
+    # gathered, and whichever point of the group first needs a row in full
+    rng = np.random.default_rng(2026)
+    seen = set()
+    purposes = (("xp", "outage"), ("inr", "outage"), ("xp", "throughput"), ("inr", "throughput"))
+    for k_rounds in (2, 3, 4, 8):
+        for n in (1, 7, 5000):
+            points = []
+            for db in (-20.0, 0.0, 3.0, 6.0, 10.0, 20.0, 60.0):
+                rates = RateSchedule(tuple(float(r) for r in rng.uniform(0.3, 1.5, k_rounds)))
+                powers = PowerProfile(tuple(10.0 ** ((db + d) / 10.0)
+                                            for d in rng.uniform(-1.0, 1.0, k_rounds)))
+                for scheme, purpose in purposes:
+                    cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=0)
+                    points.append((np.asarray(powers.snr_bars), _scheme_vectors(cfg, purpose)))
+            seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
+            alone = [_run_block(seed, index, n, g, t, _workspace(n)) for g, t in points]
+            for order in (points, points[::-1]):
+                gbars = np.array([g for g, _ in order])
+                thresholds = np.array([t for _, t in order])
+                got = _run_block(seed, index, n, gbars, thresholds, _workspace(n, k_rounds))
+                assert got == (alone if order is points else alone[::-1]), (k_rounds, n)
+            if n < 5000:
+                continue
+            for (g, t), summary in zip(points, alone):
+                first = _trial_major_block(seed, index, n, g, t)
+                last = max((k for k, c in enumerate(summary.success_at_round, start=1) if c),
+                           default=k_rounds)
+                seen.add((k_rounds, "pending at K" if summary.outage_count or last == k_rounds
+                          else "empty at 1" if last == 1 else "empty part-way"))
+                seen.add((k_rounds, "dense" if _gather_round(first, k_rounds) is None
+                          else "gathered"))
+    for k_rounds in (2, 3, 4, 8):
+        want = {"pending at K", "empty at 1", "empty part-way", "dense", "gathered"}
+        if k_rounds == 2:  # no round lies between the first and the last
+            want.remove("empty part-way")
+        assert {phase for k, phase in seen if k == k_rounds} == want, k_rounds
+
+
+def test_group_block_shares_merge_to_serial_summaries():
+    rates = RateSchedule((0.5, 1.0, 0.7))
+    trials = 5 * _BLOCK + 123  # six blocks, the last partial
+    points = [
+        SimConfig(scheme=scheme, rates=rates, powers=PowerProfile((g, 2.0 * g, g)),
+                  trials=trials, seed=19)
+        for g in (1.0, 10.0, 1000.0) for scheme in ("xp", "inr")
+    ]
+    for purpose in ("outage", "throughput"):
+        serial = [_serial_summary(p, _scheme_vectors(p, purpose)) for p in points]
+        for parts in (1, 2, 4, 6):
+            shares = [_simulate_share(points, purpose, part, parts) for part in range(parts)]
+            assert functools.reduce(_merge_each, shares) == serial, (purpose, parts)
+            # one point is a group too
+            one = [_simulate_share(points[2:3], purpose, part, parts) for part in range(parts)]
+            assert functools.reduce(_merge_each, one) == serial[2:3], (purpose, parts)
+    for other in (dict(seed=20), dict(trials=trials + 1),
+                  dict(rates=RateSchedule((0.5, 1.0)), powers=PowerProfile((1.0, 1.0)))):
+        with pytest.raises(ValueError, match="share seed, trials and K"):
+            _simulate_share([points[0], replace(points[1], **other)], "outage", 0, 1)
 
 
 def _serial_summary(cfg, thresholds):
