@@ -2,27 +2,26 @@
 backward payoff recursion, and the closed-form lower bound.
 
 With x_0 = 1 and x_k = prod_{l<=k} (1 + gamma_l), round k decodes once x_k
-reaches U_k: 2^{R_k^sum} for XP, 2^{R_K^sum} for the HARQ-IR outage that
-bounds XP's, 2^{R_1} for the HARQ-IR protocol.  Round k pays r_k if it
-decodes and c_k if it fails.  With gamma_k = gbar_k u, a_k(x) =
-(U_k/x - 1)/gbar_k and V_{K+1} = 0, the payoff expected from round k on,
-given x_{k-1} = x, is
+reaches U_k = 2^{L_k}, with L_k its limit in ``core.decoding_limits``.
+Round k pays r_k if it decodes and c_k if it fails.  With gamma_k =
+gbar_k u, a_k(x) = (U_k/x - 1)/gbar_k and V_{K+1} = 0, the payoff
+expected from round k on, given x_{k-1} = x, is
 
     V_k(x) = r_k e^{-a_k(x)} + c_k (1 - e^{-a_k(x)})
              + int_0^{a_k(x)} e^{-u} V_{k+1}(x (1 + gbar_k u)) du,
 
 and a cycle's is V_1(1).  Outage pays c = (0, ..., 0, 1).  Throughput is
-E[R] / E[T] (renewal reward): E[R] pays r_k = R_k^sum (XP) or R_1 (IR),
-E[T] pays r = c = 1, and both ride one recursion on a leading payoff
-axis.  No term is negative.  The last level is in closed form.  Each
-other V_{k+1} is read at the ln x its caller's panels reach: at most n
-of them (the pass's Chebyshev node count) are evaluated directly; more
-are read from a degree n-1 Chebyshev interpolant in ln x on [0, ln U_k]
-(Trefethen, *Approximation Theory and Approximation Practice*), its
-transform built once per node count, evaluated by Clenshaw's recurrence
-on flat buffers in numpy ``chebval``'s order of operations.  The top
-level reads V_2 at m Gauss nodes per panel and n = 4m, so wherever it
-has at most 4 panels K = 3 needs no interpolant and K = 4 one, of V_3.
+E[R] / E[T] (renewal reward): E[R] pays r_k = L_k, E[T] pays r = c = 1,
+and both ride one recursion on a leading payoff axis.  No term is
+negative.  The last level is in closed form.  Each other V_{k+1} is read
+at the ln x its caller's panels reach: at most n of them (the pass's
+Chebyshev node count) are evaluated directly; more are read from a degree
+n-1 Chebyshev interpolant in ln x on [0, ln U_k] (Trefethen,
+*Approximation Theory and Approximation Practice*), its transform built
+once per node count, evaluated by Clenshaw's recurrence on flat buffers
+in numpy ``chebval``'s order of operations.  The top level reads V_2 at m
+Gauss nodes per panel and n = 4m, so wherever it has at most 4 panels
+K = 3 needs no interpolant and K = 4 one, of V_3.
 
 The u-integral runs over the panels [0, 1], [1, 2], ..., [32, 64]
 clipped at a_k(x), Gauss-Legendre in v = ln(1 + gbar_k u); past u = 64,
@@ -58,6 +57,7 @@ from .core import (
     RateSchedule,
     _check_rounds,
     clamp_probability,
+    decoding_limits,
 )
 
 __all__ = [
@@ -205,11 +205,6 @@ def _sampled(level, n: int, lo: float, hi: float, failed):
     return at
 
 
-def _outage(k_rounds: int):
-    """Outage as a payoff: what each round pays, c = (0, ..., 0, 1)."""
-    return [None] * (k_rounds - 1) + [_failed]
-
-
 def _nested(bits: Sequence[float], gbars: Sequence[float], paid,
             n: int, m: int) -> list[float]:
     """V_1(1) of each payoff at n Chebyshev nodes and m Gauss nodes per panel.
@@ -259,30 +254,33 @@ def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
         f"differ by {max(gaps):.3e}", best_estimate=values, error_estimate=gaps)
 
 
-def _probability(evaluate, rel_tol: float, what: str) -> tuple[float, float]:
-    """One probability by ``_refine``, clamped to [0, 1], and its uncertainty.
+def _outage(limits: Sequence[float], powers: PowerProfile, rel_tol: float, what: str,
+            method: str) -> Estimate:
+    """The outage probability at ``limits`` (L_k of each round) by ``_refine``,
+    clamped to [0, 1].  Outage pays c = (0, ..., 0, 1).
 
-    Every outage recursion stops once two passes differ by at most
-    rel_tol * value, and reports that gap plus 1e-14 of the value.
+    The passes stop once two differ by at most rel_tol * value; that gap
+    plus 1e-14 of the value is the uncertainty.
     """
+    paid = [None] * (len(limits) - 1) + [_failed]
+    evaluate = partial(_nested, limits, powers.snr_bars, paid)
     converged = lambda v, g: g[0] <= rel_tol * abs(v[0])
     try:
         (value,), (gap,) = _refine(evaluate, converged, what)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), exc.best_estimate[0], exc.error_estimate[0]) from None
-    return clamp_probability(value, 1e-9, what), gap + _ROUNDOFF * abs(value)
+    return Estimate(clamp_probability(value, 1e-9, what), method, gap + _ROUNDOFF * abs(value))
 
 
 def sum_info_cdf(
     r: float,
     powers: PowerProfile,
     rel_tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Pr(sum_{k<=K} I_k < r) and an error estimate."""
+) -> Estimate:
+    """Pr(sum_{k<=K} I_k < r): the HARQ-IR outage at information total r."""
     if r <= 0.0:
-        return 0.0, 0.0
-    evaluate = partial(_nested, [r] * powers.K, powers.snr_bars, _outage(powers.K))
-    return _probability(evaluate, rel_tol, "IR outage")
+        return Estimate(0.0, "ir-recursion", 0.0)
+    return _outage((r,) * powers.K, powers, rel_tol, "IR outage", "ir-recursion")
 
 
 def outage_upper_ir(
@@ -295,9 +293,8 @@ def outage_upper_ir(
     ``budget`` is the relative tolerance (default 1e-9).
     """
     _check_rounds(rates, powers)
-    rel = 1e-9 if budget is None else float(budget)
-    value, err = sum_info_cdf(rates.cumulative()[-1], powers, rel_tol=rel)
-    return Estimate(value, "ir-recursion", err)
+    return _outage(decoding_limits(rates, "inr", "outage"), powers,
+                   1e-9 if budget is None else float(budget), "IR outage", "ir-recursion")
 
 
 def ir_outage_chain(
@@ -311,10 +308,8 @@ def ir_outage_chain(
     is still undecodable after k rounds.
     """
     _check_rounds(rates, powers)
-    return [
-        sum_info_cdf(rates.rates[0], powers.prefix(k), rel_tol)[0]
-        for k in range(1, rates.K + 1)
-    ]
+    r1 = decoding_limits(rates, "inr", "throughput")[0]
+    return [sum_info_cdf(r1, powers.prefix(k), rel_tol).value for k in range(1, rates.K + 1)]
 
 
 def xp_outage(
@@ -330,9 +325,8 @@ def xp_outage(
     uncertainty.
     """
     _check_rounds(rates, powers)
-    evaluate = partial(_nested, rates.cumulative(), powers.snr_bars, _outage(rates.K))
-    value, err = _probability(evaluate, rel_tol, "XP outage")
-    return Estimate(value, "xp-recursion", err)
+    return _outage(decoding_limits(rates, "xp", "outage"), powers, rel_tol, "XP outage",
+                   "xp-recursion")
 
 
 def _ratio(values, gaps) -> tuple[float, float]:
@@ -349,8 +343,8 @@ def throughput_recursion(
 ) -> Estimate:
     """Long-term throughput E[R] / E[T] of XP or HARQ-IR for any K, by one recursion.
 
-    E[R] pays r_k = R_k^sum (XP) or R_1 (IR, every limit 2^{R_1}) when round
-    k decodes, E[T] 1 per round entered.  Scaled by max r_k and by K, each
+    E[R] pays r_k = L_k (``core.decoding_limits``) when round k decodes,
+    E[T] 1 per round entered.  Scaled by max r_k and by K, each
     pays at most 1, as outage does.  The passes stop once their gaps move
     eta = E[R] / E[T] by at most max(1e-10, 1e-9 * eta).  The uncertainty is
     (dE[R] + eta dE[T]) / E[T], each d the pass gap plus 1e-14 of that
@@ -358,9 +352,7 @@ def throughput_recursion(
     decoded E[R].
     """
     _check_rounds(rates, powers)
-    if scheme not in ("xp", "inr"):
-        raise ValueError(f"scheme must be 'xp' or 'inr', got {scheme!r}")
-    reward = rates.cumulative() if scheme == "xp" else (rates.rates[0],) * rates.K
+    reward = decoding_limits(rates, scheme, "throughput")
     top, slot = max(reward), 1.0 / rates.K
     column = lambda *p: np.array(p)[:, None, None, None]  # E[R], E[T] on the payoff axis
     cost = column(0.0, slot)

@@ -103,12 +103,14 @@ def _cmd_point(parser, args) -> int:
         print(f"xpharq {args.command}: error: {exc}", file=sys.stderr)
         return 1
     if args.command == "outage" and args.method == "mc":
-        failures = round(est.value * args.trials)
-        if failures < _RARE_EVENT_FLOOR:
+        outages = round(est.value * args.trials)
+        # the Wald interval fails where either outcome is rare
+        seen, outcome = min((outages, "outage"), (args.trials - outages, "success"))
+        if seen < _RARE_EVENT_FLOOR:
             others = [m for q, m in METHODS if q == "outage" and m != "mc"
                       and method_error("outage", args.scheme, m, rates.K) is None]
             print(
-                f"warning: only {failures} outage events observed (<{_RARE_EVENT_FLOOR}); "
+                f"warning: only {seen} {outcome} events observed (<{_RARE_EVENT_FLOOR}); "
                 "the confidence interval is unreliable in this rare-event regime — "
                 f"use --method {' or '.join(others)} here",
                 file=sys.stderr,

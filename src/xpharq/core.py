@@ -20,6 +20,7 @@ __all__ = [
     "PowerProfile",
     "Estimate",
     "clamp_probability",
+    "decoding_limits",
 ]
 
 
@@ -124,6 +125,27 @@ class Estimate:
     value: float
     method: str
     uncertainty: float
+
+
+def decoding_limits(rates: RateSchedule, scheme: str, quantity: str) -> tuple[float, ...]:
+    """What round k must reach: the accumulated mutual information, in bits,
+    at or above which it decodes, for k = 1..K.
+
+    XP decodes the accumulated rate R_k^sum.  HARQ-IR decodes against its
+    information total: its outage is the event I_K^sum < R_K^sum that bounds
+    XP's outage from above, so every round's limit is R_K^sum (the early
+    checks are redundant, as I^sum is nondecreasing); its throughput is the
+    protocol's, one message of rate R_1, so every round's limit is R_1.  A
+    cycle that first decodes at round k delivers its limit as its rate.
+    """
+    if scheme not in ("xp", "inr"):
+        raise ValueError(f"scheme must be 'xp' or 'inr', got {scheme!r}")
+    if quantity not in ("outage", "throughput"):
+        raise ValueError(f"quantity must be 'outage' or 'throughput', got {quantity!r}")
+    cums = rates.cumulative()
+    if scheme == "xp":
+        return cums
+    return (cums[-1] if quantity == "outage" else rates.rates[0],) * rates.K
 
 
 def _check_rounds(rates: RateSchedule, powers: PowerProfile) -> None:

@@ -31,7 +31,9 @@ round j has advanced its stream by exactly j n doubles.  The arithmetic of
 a trial is the same in both phases, so where the switch falls changes no
 count.  Each worker reuses one workspace (rows g, y and step, and the
 pending and hit masks) sized to its largest block; of W workers, worker w
-runs blocks w, w + W, ... and sums their histograms.
+runs blocks w, w + W, ... and sums their histograms.  A point query is a
+group of one whose shares run on threads; a sweep's group runs its shares
+on processes.
 
 Because round k of trial t sits at one stream position for every point, a
 group of points that share seed, trials and K (a sweep's Monte Carlo rows)
@@ -52,28 +54,19 @@ delivering that threshold as its rate and consuming k slots; a cycle with
 no such round is an outage and consumes all K slots.  Outage is defined
 with strict "<", so equality counts as success (the ``>=`` above); the
 convention matters only on a measure-zero set under continuous fading but
-must be fixed for determinism.  The two schemes map onto the engine as
-follows:
-
-* XP outage and throughput: the threshold at round k is the accumulated
-  rate R_k^sum.
-* INR outage: the comparison event is the upper-bound event
-  I_K^sum < R_K^sum, so every round's threshold is R_K^sum (early-round
-  checks are then redundant but harmless since I^sum is nondecreasing).
-* INR throughput: the protocol decodes one message of rate R_1 against the
-  information total, so the threshold is R_1 in every round.
+must be fixed for determinism.  The thresholds of a scheme and quantity
+are ``core.decoding_limits``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Estimate, PowerProfile, RateSchedule, _check_rounds
+from .core import Estimate, PowerProfile, RateSchedule, _check_rounds, decoding_limits
 
 __all__ = [
     "SimConfig",
@@ -103,8 +96,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.scheme not in ("xp", "inr"):
-            raise ValueError(f"scheme must be 'xp' or 'inr', got {self.scheme!r}")
+        decoding_limits(self.rates, self.scheme, "outage")  # rejects an unknown scheme
         _check_rounds(self.rates, self.powers)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -172,16 +164,15 @@ def _run_block(
     gbars: np.ndarray,
     thresholds: np.ndarray,
     work: tuple[np.ndarray, np.ndarray],
-):
-    """First-success histogram of block ``block_index`` (n trials).
+) -> list[SimSummary]:
+    """Each point's first-success histogram over block ``block_index`` (n trials).
 
-    ``gbars`` and ``thresholds`` are one point's K-vectors, giving one
-    ``SimSummary``, or the (S, K) rows of a group of S points, giving a list
-    of S; a group needs a workspace that keeps K rows (module docstring).
+    ``gbars`` and ``thresholds`` are the (S, K) rows of a group of S points;
+    a group of more than one needs a workspace that keeps K rows (module
+    docstring).
     """
     rng = _block_rng(seed, block_index)
-    group = np.ndim(gbars) == 2
-    gbars, limits = np.atleast_2d(gbars), np.expm1(np.atleast_2d(thresholds) * _LN2)
+    limits = np.expm1(thresholds * _LN2)
     k_rounds = gbars.shape[1]
     rows, masks = work[0][:, :n], work[1][:, :n]
     # a lone point draws round 1 into y and every later round into g
@@ -237,7 +228,7 @@ def _run_block(
             counts[k] = left - now
             left = now
         summaries.append(SimSummary(trials=n, success_at_round=tuple(counts)))
-    return summaries if group else summaries[0]
+    return summaries
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -246,35 +237,15 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
 
 
 def _run_share(seed: int, share, gbars: np.ndarray, thresholds: np.ndarray) -> list[SimSummary]:
-    """Each point's histogram summed over the blocks ``share``, on one workspace.
-
-    ``gbars`` and ``thresholds`` hold one row per point of the group.
-    """
+    """Each point's histogram summed over the blocks ``share``, on one workspace."""
     kept = gbars.shape[1] if len(gbars) > 1 else 0
     work = _workspace(max(size for _, size in share), kept)
-    return functools.reduce(
-        _merge_each,
-        (_run_block(seed, index, size, gbars, thresholds, work) for index, size in share),
-    )
+    runs = (_run_block(seed, index, size, gbars, thresholds, work) for index, size in share)
+    return functools.reduce(_merge_each, runs)
 
 
 def _merge_each(a: list[SimSummary], b: list[SimSummary]) -> list[SimSummary]:
     return [x.merge(y) for x, y in zip(a, b)]
-
-
-def _simulate(cfg: SimConfig, thresholds: np.ndarray) -> SimSummary:
-    gbars, thresholds = np.asarray([cfg.powers.snr_bars]), np.asarray([thresholds])
-    blocks = _blocks(cfg.trials)
-    workers = min(cfg.workers, len(blocks))
-
-    def run(share) -> SimSummary:
-        return _run_share(cfg.seed, share, gbars, thresholds)[0]
-
-    if workers == 1:
-        return run(blocks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = pool.map(run, [blocks[w::workers] for w in range(workers)])
-        return functools.reduce(SimSummary.merge, shares)
 
 
 def _simulate_share(points, purpose: str, part: int, parts: int) -> list[SimSummary]:
@@ -288,20 +259,33 @@ def _simulate_share(points, purpose: str, part: int, parts: int) -> list[SimSumm
     if any((p.seed, p.trials, p.rates.K) != key for p in points):
         raise ValueError("a group's points must share seed, trials and K")
     gbars = np.array([p.powers.snr_bars for p in points])
-    thresholds = np.array([_scheme_vectors(p, purpose) for p in points])
+    thresholds = np.array([decoding_limits(p.rates, p.scheme, purpose) for p in points])
     return _run_share(key[0], _blocks(key[1])[part::parts], gbars, thresholds)
 
 
-def _scheme_vectors(cfg: SimConfig, purpose: str) -> np.ndarray:
-    """Per-round thresholds of the scheme and purpose (module docstring).
+def _share_count(trials: int, workers: int) -> int:
+    """How many block shares a run of ``trials`` splits into on ``workers``."""
+    return min(workers, len(_blocks(trials)))
 
-    The thresholds double as the rewards: a cycle that first succeeds at
-    round k delivers ``thresholds[k-1]``.
-    """
-    cums = np.asarray(cfg.rates.cumulative())
-    if cfg.scheme == "xp":
-        return cums
-    return np.full_like(cums, cums[-1] if purpose == "outage" else cfg.rates.rates[0])
+
+def _finish(points, purpose: str, shares) -> list[Estimate]:
+    """Each point's ``purpose`` estimate from its group's share summaries,
+    merged in part order."""
+    merged = functools.reduce(_merge_each, shares)
+    return [_estimate(p, purpose, summary) for p, summary in zip(points, merged)]
+
+
+def _estimate_point(cfg: SimConfig, purpose: str) -> Estimate:
+    """One point as a group of one: its ``_share_count`` block shares on a
+    thread pool, one thread per share, or inline as one share."""
+    parts = _share_count(cfg.trials, cfg.workers)
+    run = functools.partial(_simulate_share, [cfg], purpose, parts=parts)
+    if parts == 1:
+        return _finish([cfg], purpose, [run(0)])[0]
+    from concurrent.futures import ThreadPoolExecutor  # only where a pool is built
+
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        return _finish([cfg], purpose, pool.map(run, range(parts)))[0]
 
 
 def estimate_outage(cfg: SimConfig) -> Estimate:
@@ -314,7 +298,7 @@ def estimate_outage(cfg: SimConfig) -> Estimate:
     short of R_K^sum — the XP upper bound — not the fixed-rate protocol
     event used for INR throughput.
     """
-    return _estimate(cfg, "outage", _simulate(cfg, _scheme_vectors(cfg, "outage")))
+    return _estimate_point(cfg, "outage")
 
 
 def estimate_throughput(cfg: SimConfig) -> Estimate:
@@ -326,7 +310,7 @@ def estimate_throughput(cfg: SimConfig) -> Estimate:
     all trials share one outcome that variance is 0, and the half-width is
     how far eta moves when 3/n of them take the unseen outcome moving it most.
     """
-    return _estimate(cfg, "throughput", _simulate(cfg, _scheme_vectors(cfg, "throughput")))
+    return _estimate_point(cfg, "throughput")
 
 
 def _estimate(cfg: SimConfig, purpose: str, summary: SimSummary) -> Estimate:
@@ -341,7 +325,7 @@ def _estimate(cfg: SimConfig, purpose: str, summary: SimSummary) -> Estimate:
         else:
             ci = 1.96 * math.sqrt(p * (1.0 - p) / n)
         return Estimate(p, f"mc-{cfg.scheme}", ci)
-    rewards = _scheme_vectors(cfg, "throughput")
+    rewards = decoding_limits(cfg.rates, cfg.scheme, "throughput")
     # (trials, delivered rate, slots) of each outcome: outage, then success at round k
     outcomes = [(summary.outage_count, 0.0, cfg.rates.K)]
     outcomes += [(c, float(r), k) for k, (c, r) in enumerate(zip(counts, rewards), start=1)]

@@ -26,7 +26,6 @@ to linear scale happens exactly once, at the row boundary.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -35,8 +34,8 @@ from typing import Callable, Iterable, Optional, TextIO
 from .asymptotic import outage_asymptotic_general
 from .bounds import outage_lower, outage_upper_ir, throughput_recursion, xp_outage
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
-from .simulate import (SimConfig, _blocks, _estimate, _merge_each, _simulate_share,
-                       estimate_outage, estimate_throughput)
+from .simulate import (SimConfig, _finish, _share_count, _simulate_share, estimate_outage,
+                       estimate_throughput)
 
 __all__ = [
     "Method",
@@ -66,9 +65,9 @@ class Method:
     its function up per call, so a wrapper set on the module sees the call.
 
     ``purpose`` names the Monte Carlo entries' group form: points that share
-    seed, trials and K run together on each block's draws
-    (``simulate._simulate_share`` over block shares, merged and finished by
-    ``simulate._estimate``), with each point's value that of ``compute``.
+    seed, trials and K run together on each block's draws (block shares of
+    ``simulate._simulate_share``, merged and finished by ``simulate._finish``),
+    each point's value that of ``compute``, which runs a group of one.
     The deterministic entries have none, and a group of their points is
     ``compute`` mapped over them.
     """
@@ -293,18 +292,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     cells = [(axis_value, scheme) for axis_value in cfg.values for scheme in cfg.schemes]
-    groups = {}  # method: (points, purpose, share count)
-    for method in cfg.methods:
-        purpose = METHODS[cfg.quantity, method].purpose
-        if purpose is not None:
-            points = []
-            for axis_value, scheme in cells:
-                rates, powers, _ = _row_params(cfg, axis_value)
-                points.append(SimConfig(scheme, rates, powers, cfg.trials, cfg.seed))
-            groups[method] = (points, purpose, min(workers, len(_blocks(cfg.trials))))
+    groups = {method: METHODS[cfg.quantity, method].purpose for method in cfg.methods}
+    groups = {method: purpose for method, purpose in groups.items() if purpose is not None}
+    points = [SimConfig(scheme, *_row_params(cfg, axis_value)[:2], cfg.trials, cfg.seed)
+              for axis_value, scheme in cells] if groups else []
+    parts = _share_count(cfg.trials, workers)
     # the block shares go first: they are the longest tasks
     tasks = [(_simulate_share, points, purpose, part, parts)
-             for points, purpose, parts in groups.values() for part in range(parts)]
+             for purpose in groups.values() for part in range(parts)]
     singles = [(cell, method) for cell in cells for method in cfg.methods if method not in groups]
     tasks += [(_compute_row, (cfg, *cell, method)) for cell, method in singles]
     workers = min(workers, len(tasks))
@@ -316,10 +311,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     results, rows = iter(results), {}
-    for method, (points, purpose, parts) in groups.items():
-        merged = functools.reduce(_merge_each, itertools.islice(results, parts))
-        for cell, point, summary in zip(cells, points, merged):
-            rows[cell, method] = _sweep_row(cfg, *cell, method, _estimate(point, purpose, summary))
+    for method, purpose in groups.items():
+        estimates = _finish(points, purpose, itertools.islice(results, parts))
+        for cell, est in zip(cells, estimates):
+            rows[cell, method] = _sweep_row(cfg, *cell, method, est)
     rows.update(zip(singles, results))
     return [rows[cell, method] for cell in cells for method in cfg.methods]
 

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from xpharq import (
     ConvergenceError,
+    Estimate,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -91,22 +92,23 @@ def test_outage_lower_uncertainty_covers_its_rounding():
 
 
 def test_sum_info_cdf_single_round():
-    v, err = sum_info_cdf(1.5, PowerProfile((5.0,)))
-    assert v == pytest.approx(-math.expm1(-(2.0**1.5 - 1.0) / 5.0), rel=1e-12)
-    assert err >= 0.0
+    est = sum_info_cdf(1.5, PowerProfile((5.0,)))
+    assert est.value == pytest.approx(-math.expm1(-(2.0**1.5 - 1.0) / 5.0), rel=1e-12)
+    assert est.uncertainty >= 0.0
+    assert est.method == "ir-recursion"
 
 
 def test_sum_info_cdf_nonpositive_threshold():
-    assert sum_info_cdf(0.0, PowerProfile((5.0, 5.0))) == (0.0, 0.0)
-    assert sum_info_cdf(-1.0, PowerProfile((5.0,))) == (0.0, 0.0)
+    assert sum_info_cdf(0.0, PowerProfile((5.0, 5.0))) == Estimate(0.0, "ir-recursion", 0.0)
+    assert sum_info_cdf(-1.0, PowerProfile((5.0,))) == Estimate(0.0, "ir-recursion", 0.0)
 
 
 def test_sum_info_cdf_two_rounds_against_scipy():
     for r, g1, g2 in ((2.0, 10.0, 10.0), (1.7, 3.0, 20.0)):
-        got, err = sum_info_cdf(r, PowerProfile((g1, g2)))
+        est = sum_info_cdf(r, PowerProfile((g1, g2)))
         ref = _sum2_cdf_reference(r, g1, g2)
-        assert got == pytest.approx(ref, rel=1e-8), (r, g1, g2)
-        assert abs(got - ref) <= max(err, 1e-8 * ref)
+        assert est.value == pytest.approx(ref, rel=1e-8), (r, g1, g2)
+        assert abs(est.value - ref) <= max(est.uncertainty, 1e-8 * ref)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,16 @@ def test_outage_mc_rare_event_warning(capsys):
         assert named <= methods and "mc" not in methods, (scheme, rates, methods)
         for method in methods:
             assert method_error("outage", scheme, method, rates.count(",") + 1) is None, method
+        assert "outage events" in captured.err, captured.err
+    # few successes are as rare as few outages: 4 in 1e5 trials at -10 dB
+    # and none at -30 dB both warn, and name the success as the rare outcome
+    for rates, db, trials, seen in (("1", "-10", "100000", 4), ("1,1", "-30", "50", 0)):
+        rc = main(["outage", "--rates", rates, "--snr-db", db, "--method", "mc",
+                   "--trials", trials])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert f"only {seen} success events" in captured.err, captured.err
+        assert "rare-event" in captured.err and "use --method " in captured.err
 
 
 def test_outage_mc_no_warning_in_bulk_regime(capsys):
@@ -412,9 +422,10 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a sweep that builds a process pool imports multiprocessing
-    probe = ("import sys, xpharq.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    # only a sweep that builds a process pool imports multiprocessing, and
+    # only a run that builds a pool imports concurrent.futures
+    probe = ("import sys, xpharq.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
     )

@@ -2,7 +2,9 @@
 
 import pytest
 
-from xpharq import ConsistencyError, PowerProfile, RateSchedule, clamp_probability
+from xpharq import (ConsistencyError, PowerProfile, RateSchedule, SimConfig, clamp_probability,
+                    throughput_recursion)
+from xpharq.core import decoding_limits
 
 
 def test_rate_schedule_cumulative_and_prefix():
@@ -55,3 +57,33 @@ def test_clamp_probability():
         clamp_probability(-1e-6, 1e-12, "p")
     with pytest.raises(ConsistencyError):
         clamp_probability(1.5, 1e-12, "p")
+
+
+def test_decoding_limits_table():
+    # XP decodes R_k^sum at round k; the HARQ-IR outage is the upper-bound
+    # event at R_K^sum in every round; HARQ-IR throughput decodes R_1 throughout
+    table = {
+        (1,): {"xp": (1,), "inr outage": (1,), "inr throughput": (1,)},
+        (1, 2): {"xp": (1, 3), "inr outage": (3, 3), "inr throughput": (1, 1)},
+        (0.5, 2, 4): {"xp": (0.5, 2.5, 6.5), "inr outage": (6.5,) * 3,
+                      "inr throughput": (0.5,) * 3},
+        (3, 0.25, 1, 0.75): {"xp": (3, 3.25, 4.25, 5), "inr outage": (5,) * 4,
+                             "inr throughput": (3,) * 4},
+    }
+    for rates, want in table.items():
+        schedule = RateSchedule(rates)
+        for quantity in ("outage", "throughput"):
+            got = decoding_limits(schedule, "xp", quantity)
+            assert got == schedule.cumulative() == want["xp"], (rates, quantity)
+            got = decoding_limits(schedule, "inr", quantity)
+            assert got == want[f"inr {quantity}"], (rates, quantity)
+            assert all(type(v) is float for v in got)
+    with pytest.raises(ValueError, match="'outage' or 'throughput'"):
+        decoding_limits(RateSchedule((1.0,)), "xp", "delay")
+    # an unknown scheme is rejected by the one rule, wherever it enters
+    rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
+    for reject in (lambda: decoding_limits(rates, "foo", "outage"),
+                   lambda: SimConfig("foo", rates, powers, trials=100, seed=0),
+                   lambda: throughput_recursion(rates, powers, "foo")):
+        with pytest.raises(ValueError, match="scheme must be 'xp' or 'inr', got 'foo'"):
+            reject()

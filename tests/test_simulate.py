@@ -23,15 +23,16 @@ from xpharq import (
     xp_outage_quadrature,
 )
 import xpharq.simulate as simulate
+from xpharq.core import decoding_limits
 from xpharq.simulate import (
     _BLOCK,
     _COMPACT_SHARE,
     _LN2,
     _block_rng,
+    _estimate,
     _merge_each,
     _run_block,
-    _scheme_vectors,
-    _simulate,
+    _share_count,
     _simulate_share,
     _workspace,
 )
@@ -52,6 +53,16 @@ def _trial_major_block(seed, block_index, n, gbars, thresholds):
     info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
     reached = info_cum >= thresholds
     return np.where(reached.any(axis=1), np.argmax(reached, axis=1), k_rounds)
+
+
+def _limits(cfg, purpose):
+    return np.asarray(decoding_limits(cfg.rates, cfg.scheme, purpose))
+
+
+def _run_point(seed, block_index, n, gbars, thresholds, work):
+    """``_run_block`` on a group of one point: its K-vectors, its summary."""
+    return _run_block(seed, block_index, n, np.asarray(gbars)[None],
+                      np.asarray(thresholds)[None], work)[0]
 
 
 def _gather_round(first, k_rounds):
@@ -102,7 +113,7 @@ def test_engine_summary_invariants():
         trials=150_000,
         seed=3,
     )
-    s = _simulate(cfg, _scheme_vectors(cfg, "throughput"))
+    (s,) = _simulate_share([cfg], "throughput", 0, 1)
     assert s.trials == cfg.trials
     assert len(s.success_at_round) == cfg.rates.K
     assert all(type(c) is int and c >= 0 for c in s.success_at_round)
@@ -141,9 +152,9 @@ def test_block_kernel_matches_trial_major_oracle():
         gbars = np.asarray(powers.snr_bars)
         scheme, purpose = (("xp", "outage"), ("inr", "outage"), ("inr", "throughput"))[case % 3]
         cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=case)
-        thresholds = _scheme_vectors(cfg, purpose)
+        thresholds = _limits(cfg, purpose)
         seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
-        got = _run_block(seed, index, n, gbars, thresholds, _workspace(n))
+        got = _run_point(seed, index, n, gbars, thresholds, _workspace(n))
         first = _trial_major_block(seed, index, n, gbars, thresholds)
         counts = np.bincount(first, minlength=k_rounds + 1)[:k_rounds]
         assert got == SimSummary(n, tuple(int(c) for c in counts)), (
@@ -166,11 +177,11 @@ def test_block_success_counts_monotone_in_snr():
         powers = PowerProfile(tuple(float(g) for g in gbars))
         for scheme, purpose in (("xp", "outage"), ("inr", "outage"), ("inr", "throughput")):
             cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=0)
-            thresholds = _scheme_vectors(cfg, purpose)
+            thresholds = _limits(cfg, purpose)
             seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
-            prev = np.cumsum(_run_block(seed, index, n, gbars, thresholds, work).success_at_round)
+            prev = np.cumsum(_run_point(seed, index, n, gbars, thresholds, work).success_at_round)
             for c in (1.0 + 2.0 ** -40, 1.5, 4.0, 100.0):
-                got = _run_block(seed, index, n, gbars * c, thresholds, work)
+                got = _run_point(seed, index, n, gbars * c, thresholds, work)
                 cum = np.cumsum(got.success_at_round)
                 assert np.all(cum >= prev), (k_rounds, scheme, purpose, c)
                 prev = cum
@@ -214,7 +225,7 @@ def test_block_summary_pinned():
     # a change of the stream or of its layout moves these counts; log it
     gbars = np.array([1.0, 4.0, 2.0])
     thresholds = np.array([1.0, 2.0, 3.0])
-    got = _run_block(0, 3, 1000, gbars, thresholds, _workspace(1000))
+    got = _run_block(0, 3, 1000, gbars[None], thresholds[None], _workspace(1000))[0]
     assert got == SimSummary(1000, (382, 398, 90))
     assert got.outage_count == 130
 
@@ -239,7 +250,7 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
     )
     alone = []
     for gbars, thresholds, rows in cases:
-        got = _run_block(7, 2, n, np.array(gbars), np.array(thresholds), _workspace(n))
+        got = _run_point(7, 2, n, gbars, thresholds, _workspace(n))
         alone.append(got)
         if rows < len(gbars):
             assert got.outage_count == 0 and got.success_at_round[rows - 1] > 0, got
@@ -276,9 +287,9 @@ def test_group_block_equals_each_point_alone():
                                             for d in rng.uniform(-1.0, 1.0, k_rounds)))
                 for scheme, purpose in purposes:
                     cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=0)
-                    points.append((np.asarray(powers.snr_bars), _scheme_vectors(cfg, purpose)))
+                    points.append((np.asarray(powers.snr_bars), _limits(cfg, purpose)))
             seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
-            alone = [_run_block(seed, index, n, g, t, _workspace(n)) for g, t in points]
+            alone = [_run_point(seed, index, n, g, t, _workspace(n)) for g, t in points]
             for order in (points, points[::-1]):
                 gbars = np.array([g for g, _ in order])
                 thresholds = np.array([t for _, t in order])
@@ -310,7 +321,7 @@ def test_group_block_shares_merge_to_serial_summaries():
         for g in (1.0, 10.0, 1000.0) for scheme in ("xp", "inr")
     ]
     for purpose in ("outage", "throughput"):
-        serial = [_serial_summary(p, _scheme_vectors(p, purpose)) for p in points]
+        serial = [_serial_summary(p, _limits(p, purpose)) for p in points]
         for parts in (1, 2, 4, 6):
             shares = [_simulate_share(points, purpose, part, parts) for part in range(parts)]
             assert functools.reduce(_merge_each, shares) == serial, (purpose, parts)
@@ -326,7 +337,7 @@ def test_group_block_shares_merge_to_serial_summaries():
 def _serial_summary(cfg, thresholds):
     gbars = np.asarray(cfg.powers.snr_bars)
     parts = [
-        _run_block(cfg.seed, index, n, gbars, thresholds, _workspace(n))
+        _run_point(cfg.seed, index, n, gbars, thresholds, _workspace(n))
         for index, n in enumerate(
             min(_BLOCK, cfg.trials - start) for start in range(0, cfg.trials, _BLOCK)
         )
@@ -340,46 +351,55 @@ def test_worker_split_equals_serial_summary():
     # six blocks, the last partial: no worker count here divides them evenly
     for trials in (5 * _BLOCK + 123, 1000):
         base = SimConfig(scheme="xp", rates=rates, powers=powers, trials=trials, seed=19)
-        thresholds = _scheme_vectors(base, "throughput")
-        serial = _serial_summary(base, thresholds)
+        serial = _serial_summary(base, _limits(base, "throughput"))
         assert serial.trials == trials
         for workers in (1, 2, 3, 8):
             cfg = SimConfig(
                 scheme="xp", rates=rates, powers=powers, trials=trials, seed=19, workers=workers
             )
-            assert _simulate(cfg, thresholds) == serial, (trials, workers)
+            parts = _share_count(trials, workers)
+            shares = [_simulate_share([cfg], "throughput", part, parts) for part in range(parts)]
+            assert functools.reduce(_merge_each, shares) == [serial], (trials, workers)
+            # the point estimate runs the same shares, on threads
+            want = _estimate(base, "throughput", serial)
+            assert estimate_throughput(cfg) == want, (trials, workers)
 
 
 def test_block_ignores_stale_workspace():
     gbars = np.array([2.0, 0.5, 8.0, 1.0])
     thresholds = np.array([0.5, 1.0, 2.0, 2.5])
     n = 5000
-    fresh = _run_block(8, 2, n, gbars, thresholds, _workspace(n))
+    fresh = _run_point(8, 2, n, gbars, thresholds, _workspace(n))
     stale = _workspace(n + 17)  # sized for a larger block, as a worker's may be
     stale[0].fill(math.nan)
     stale[1].fill(True)
-    assert _run_block(8, 2, n, gbars, thresholds, stale) == fresh
+    assert _run_point(8, 2, n, gbars, thresholds, stale) == fresh
     stale[1].fill(False)
-    assert _run_block(8, 2, n, gbars, thresholds, stale) == fresh
+    assert _run_point(8, 2, n, gbars, thresholds, stale) == fresh
 
 
-def test_worker_split_stress_more_workers_than_cores():
+def test_worker_split_stress_more_workers_than_cores(monkeypatch):
     rates = RateSchedule((1.0, 0.5))
     powers = PowerProfile((10.0, 4.0))
     cfg = SimConfig(scheme="inr", rates=rates, powers=powers, trials=9 * _BLOCK + 7, seed=23)
-    thresholds = _scheme_vectors(cfg, "outage")
-    serial = _serial_summary(cfg, thresholds)
+    serial = _serial_summary(cfg, _limits(cfg, "outage"))
     stressed = SimConfig(
         scheme="inr", rates=rates, powers=powers, trials=cfg.trials, seed=23, workers=8
     )
+    # record the merged summary each estimate is finished from, round by round
     results = []
+    finish = simulate._estimate
+
+    def recording(point, purpose, summary):
+        results.append(summary)
+        return finish(point, purpose, summary)
+
+    monkeypatch.setattr(simulate, "_estimate", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            runner = threading.Thread(
-                target=lambda: results.append(_simulate(stressed, thresholds))
-            )
+            runner = threading.Thread(target=estimate_outage, args=(stressed,))
             runner.start()
             runner.join(timeout=120.0)
             assert not runner.is_alive()
