@@ -42,12 +42,7 @@ from .exact import (
 from .asymptotic import build_hbar_table, hbar_eval, outage_asymptotic_general
 from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf,
                      throughput_recursion, xp_outage)
-from .simulate import (
-    SimConfig,
-    SimSummary,
-    estimate_outage,
-    estimate_throughput,
-)
+from .simulate import SimConfig, estimate_outage, estimate_throughput
 from .sweep import (
     ConfigError,
     SweepConfig,

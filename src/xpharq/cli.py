@@ -16,6 +16,7 @@ first call builds the argument parser and later calls reuse it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -143,25 +144,29 @@ def _cmd_sweep(parser, args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config: {exc}")
     except ConfigError as exc:
         parser.error(str(exc))
     if args.gnuplot is not None and args.out == "-":
         parser.error("--gnuplot needs a real --out path for the script to reference")
-    try:
-        rows = run_sweep(cfg, workers=args.workers, seed=args.seed)
-    except XpharqError as exc:
-        print(f"xpharq sweep: error: {exc}", file=sys.stderr)
-        return 1
-    if args.out == "-":
-        write_csv(rows, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(rows, fh)
-    if args.gnuplot is not None:
-        with open(args.gnuplot, "w", encoding="utf-8") as fh:
-            fh.write(emit_gnuplot(cfg, args.out))
+    with contextlib.ExitStack() as files:
+        # open both outputs before the sweep runs, so a bad path fails at once
+        try:
+            out = sys.stdout if args.out == "-" else files.enter_context(
+                open(args.out, "w", encoding="utf-8", newline=""))
+            script = None if args.gnuplot is None else files.enter_context(
+                open(args.gnuplot, "w", encoding="utf-8"))
+        except OSError as exc:
+            parser.error(f"cannot write {exc.filename}: {exc.strerror}")
+        try:
+            rows = run_sweep(cfg, workers=args.workers, seed=args.seed)
+        except XpharqError as exc:
+            print(f"xpharq sweep: error: {exc}", file=sys.stderr)
+            return 1
+        write_csv(rows, out)
+        if script is not None:
+            script.write(emit_gnuplot(cfg, args.out))
     return 0
 
 

@@ -2,10 +2,10 @@
 
 Trials are partitioned into fixed-size blocks; block i draws from its own
 PCG64 stream, seeded by ``SeedSequence(seed, spawn_key=(i,))``.  A block
-reports only its histogram of first-success rounds (``SimSummary``); the
-outage count, slots and delivered rate all follow from it.  The counts are
-integers, so summaries merge exactly in any order and every output is
-identical for any worker count and any scheduling order.
+returns only its counts of first-success rounds, one int64 row of K per
+point; the outage count, slots and delivered rate all follow from them.
+The counts are integers, so they sum exactly in any order and every output
+is identical for any worker count and any scheduling order.
 
 A block draws one row of n uniforms U in [0, 1) per round with
 ``rng.random``, so round k of trial t sits at stream position
@@ -31,7 +31,7 @@ round j has advanced its stream by exactly j n doubles.  The arithmetic of
 a trial is the same in both phases, so where the switch falls changes no
 count.  Each worker reuses one workspace (rows g, y and step, and the
 pending and hit masks) sized to its largest block; of W workers, worker w
-runs blocks w, w + W, ... and sums their histograms.  A point query is a
+runs blocks w, w + W, ... and sums their counts.  A point query is a
 group of one whose shares run on threads; a sweep's group runs its shares
 on processes.
 
@@ -70,7 +70,6 @@ from .core import Estimate, PowerProfile, RateSchedule, _check_rounds, decoding_
 
 __all__ = [
     "SimConfig",
-    "SimSummary",
     "estimate_outage",
     "estimate_throughput",
 ]
@@ -106,32 +105,6 @@ class SimConfig:
             raise ValueError("workers must be at least 1")
 
 
-@dataclass(frozen=True)
-class SimSummary:
-    """First-success histogram of a batch of simulated HARQ cycles.
-
-    ``success_at_round[k-1]`` counts the cycles that first succeed at round
-    k; the other trials are outages.
-    """
-
-    trials: int
-    success_at_round: tuple[int, ...]
-
-    @property
-    def outage_count(self) -> int:
-        return self.trials - sum(self.success_at_round)
-
-    def merge(self, other: "SimSummary") -> "SimSummary":
-        if len(self.success_at_round) != len(other.success_at_round):
-            raise ValueError("cannot merge summaries with different round counts")
-        return SimSummary(
-            trials=self.trials + other.trials,
-            success_at_round=tuple(
-                a + b for a, b in zip(self.success_at_round, other.success_at_round)
-            ),
-        )
-
-
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     # PCG64 by name, so a change of numpy's default generator cannot move it
     seq = np.random.SeedSequence(seed, spawn_key=(block_index,))
@@ -164,8 +137,10 @@ def _run_block(
     gbars: np.ndarray,
     thresholds: np.ndarray,
     work: tuple[np.ndarray, np.ndarray],
-) -> list[SimSummary]:
-    """Each point's first-success histogram over block ``block_index`` (n trials).
+) -> np.ndarray:
+    """Each point's first-success counts by round over block ``block_index``
+    (n trials): row s of the (S, K) result counts point s's trials that
+    first succeed at each round; its other trials are outages.
 
     ``gbars`` and ``thresholds`` are the (S, K) rows of a group of S points;
     a group of more than one needs a workspace that keeps K rows (module
@@ -188,15 +163,14 @@ def _run_block(
             logged[k] = True
         return draws[k]
 
-    summaries = []
-    for gbar, limit in zip(gbars, limits):
+    counts = np.zeros(gbars.shape, dtype=np.int64)
+    for gbar, limit, count in zip(gbars, limits, counts):
         g, y, step = rows[:3]
         pending, hit = masks
-        counts = [0] * k_rounds
         np.multiply(draw(0, True), -gbar[0], out=y)
         np.less(y, limit[0], out=pending)
         left = int(np.count_nonzero(pending))
-        counts[0] = n - left
+        count[0] = n - left
         index = None
         for k in range(1, k_rounds):
             if left == 0:
@@ -225,54 +199,44 @@ def _run_block(
             np.less(y, limit[k], out=hit)
             pending &= hit
             now = int(np.count_nonzero(pending))
-            counts[k] = left - now
+            count[k] = left - now
             left = now
-        summaries.append(SimSummary(trials=n, success_at_round=tuple(counts)))
-    return summaries
+    return counts
 
 
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    """(index, size) of each block of ``trials``."""
-    return [(i, min(_BLOCK, trials - i * _BLOCK)) for i in range((trials + _BLOCK - 1) // _BLOCK)]
-
-
-def _run_share(seed: int, share, gbars: np.ndarray, thresholds: np.ndarray) -> list[SimSummary]:
-    """Each point's histogram summed over the blocks ``share``, on one workspace."""
-    kept = gbars.shape[1] if len(gbars) > 1 else 0
-    work = _workspace(max(size for _, size in share), kept)
-    runs = (_run_block(seed, index, size, gbars, thresholds, work) for index, size in share)
-    return functools.reduce(_merge_each, runs)
-
-
-def _merge_each(a: list[SimSummary], b: list[SimSummary]) -> list[SimSummary]:
-    return [x.merge(y) for x, y in zip(a, b)]
-
-
-def _simulate_share(points, purpose: str, part: int, parts: int) -> list[SimSummary]:
-    """Each point's histogram over blocks part, part + parts, ... of a group.
+def _simulate_share(points, purpose: str, part: int, parts: int) -> np.ndarray:
+    """Each point's first-success counts by round, summed over blocks part,
+    part + parts, ... of a group, as an (S, K) array.
 
     The points share seed, trials and K and run on shared draws; a point's
-    counts are those it has on its own.  Merging the summaries of parts 0 to
-    parts - 1 gives the whole run.
+    counts are those it has on its own.  The shares of parts 0 to
+    parts - 1 sum to the whole run.
     """
-    key = (points[0].seed, points[0].trials, points[0].rates.K)
+    seed, trials, k_rounds = key = (points[0].seed, points[0].trials, points[0].rates.K)
     if any((p.seed, p.trials, p.rates.K) != key for p in points):
         raise ValueError("a group's points must share seed, trials and K")
     gbars = np.array([p.powers.snr_bars for p in points])
     thresholds = np.array([decoding_limits(p.rates, p.scheme, purpose) for p in points])
-    return _run_share(key[0], _blocks(key[1])[part::parts], gbars, thresholds)
+
+    def size(index: int) -> int:  # every block is full but the last
+        return min(_BLOCK, trials - index * _BLOCK)
+
+    work = _workspace(size(part), k_rounds if len(points) > 1 else 0)
+    counts = np.zeros(gbars.shape, dtype=np.int64)
+    for index in range(part, -(-trials // _BLOCK), parts):
+        counts += _run_block(seed, index, size(index), gbars, thresholds, work)
+    return counts
 
 
 def _share_count(trials: int, workers: int) -> int:
     """How many block shares a run of ``trials`` splits into on ``workers``."""
-    return min(workers, len(_blocks(trials)))
+    return min(workers, -(-trials // _BLOCK))
 
 
 def _finish(points, purpose: str, shares) -> list[Estimate]:
-    """Each point's ``purpose`` estimate from its group's share summaries,
-    merged in part order."""
-    merged = functools.reduce(_merge_each, shares)
-    return [_estimate(p, purpose, summary) for p, summary in zip(points, merged)]
+    """Each point's ``purpose`` estimate from the sum of its group's share counts."""
+    counts = sum(shares)  # integers: exact in any order
+    return [_estimate(p, purpose, c) for p, c in zip(points, counts)]
 
 
 def _estimate_point(cfg: SimConfig, purpose: str) -> Estimate:
@@ -313,12 +277,14 @@ def estimate_throughput(cfg: SimConfig) -> Estimate:
     return _estimate_point(cfg, "throughput")
 
 
-def _estimate(cfg: SimConfig, purpose: str, summary: SimSummary) -> Estimate:
-    """The ``purpose`` estimate at ``cfg`` from its merged histogram."""
-    n, counts = summary.trials, summary.success_at_round
+def _estimate(cfg: SimConfig, purpose: str, counts: np.ndarray) -> Estimate:
+    """The ``purpose`` estimate at ``cfg`` from its first-success counts by
+    round over all ``cfg.trials`` trials."""
+    n, counts = cfg.trials, counts.tolist()
+    outages = n - sum(counts)
     if purpose == "outage":
-        p = summary.outage_count / n
-        if summary.outage_count in (0, n):
+        p = outages / n
+        if outages in (0, n):
             # no outage, or no success: the binomial half-width would be 0; the
             # rule of three, 3/n, bounds the unseen probability at 95 %
             ci = min(3.0 / n, 1.0)
@@ -327,7 +293,7 @@ def _estimate(cfg: SimConfig, purpose: str, summary: SimSummary) -> Estimate:
         return Estimate(p, f"mc-{cfg.scheme}", ci)
     rewards = decoding_limits(cfg.rates, cfg.scheme, "throughput")
     # (trials, delivered rate, slots) of each outcome: outage, then success at round k
-    outcomes = [(summary.outage_count, 0.0, cfg.rates.K)]
+    outcomes = [(outages, 0.0, cfg.rates.K)]
     outcomes += [(c, float(r), k) for k, (c, r) in enumerate(zip(counts, rewards), start=1)]
     slots = sum(c * t for c, _, t in outcomes)
     delivered = float(np.dot(counts, rewards))

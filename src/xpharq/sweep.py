@@ -18,7 +18,7 @@ Rows are emitted in axis-major order (axis value, then scheme, then
 method), each a pure function of the config, so output bytes do not depend
 on the worker count.  A deterministic row is one task; the ``mc`` rows of
 every axis value and scheme are one group on each block's shared draws,
-run as block-share tasks in the same process pool, and the parent merges
+run as block-share tasks in the same process pool, and the parent sums
 each point's integer counts.  All SNR handling here is in dB; conversion
 to linear scale happens exactly once, at the row boundary.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, TextIO
 
@@ -66,7 +65,7 @@ class Method:
 
     ``purpose`` names the Monte Carlo entries' group form: points that share
     seed, trials and K run together on each block's draws (block shares of
-    ``simulate._simulate_share``, merged and finished by ``simulate._finish``),
+    ``simulate._simulate_share``, summed and finished by ``simulate._finish``),
     each point's value that of ``compute``, which runs a group of one.
     The deterministic entries have none, and a group of their points is
     ``compute`` mapped over them.
@@ -200,28 +199,22 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(f"axis must be snr_db or r1, got {cfg.axis!r}")
     if not cfg.values:
         raise ConfigError("values must be nonempty")
-    if not all(math.isfinite(v) for v in cfg.values + cfg.rates + cfg.snr_db):
-        raise ConfigError("values, rates and snr_db must be finite")
-    if any(r <= 0 for r in cfg.rates):
-        raise ConfigError("rates must be positive")
     if cfg.axis == "r1" and not cfg.snr_db:
         raise ConfigError("axis=r1 requires snr_db")
     if cfg.axis == "snr_db" and cfg.snr_db:
         raise ConfigError("axis=snr_db sets every round's SNR; remove the snr_db key")
     if cfg.snr_db and len(cfg.snr_db) not in (1, k_rounds):
         raise ConfigError(f"snr_db needs 1 or {k_rounds} entries")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError("seed must fit in 64 bits")
     for scheme in cfg.schemes:
         for method in cfg.methods:
             error = method_error(cfg.quantity, scheme, method, k_rounds)
             if error is not None:
                 raise ConfigError(error)
     for axis_value in cfg.values:
-        try:
-            _row_params(cfg, axis_value)
+        try:  # the point types check every value; build each point a row runs at
+            rates, powers, _ = _row_params(cfg, axis_value)
+            for scheme in cfg.schemes:
+                SimConfig(scheme, rates, powers, cfg.trials, cfg.seed)
         except ValueError as exc:
             raise ConfigError(f"{cfg.axis} = {axis_value!r}: {exc}") from None
 
@@ -284,7 +277,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     Each deterministic row is one task.  The rows of a method with a group
     form (``Method.purpose``: ``mc``) run as one group over every axis value
     and scheme, split into min(workers, blocks) block-share tasks; the
-    parent merges each point's integer summaries.  Every task is a pure
+    parent sums each point's integer counts.  Every task is a pure
     function of the config, so any worker count yields identical output.
     The pool has at most one process per task, and a sweep of one task runs
     in this process.  ``seed`` overrides the config seed.

@@ -840,3 +840,77 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--config", str(cfg_path), "--out", "-"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("trials = 0", "trials must be at least 1"),
+    ("seed = -1", "seed must fit in 64 bits"),
+    ("seed = 18446744073709551616", "seed must fit in 64 bits"),
+    ("rates = -1,1", "rates entries must be positive and finite, got -1.0"),
+    ("rates = 1,nan", "rates entries must be positive and finite, got nan"),
+])
+def test_config_field_errors_name_the_problem(tmp_path, capsys, line, problem):
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, _SWEEP_CONFIG, flags=re.M)
+    assert line in text.splitlines()
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(cfg_path), "--out", "-"])
+    assert info.value.code == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_sweep_config_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(_SWEEP_CONFIG.encode() + b"# \xff\n")
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(cfg_path), "--out", "-"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("xpharq: error: cannot read config: ")
+    assert "0xff" in err[-1]
+
+
+def test_sweep_unwritable_output_is_usage_error_before_the_sweep(tmp_path, capsys,
+                                                                    monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before its outputs were opened")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(_SWEEP_CONFIG)
+    good, bad = tmp_path / "data.csv", tmp_path / "no-such-dir" / "out"
+    for argv in (["--out", str(bad)], ["--out", str(good), "--gnuplot", str(bad)]):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg_path), *argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"xpharq: error: cannot write {bad}: No such file or directory"
+    assert good.read_text() == ""  # no row was written
+
+
+def test_sweep_with_huge_trials_and_no_mc_row_runs_in_bounded_memory(tmp_path):
+    # the block count of 1e23 trials is only counted, never listed; the child
+    # caps its own address space, so a regression fails here instead of
+    # taking the machine's memory
+    pytest.importorskip("resource")
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text("quantity = outage\naxis = snr_db\nvalues = 10\nrates = 1,1\n"
+                        "methods = lower\ntrials = 99999999999999999999999\n")
+    probe = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from xpharq.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, "sweep", "--config", str(cfg_path),
+                           "--workers", "2"],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [(row["method"], row["seed"]) for row in rows] == [("lower", "0")]

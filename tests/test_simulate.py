@@ -1,6 +1,5 @@
 """Monte Carlo engine: sampling, determinism, estimates, and throughput."""
 
-import functools
 import math
 import sys
 import threading
@@ -13,7 +12,6 @@ from xpharq import (
     PowerProfile,
     RateSchedule,
     SimConfig,
-    SimSummary,
     estimate_outage,
     estimate_throughput,
     outage_lower,
@@ -30,7 +28,6 @@ from xpharq.simulate import (
     _LN2,
     _block_rng,
     _estimate,
-    _merge_each,
     _run_block,
     _share_count,
     _simulate_share,
@@ -60,9 +57,13 @@ def _limits(cfg, purpose):
 
 
 def _run_point(seed, block_index, n, gbars, thresholds, work):
-    """``_run_block`` on a group of one point: its K-vectors, its summary."""
+    """``_run_block`` on a group of one point: its K-vectors, its counts by round."""
     return _run_block(seed, block_index, n, np.asarray(gbars)[None],
                       np.asarray(thresholds)[None], work)[0]
+
+
+def _outages(n, counts):
+    return n - int(counts.sum())
 
 
 def _gather_round(first, k_rounds):
@@ -94,17 +95,6 @@ def test_sim_config_validation():
         SimConfig(scheme="xp", rates=rates, powers=powers, trials=100, seed=0, workers=0)
 
 
-def test_summary_merge_adds_fields():
-    a = SimSummary(10, (5, 3))
-    b = SimSummary(4, (2, 1))
-    m = a.merge(b)
-    assert m == SimSummary(14, (7, 4))
-    assert (a.outage_count, b.outage_count, m.outage_count) == (2, 1, 3)
-    assert b.merge(a) == m
-    with pytest.raises(ValueError):
-        a.merge(SimSummary(1, (1,)))
-
-
 def test_engine_summary_invariants():
     cfg = SimConfig(
         scheme="xp",
@@ -113,11 +103,10 @@ def test_engine_summary_invariants():
         trials=150_000,
         seed=3,
     )
-    (s,) = _simulate_share([cfg], "throughput", 0, 1)
-    assert s.trials == cfg.trials
-    assert len(s.success_at_round) == cfg.rates.K
-    assert all(type(c) is int and c >= 0 for c in s.success_at_round)
-    assert s.outage_count >= 0
+    counts = _simulate_share([cfg], "throughput", 0, 1)
+    assert counts.shape == (1, cfg.rates.K) and counts.dtype == np.int64
+    assert np.all(counts >= 0)
+    assert _outages(cfg.trials, counts) >= 0
 
 
 def test_block_kernel_matches_trial_major_oracle():
@@ -157,12 +146,10 @@ def test_block_kernel_matches_trial_major_oracle():
         got = _run_point(seed, index, n, gbars, thresholds, _workspace(n))
         first = _trial_major_block(seed, index, n, gbars, thresholds)
         counts = np.bincount(first, minlength=k_rounds + 1)[:k_rounds]
-        assert got == SimSummary(n, tuple(int(c) for c in counts)), (
-            case, n, k_rounds, scheme, purpose
-        )
+        assert np.array_equal(got, counts), (case, n, k_rounds, scheme, purpose)
         if case in phases:
             assert _gather_round(first, k_rounds) == phases[case], (case, scheme, purpose)
-        assert all(type(c) is int for c in got.success_at_round)
+        assert got.dtype == np.int64
 
 
 def test_block_success_counts_monotone_in_snr():
@@ -179,10 +166,10 @@ def test_block_success_counts_monotone_in_snr():
             cfg = SimConfig(scheme=scheme, rates=rates, powers=powers, trials=n, seed=0)
             thresholds = _limits(cfg, purpose)
             seed, index = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 1000))
-            prev = np.cumsum(_run_point(seed, index, n, gbars, thresholds, work).success_at_round)
+            prev = np.cumsum(_run_point(seed, index, n, gbars, thresholds, work))
             for c in (1.0 + 2.0 ** -40, 1.5, 4.0, 100.0):
                 got = _run_point(seed, index, n, gbars * c, thresholds, work)
-                cum = np.cumsum(got.success_at_round)
+                cum = np.cumsum(got)
                 assert np.all(cum >= prev), (k_rounds, scheme, purpose, c)
                 prev = cum
             assert prev[-1] > 0, (k_rounds, scheme, purpose)
@@ -226,8 +213,8 @@ def test_block_summary_pinned():
     gbars = np.array([1.0, 4.0, 2.0])
     thresholds = np.array([1.0, 2.0, 3.0])
     got = _run_block(0, 3, 1000, gbars[None], thresholds[None], _workspace(1000))[0]
-    assert got == SimSummary(1000, (382, 398, 90))
-    assert got.outage_count == 130
+    assert got.tolist() == [382, 398, 90]
+    assert _outages(1000, got) == 130
 
 
 def test_block_stream_advances_by_rows_drawn(monkeypatch):
@@ -253,10 +240,10 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         got = _run_point(7, 2, n, gbars, thresholds, _workspace(n))
         alone.append(got)
         if rows < len(gbars):
-            assert got.outage_count == 0 and got.success_at_round[rows - 1] > 0, got
-            assert not any(got.success_at_round[rows:]), got
+            assert _outages(n, got) == 0 and got[rows - 1] > 0, got
+            assert not any(got[rows:]), got
         else:
-            assert got.outage_count > 0, got
+            assert _outages(n, got) > 0, got
         ref = _block_rng(7, 2)
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, (gbars, rows)
@@ -265,7 +252,7 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         gbars = np.array([cases[i][0] for i in group])
         thresholds = np.array([cases[i][1] for i in group])
         got = _run_block(7, 2, n, gbars, thresholds, _workspace(n, 4))
-        assert got == [alone[i] for i in group], group
+        assert np.array_equal(got, [alone[i] for i in group]), group
         ref = _block_rng(7, 2)
         ref.random(max(cases[i][2] for i in group) * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, group
@@ -294,14 +281,14 @@ def test_group_block_equals_each_point_alone():
                 gbars = np.array([g for g, _ in order])
                 thresholds = np.array([t for _, t in order])
                 got = _run_block(seed, index, n, gbars, thresholds, _workspace(n, k_rounds))
-                assert got == (alone if order is points else alone[::-1]), (k_rounds, n)
+                want = alone if order is points else alone[::-1]
+                assert np.array_equal(got, want), (k_rounds, n)
             if n < 5000:
                 continue
-            for (g, t), summary in zip(points, alone):
+            for (g, t), counts in zip(points, alone):
                 first = _trial_major_block(seed, index, n, g, t)
-                last = max((k for k, c in enumerate(summary.success_at_round, start=1) if c),
-                           default=k_rounds)
-                seen.add((k_rounds, "pending at K" if summary.outage_count or last == k_rounds
+                last = max((k for k, c in enumerate(counts, start=1) if c), default=k_rounds)
+                seen.add((k_rounds, "pending at K" if _outages(n, counts) or last == k_rounds
                           else "empty at 1" if last == 1 else "empty part-way"))
                 seen.add((k_rounds, "dense" if _gather_round(first, k_rounds) is None
                           else "gathered"))
@@ -321,20 +308,21 @@ def test_group_block_shares_merge_to_serial_summaries():
         for g in (1.0, 10.0, 1000.0) for scheme in ("xp", "inr")
     ]
     for purpose in ("outage", "throughput"):
-        serial = [_serial_summary(p, _limits(p, purpose)) for p in points]
+        serial = [_serial_counts(p, _limits(p, purpose)) for p in points]
         for parts in (1, 2, 4, 6):
             shares = [_simulate_share(points, purpose, part, parts) for part in range(parts)]
-            assert functools.reduce(_merge_each, shares) == serial, (purpose, parts)
+            assert np.array_equal(sum(shares), serial), (purpose, parts)
             # one point is a group too
             one = [_simulate_share(points[2:3], purpose, part, parts) for part in range(parts)]
-            assert functools.reduce(_merge_each, one) == serial[2:3], (purpose, parts)
+            assert np.array_equal(sum(one), serial[2:3]), (purpose, parts)
     for other in (dict(seed=20), dict(trials=trials + 1),
                   dict(rates=RateSchedule((0.5, 1.0)), powers=PowerProfile((1.0, 1.0)))):
         with pytest.raises(ValueError, match="share seed, trials and K"):
             _simulate_share([points[0], replace(points[1], **other)], "outage", 0, 1)
 
 
-def _serial_summary(cfg, thresholds):
+def _serial_counts(cfg, thresholds):
+    """The point's counts by round, block after block on fresh workspaces."""
     gbars = np.asarray(cfg.powers.snr_bars)
     parts = [
         _run_point(cfg.seed, index, n, gbars, thresholds, _workspace(n))
@@ -342,7 +330,7 @@ def _serial_summary(cfg, thresholds):
             min(_BLOCK, cfg.trials - start) for start in range(0, cfg.trials, _BLOCK)
         )
     ]
-    return functools.reduce(SimSummary.merge, parts)
+    return sum(parts)
 
 
 def test_worker_split_equals_serial_summary():
@@ -351,15 +339,14 @@ def test_worker_split_equals_serial_summary():
     # six blocks, the last partial: no worker count here divides them evenly
     for trials in (5 * _BLOCK + 123, 1000):
         base = SimConfig(scheme="xp", rates=rates, powers=powers, trials=trials, seed=19)
-        serial = _serial_summary(base, _limits(base, "throughput"))
-        assert serial.trials == trials
+        serial = _serial_counts(base, _limits(base, "throughput"))
         for workers in (1, 2, 3, 8):
             cfg = SimConfig(
                 scheme="xp", rates=rates, powers=powers, trials=trials, seed=19, workers=workers
             )
             parts = _share_count(trials, workers)
             shares = [_simulate_share([cfg], "throughput", part, parts) for part in range(parts)]
-            assert functools.reduce(_merge_each, shares) == [serial], (trials, workers)
+            assert np.array_equal(sum(shares), [serial]), (trials, workers)
             # the point estimate runs the same shares, on threads
             want = _estimate(base, "throughput", serial)
             assert estimate_throughput(cfg) == want, (trials, workers)
@@ -373,26 +360,26 @@ def test_block_ignores_stale_workspace():
     stale = _workspace(n + 17)  # sized for a larger block, as a worker's may be
     stale[0].fill(math.nan)
     stale[1].fill(True)
-    assert _run_point(8, 2, n, gbars, thresholds, stale) == fresh
+    assert np.array_equal(_run_point(8, 2, n, gbars, thresholds, stale), fresh)
     stale[1].fill(False)
-    assert _run_point(8, 2, n, gbars, thresholds, stale) == fresh
+    assert np.array_equal(_run_point(8, 2, n, gbars, thresholds, stale), fresh)
 
 
 def test_worker_split_stress_more_workers_than_cores(monkeypatch):
     rates = RateSchedule((1.0, 0.5))
     powers = PowerProfile((10.0, 4.0))
     cfg = SimConfig(scheme="inr", rates=rates, powers=powers, trials=9 * _BLOCK + 7, seed=23)
-    serial = _serial_summary(cfg, _limits(cfg, "outage"))
+    serial = _serial_counts(cfg, _limits(cfg, "outage"))
     stressed = SimConfig(
         scheme="inr", rates=rates, powers=powers, trials=cfg.trials, seed=23, workers=8
     )
-    # record the merged summary each estimate is finished from, round by round
+    # record the summed counts each estimate is finished from, round by round
     results = []
     finish = simulate._estimate
 
-    def recording(point, purpose, summary):
-        results.append(summary)
-        return finish(point, purpose, summary)
+    def recording(point, purpose, counts):
+        results.append(counts.tolist())
+        return finish(point, purpose, counts)
 
     monkeypatch.setattr(simulate, "_estimate", recording)
     interval = sys.getswitchinterval()
@@ -405,7 +392,7 @@ def test_worker_split_stress_more_workers_than_cores(monkeypatch):
             assert not runner.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert results == [serial] * 3
+    assert results == [serial.tolist()] * 3
 
 
 def test_outage_estimate_deterministic_across_workers():
