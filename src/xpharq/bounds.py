@@ -234,9 +234,15 @@ def _nested(bits: Sequence[float], gbars: Sequence[float], paid,
 
 
 @np.errstate(over="ignore")
-def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
+def _refine(evaluate, converged, what: str,
+            stop_below_zero: bool = False) -> tuple[list[float], list[float]]:
     """Values from ``evaluate(n, m)`` over ``_PASSES``, and their gaps to the
     pass before, at the first pass where ``converged(values, gaps)`` holds.
+
+    With ``stop_below_zero`` the first value is one that the tolerance
+    measures relative to itself.  It sums nonnegative terms, so a pass
+    that reads it below 0 has an error larger than the value, and no later
+    pass can meet that tolerance: the ladder raises at that pass.
 
     Where gbar_k is tiny against U_k, a_k(x) overflows to inf, and the e^{-inf}
     = 0 that follows is exact, so overflow raises no warning here.
@@ -244,10 +250,16 @@ def _refine(evaluate, converged, what: str) -> tuple[list[float], list[float]]:
     previous = None
     for n, m in _PASSES:
         values = evaluate(n, m)
+        gaps = [abs(v) for v in values]
         if previous is not None:
             gaps = [abs(v - p) for v, p in zip(values, previous)]
             if converged(values, gaps):
                 return values, gaps
+        if stop_below_zero and values[0] < 0.0:
+            raise ConvergenceError(
+                f"{what}: the pass at {(n, m)} (Chebyshev, Gauss) nodes reads {values[0]:.3e}, "
+                "below 0, so its error exceeds the value and no pass can meet the relative "
+                "tolerance", best_estimate=values, error_estimate=gaps)
         previous = values
     raise ConvergenceError(
         f"{what}: passes at {_PASSES[-2]} and {_PASSES[-1]} (Chebyshev, Gauss) nodes "
@@ -260,13 +272,14 @@ def _outage(limits: Sequence[float], powers: PowerProfile, rel_tol: float, what:
     clamped to [0, 1].  Outage pays c = (0, ..., 0, 1).
 
     The passes stop once two differ by at most rel_tol * value; that gap
-    plus 1e-14 of the value is the uncertainty.
+    plus 1e-14 of the value is the uncertainty.  A pass that reads below 0
+    raises ``ConvergenceError`` at once.
     """
     paid = [None] * (len(limits) - 1) + [_failed]
     evaluate = partial(_nested, limits, powers.snr_bars, paid)
     converged = lambda v, g: g[0] <= rel_tol * abs(v[0])
     try:
-        (value,), (gap,) = _refine(evaluate, converged, what)
+        (value,), (gap,) = _refine(evaluate, converged, what, stop_below_zero=True)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), exc.best_estimate[0], exc.error_estimate[0]) from None
     return Estimate(clamp_probability(value, 1e-9, what), method, gap + _ROUNDOFF * abs(value))

@@ -27,6 +27,14 @@ contour is a trapezoid along Re(s) = 1/2.  With b = 0 the kernel is the
 complete Gamma(s+1) (``foxh_h11_incomplete``).  ``outage_k2_via_foxh``
 assembles t1 + t23 - phi from it; it keeps the cancellation, and its
 uncertainty grows with it.
+
+Gamma(s) comes from ``_log_gamma``, Stirling's series in numpy, so the
+module needs nothing beyond numpy.  On the line |Gamma(1/2 + i tau)| =
+sqrt(pi / cosh(pi tau)) <= sqrt(2 pi) e^{-pi tau / 2}, so a closed-form
+bound on the integrand's rest beyond |Im s| = T follows from its value at
+tau = 0 (``_mellin_contour``).  The line is cut where that bound falls
+below 2^-10 of the rounding floor 4e-16 |value| that the assembly already
+reports, and the bound joins the error estimate.
 """
 
 from __future__ import annotations
@@ -54,12 +62,23 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Mellin-Barnes contour: the line Re(s) = _CONTOUR_C, truncated where
-# |Gamma(s)| ~ e^{-pi |Im s| / 2} is negligible, and its first node count
+# Stirling's series for ln Gamma (DLMF 5.11.1): B_{2k} / (2k (2k-1)) for
+# k = 1..8, summed at s shifted up by _STIRLING_SHIFT
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+_STIRLING_SHIFT = 8
+
+# Mellin-Barnes contour: the line Re(s) = _CONTOUR_C, its first pass's step,
+# and the most steps it takes, out to |Im s| = 60
 _CONTOUR_C = 0.5
-_CONTOUR_HALFSPAN = 60.0
-_CONTOUR_NODES = 257
+_CONTOUR_STEP = 60.0 / 256
+_CONTOUR_MAX_STEPS = 256
+# the assembly's rounding floor per unit of |t1| + t23 + |phi|, and the share
+# of it the rest of the line beyond the cut may take
+_ROUNDING = 4e-16
+_CUT_SHARE = 2.0 ** -10
 
 # Kernel panels: a 32-point Gauss-Legendre rule on [0, 1]; the first pass
 # gives each panel 64 radians of the phase of t^{i Im s}, half a node per
@@ -143,61 +162,132 @@ def incomplete_gamma_difference(s, b1: float, b2: float):
     return out if out.ndim else complex(out)
 
 
-def _mellin_contour(z: float, kernel) -> tuple[float, float, int]:
-    """(1/2 pi i) int Gamma(s) kernel(s) z^{-s} ds along Re(s) = 1/2.
+def _log_gamma(s: np.ndarray) -> np.ndarray:
+    """ln Gamma(s) for an array of complex s with Re s > 0, up to a multiple of 2 pi i.
 
-    Returns the value, the gap between the last two passes and the number
-    of distinct contour nodes evaluated.  Uses conjugate symmetry to fold
-    the contour onto tau >= 0 and refines the trapezoid until two
+    Stirling's series (DLMF 5.11.1) through B_16 at w = s + 8, where |w| > 8
+    leaves a remainder near 1e-17, and Gamma(s) = Gamma(w) / (s (s+1) ...
+    (s+7)).  Callers take only exp of it, so the branch of the complex log
+    does not matter.
+    """
+    w = s + _STIRLING_SHIFT
+    inv2 = 1.0 / (w * w)
+    series = np.zeros_like(w)
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    rising = s.copy()
+    for k in range(1, _STIRLING_SHIFT):
+        rising *= s + k
+    return (w - 0.5) * np.log(w) - w + _HALF_LN_2PI + series / w - np.log(rising)
+
+
+def _contour_cut(tail, target: float) -> int:
+    """The fewest first-pass steps T / _CONTOUR_STEP with tail(T) <= target, at most 256."""
+    return next((n for n in range(1, _CONTOUR_MAX_STEPS)
+                 if tail(n * _CONTOUR_STEP) <= target), _CONTOUR_MAX_STEPS)
+
+
+def _mellin_contour(integrand, tail, magnitude: float) -> tuple[float, float, int]:
+    """(1/2 pi i) int integrand(s) ds along Re(s) = 1/2, for an integrand
+    conjugate-symmetric in Im s.
+
+    Returns the value, its error estimate and the number of distinct contour
+    nodes evaluated.  Folds the contour onto tau = Im s >= 0, so the value is
+    (1/pi) int_0^inf Re integrand dtau.  ``tail(T)`` bounds (1/pi)
+    int_T^inf |integrand| dtau per unit of integrand(1/2), the node at tau
+    = 0, which is evaluated first; ``magnitude`` bounds |value|.  The line
+    is cut at the first multiple T of the first pass's step where the
+    bound is at most 2^-10 of the rounding floor 4e-16 * magnitude, and at
+    |Im s| = 60 at most.  The trapezoid on [0, T] is refined until two
     successive node counts agree to 1e-8; step-halving on this analytic
     integrand converges spectrally, so the stopping gap vastly overstates
-    the final error.  The grids are nested: the n nodes of one pass are the
-    even-indexed nodes of the next pass's 2n - 1, so each pass evaluates
-    the integrand only at its n - 1 new odd-indexed nodes, and the node
-    count of the last pass is the number of evaluations.
+    the final error.  The error estimate is that gap plus the tail bound.
+    The grids are nested: the n nodes of one pass are the even-indexed
+    nodes of the next pass's 2n - 1, so each pass evaluates the integrand
+    only at its n - 1 new odd-indexed nodes, and the node count of the last
+    pass is the number of evaluations.
     """
-    from scipy.special import gamma as complex_gamma
 
-    log_z = math.log(z)
+    def at(tau: np.ndarray) -> np.ndarray:
+        return integrand(_CONTOUR_C + 1j * tau).real
 
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        s = _CONTOUR_C + 1j * tau
-        return (complex_gamma(s) * kernel(s) * np.exp(-s * log_z)).real
+    head = float(at(np.zeros(1))[0])
+    rest = lambda t: abs(head) * tail(t)
+    steps = _contour_cut(rest, _CUT_SHARE * _ROUNDING * magnitude)
+    span = steps * _CONTOUR_STEP
 
     def trapezoid(vals: np.ndarray) -> float:
-        h = _CONTOUR_HALFSPAN / (len(vals) - 1)
+        h = span / (len(vals) - 1)
         return float((np.sum(vals) - 0.5 * (vals[0] + vals[-1])) * h / math.pi)
 
-    vals = integrand(np.linspace(0.0, _CONTOUR_HALFSPAN, _CONTOUR_NODES))
+    vals = np.empty(steps + 1)
+    vals[0] = head
+    vals[1:] = at(np.linspace(0.0, span, steps + 1)[1:])
     prev = trapezoid(vals)
+    cut = rest(span)
     for _ in range(4):
         finer = np.empty(2 * len(vals) - 1)
         finer[0::2] = vals
-        finer[1::2] = integrand(np.linspace(0.0, _CONTOUR_HALFSPAN, len(finer))[1::2])
+        finer[1::2] = at(np.linspace(0.0, span, len(finer))[1::2])
         vals = finer
         cur = trapezoid(vals)
         if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
-            return cur, abs(cur - prev), len(vals)
+            return cur, abs(cur - prev) + cut, len(vals)
         prev = cur
     raise ConvergenceError(
         f"Mellin-Barnes contour not converged at {len(vals)} nodes (last {cur})",
         best_estimate=cur,
-        error_estimate=abs(cur - prev),
+        error_estimate=abs(cur - prev) + cut,
     )
+
+
+def _complete_tail(t: float) -> float:
+    """The ``_mellin_contour`` tail of the complete kernel Gamma(s) Gamma(s+1) z^{-s}.
+
+    Gamma(s) Gamma(s+1) = s Gamma(s)^2, and |Gamma(1/2 + i tau)|^2 = pi /
+    cosh(pi tau) <= 2 pi e^{-pi tau}, so the integrand is at most
+    4 |s| e^{-pi tau} <= 4 (tau + 1/2) e^{-pi tau} times its value at tau = 0.
+    """
+    return 4.0 / math.pi * math.exp(-math.pi * t) * ((t + 0.5) / math.pi + math.pi ** -2)
+
+
+def _incomplete_tail(t: float) -> float:
+    """The ``_mellin_contour`` tail of Gamma(s) kernel(s) z^{-s} with the
+    incomplete kernel(s) = int_{b1}^{b2} t^s e^{-t} dt.
+
+    |t^s| = t^{1/2} on the line, so |kernel(s)| <= kernel(1/2), and
+    |Gamma(1/2 + i tau)| <= sqrt(2 pi) e^{-pi tau / 2} = sqrt(2) Gamma(1/2)
+    e^{-pi tau / 2}: the integrand is at most sqrt(2) e^{-pi tau / 2} times
+    its value at tau = 0.
+    """
+    return 2.0 * math.sqrt(2.0) / math.pi ** 2 * math.exp(-0.5 * math.pi * t)
 
 
 def foxh_h11_incomplete(z: float) -> float:
     """(1/2 pi i) int Gamma(s) Gamma(s+1) z^{-s} ds by contour integration.
 
     The H^{1,1}_{1,1} term with the incomplete kernel at b = 0, where it is
-    the complete Gamma(s+1); the value equals 2 sqrt(z) K_1(2 sqrt(z)), an
-    identity the test suite pins.
+    the complete Gamma(s+1) = s Gamma(s), one log-gamma per node; the value
+    equals 2 sqrt(z) K_1(2 sqrt(z)), an identity the test suite pins.  The
+    line is cut where its rest falls below 2^-10 of 4e-16 of the integral
+    of |integrand|: at |Im s| = 14.5 for every z.
     """
     if not z > 0.0:
         raise ValueError("z must be positive")
-    from scipy.special import gamma as complex_gamma
+    log_z = math.log(z)
+    integrand = lambda s: s * np.exp(2.0 * _log_gamma(s) - s * log_z)
+    # the integral of |integrand|, which bounds the value, is at most the
+    # tail from 0 times the integrand at tau = 0, (1/2) Gamma(1/2)^2 z^{-1/2}
+    magnitude = 0.5 * math.pi / math.sqrt(z) * _complete_tail(0.0)
+    return _mellin_contour(integrand, _complete_tail, magnitude)[0]
 
-    return _mellin_contour(z, lambda s: complex_gamma(s + 1.0))[0]
+
+def _assembly_terms(r1: float, r2: float, g1: float, g2: float) -> tuple[float, float]:
+    """t1 and t23 of the two-round assembly P = t1 + t23 - phi."""
+    a2 = math.expm1(r2 * _LN2) / g2
+    t1 = math.expm1(-math.expm1(r1 * _LN2) / g1) * math.expm1(-a2)  # (1-e^{-a1})(1-e^{-a2})
+    t23 = math.exp(-a2) * -math.expm1(-(2.0 ** r2) * math.expm1(r1 * _LN2) / g2)
+    return t1, t23
 
 
 def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> IntegrationResult:
@@ -206,17 +296,25 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Integrat
     Independent of phi_quadrature: same quantity, different machinery.  The
     two incomplete-gamma kernels are differenced inside one contour
     integral as int_{b1}^{b2} t^s e^{-t} dt, so their common bulk never
-    forms.  The error estimate is the gap of the last contour refinement.
+    forms.  The line is cut where a bound on its rest, scaled by
+    e^{1/g1 + 1/g2}, is 2^-10 of 4e-16 (t1 + t23), which bounds phi = t1 +
+    t23 - P; beyond |Im s| = T the rest is at most 2 sqrt(2) / pi^2 e^{-pi
+    T / 2} times the integrand at Im s = 0 (``_incomplete_tail``).  The
+    error estimate is the gap of the last contour refinement plus that
+    tail bound.
     """
     if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
         raise ValueError("rates and average SNRs must be positive")
     big_z = 2.0 ** (r1 + r2)
-    z = big_z / (snr_bar1 * snr_bar2)
+    log_z = math.log(big_z / (snr_bar1 * snr_bar2))
     b1 = (2.0 ** r2) / snr_bar2
     b2 = big_z / snr_bar2
-    mb, gap, evaluations = _mellin_contour(z, lambda s: incomplete_gamma_difference(s, b1, b2))
+    integrand = lambda s: (np.exp(_log_gamma(s) - s * log_z)
+                           * incomplete_gamma_difference(s, b1, b2))
     scale = math.exp(1.0 / snr_bar1 + 1.0 / snr_bar2)
-    return IntegrationResult(scale * mb, scale * gap, evaluations)
+    bound = sum(_assembly_terms(r1, r2, snr_bar1, snr_bar2)) / scale
+    mb, error, evaluations = _mellin_contour(integrand, _incomplete_tail, bound)
+    return IntegrationResult(scale * mb, scale * error, evaluations)
 
 
 def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
@@ -224,17 +322,15 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
 
     The paper's assembly t1 + t23 - phi with phi from the Mellin-Barnes
     representation, a route independent of ``xp_outage``'s recursion.  At
-    high SNR t23 and phi cancel; the uncertainty is the contour's last
-    refinement gap plus the assembly's rounding, so it grows with the
+    high SNR t23 and phi cancel; the uncertainty is the contour's error
+    estimate plus the assembly's rounding, so it grows with the
     cancellation.
     """
     if rates.K != 2 or powers.K != 2:
         raise ValueError("the closed form covers exactly K = 2")
     (r1, r2), (g1, g2) = rates.rates, powers.snr_bars
-    a2 = math.expm1(r2 * _LN2) / g2
-    t1 = math.expm1(-math.expm1(r1 * _LN2) / g1) * math.expm1(-a2)  # (1-e^{-a1})(1-e^{-a2})
-    t23 = math.exp(-a2) * -math.expm1(-(2.0 ** r2) * math.expm1(r1 * _LN2) / g2)
+    t1, t23 = _assembly_terms(r1, r2, g1, g2)
     phi = phi_foxh(r1, r2, g1, g2)
     value = clamp_probability(t1 + t23 - phi.value, _CLAMP_TOL, "two-round outage (contour phi)")
-    uncertainty = phi.abs_error_estimate + 4e-16 * (abs(t1) + t23 + abs(phi.value))
+    uncertainty = phi.abs_error_estimate + _ROUNDING * (abs(t1) + t23 + abs(phi.value))
     return Estimate(value, "k2-foxh", uncertainty)

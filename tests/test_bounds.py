@@ -290,13 +290,29 @@ def test_recursion_converges_at_saturated_outage(k_rounds):
                     )
 
 
+# the grid points where an outage recursion raises: (solver, K, rate per
+# round, dB), the interpolant's absolute accuracy against outages of 1e-40
+# and below
+_RAISING = {
+    ("outage_upper_ir", 3, 20.0, 100), ("outage_upper_ir", 3, 20.0, 300),
+    ("outage_upper_ir", 3, 20.0, 1000), ("xp_outage", 3, 400.0 / 3, 1000),
+    ("outage_upper_ir", 3, 400.0 / 3, 1000), ("outage_upper_ir", 4, 8.0, 100),
+    ("outage_upper_ir", 4, 8.0, 300), ("xp_outage", 4, 15.0, 100),
+    ("outage_upper_ir", 4, 15.0, 100), ("outage_upper_ir", 4, 15.0, 300),
+    ("outage_upper_ir", 4, 100.0, 300), ("xp_outage", 4, 100.0, 1000),
+    ("outage_upper_ir", 4, 100.0, 1000),
+}
+
+
 def test_outage_recursions_meet_the_relative_rule_or_raise():
     # each outage recursion either reports an uncertainty within 1e-9 of
-    # its value, plus the 1e-14 rounding floor, or raises; where both
-    # converge, lower <= oracle <= upper within their uncertainties
+    # its value, plus the 1e-14 rounding floor, or raises, at the pinned
+    # points only; where both converge, lower <= oracle <= upper within
+    # their uncertainties
+    raised = set()
     for k_rounds in (2, 3, 4):
         for rate in (1e-12, 1e-9, 0.01, 0.5, 2.0, 8.0, 60.0 / k_rounds, 400.0 / k_rounds):
-            for snr_db in (-10, 0, 10, 30, 100, 1000, 3000):
+            for snr_db in (-10, 0, 10, 30, 100, 300, 1000, 3000):
                 rates = RateSchedule((rate,) * k_rounds)
                 powers = PowerProfile((10.0 ** (snr_db / 10.0),) * k_rounds)
                 got = {}
@@ -304,6 +320,7 @@ def test_outage_recursions_meet_the_relative_rule_or_raise():
                     try:
                         est = got[solve] = solve(rates, powers)
                     except ConvergenceError:
+                        raised.add((solve.__name__, k_rounds, rate, snr_db))
                         continue
                     assert est.uncertainty <= (1e-9 + 1e-14) * est.value, (rate, snr_db, est)
                 if len(got) == 2:
@@ -311,6 +328,27 @@ def test_outage_recursions_meet_the_relative_rule_or_raise():
                     low = outage_lower(rates, powers).value
                     assert low <= xp.value + xp.uncertainty, (rate, snr_db)
                     assert xp.value - xp.uncertainty <= ir.value + ir.uncertainty, (rate, snr_db)
+    assert raised == _RAISING
+
+
+def test_outage_ladder_stops_at_a_negative_pass(monkeypatch):
+    # the outage sums nonnegative terms, so a pass below 0 has an error
+    # beyond the value: at 1000 dB and 80 bits per round the third pass
+    # reads -4.7e-99 and the fourth is never run
+    passes = []
+    real = bounds._nested
+
+    def counting(*args):
+        passes.append(args[-2:])
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_nested", counting)
+    with pytest.raises(ConvergenceError, match="below 0") as info:
+        outage_upper_ir(RateSchedule((80.0,) * 5), PowerProfile((1e100,) * 5))
+    assert passes == [(32, 8), (64, 16), (128, 32)]
+    best, error = info.value.best_estimate, info.value.error_estimate
+    assert type(best) is float and best < 0.0
+    assert error >= -best
 
 
 def test_outage_recursion_meets_the_asymptote_at_high_snr():

@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xpharq import (
@@ -411,14 +412,39 @@ def test_entry_point_installed():
     assert "xpharq outage: error:" in bad.stderr
 
 
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import xpharq
+from xpharq.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["selftest"]) == 0
+xpharq.outage_k2_via_foxh(xpharq.RateSchedule((1.0, 1.0)), xpharq.PowerProfile((10.0, 10.0)))
+xpharq.foxh_h11_incomplete(1.0)
+cfg = xpharq.parse_config(sys.argv[1])
+xpharq.write_csv(xpharq.run_sweep(cfg, workers=2), io.StringIO())
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded only by the Mellin-Barnes contour and selftest
-    probe = "import sys, xpharq.cli; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
+    # scipy is a test reference only: the selftest, the Mellin-Barnes
+    # contour and a sweep with a process pool run on numpy alone
+    config = _SWEEP_CONFIG.replace("trials = 20000", "trials = 2000")
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+        [sys.executable, "-c", _SCIPY_PROBE, config], capture_output=True, text=True,
+        env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_selftest_bessel_k1_against_scipy():
+    # the selftest's reference for the degenerate contour, DLMF 10.32.9 by
+    # the trapezoid rule, against scipy's K_1 over four decades of x
+    from scipy.special import kv
+
+    for x in np.geomspace(0.02, 200.0, 61):
+        assert cli._bessel_k1(float(x)) == pytest.approx(float(kv(1, x)), rel=1e-14), x
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -4,8 +4,10 @@ special functions.
 The exact outage is the backward recursion ``xp_outage``; this file checks it
 at K <= 2.
 Reference values come from independent routes: composite Simpson on a dense
-fixed grid, mpmath's incomplete gamma and outage integrals, scipy's gamma,
-exp1 and Bessel K, and, for the contour, the recursion.
+fixed grid, mpmath's incomplete gamma, log-gamma and outage integrals,
+scipy's gamma, log-gamma, exp1 and Bessel K, and, for the contour, the
+recursion.  scipy and mpmath are test references only; the package runs on
+numpy alone.
 """
 
 import math
@@ -18,7 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import exp1, gamma, kv
+from scipy.special import exp1, gamma, kv, loggamma
 
 from xpharq import (
     PowerProfile,
@@ -288,8 +290,10 @@ def test_outage_k2_contour_uncertainty_calibrated():
 
 
 def test_contour_evaluates_each_node_once(monkeypatch):
-    # the n-node grid is the even-indexed half of the next pass's 2n - 1
-    # nodes, so a pass evaluates the kernel only at its new odd nodes
+    # the node at tau = 0 sizes the line: 117 first-pass steps of 60/256
+    # reach |Im s| = 27.4.  The n-node grid is the even-indexed half of the
+    # next pass's 2n - 1 nodes, so a pass evaluates the kernel only at its
+    # new odd nodes
     seen = []
     real = exact.incomplete_gamma_difference
 
@@ -299,13 +303,64 @@ def test_contour_evaluates_each_node_once(monkeypatch):
 
     monkeypatch.setattr(exact, "incomplete_gamma_difference", counting)
     res = phi_foxh(1.0, 1.0, 10.0, 10.0)
-    assert [len(t) for t in seen] == [257, 256, 512]
-    assert res.evaluations == 1025
+    assert [len(t) for t in seen] == [1, 117, 117, 234]
+    assert res.evaluations == 469
     nodes = np.concatenate(seen)
     assert len(np.unique(nodes)) == len(nodes)
-    assert np.array_equal(np.sort(nodes), np.linspace(0.0, 60.0, 1025))
-    # the value computed when every pass evaluated its whole grid
+    assert np.array_equal(np.sort(nodes), np.linspace(0.0, 117 * 60.0 / 256, 469))
+    # the value computed when every pass evaluated the whole line to 60
     assert abs(res.value - 0.1576149085553178) <= res.abs_error_estimate
+
+
+def test_log_gamma_against_scipy_and_mpmath():
+    # exp(ln Gamma) is all the contour uses, so the logs are compared
+    # modulo 2 pi i.  Their error is a few ulps of |ln Gamma|, which reaches
+    # 190 at Im s = 60; scipy's own error adds to it
+    eps = np.finfo(float).eps
+    tau = np.linspace(0.0, 60.0, 241)
+    for re in (0.5, 1.5):
+        s = re + 1j * tau
+        got = exact._log_gamma(s)
+        with mp.workdps(30):
+            exact_ref = np.array([complex(mp.loggamma(mp.mpc(re, t))) for t in tau])
+        for ref, ulps in ((exact_ref, 32), (loggamma(s), 64)):
+            d = got - ref
+            d = d.real + 1j * ((d.imag + np.pi) % (2.0 * np.pi) - np.pi)
+            assert np.all(np.abs(d) <= ulps * eps * np.maximum(1.0, np.abs(ref))), re
+
+
+def test_contour_tail_bound_covers_the_dropped_line(monkeypatch):
+    # the part of the old line [T, 60] that the cut drops, by scipy's gamma
+    # on the old last pass's nodes, lies within the tail bound the error
+    # estimate carries; that bound is 2^-10 of the assembly's rounding floor
+    calls = []
+    real = exact._mellin_contour
+
+    def spying(integrand, tail, magnitude):
+        calls.append((integrand, tail, magnitude))
+        return real(integrand, tail, magnitude)
+
+    monkeypatch.setattr(exact, "_mellin_contour", spying)
+    taus = np.linspace(0.0, 60.0, 1025)
+    for r1, r2 in ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0)):
+        for db in range(-10, 41, 5):
+            g = 10.0 ** (db / 10.0)
+            calls.clear()
+            phi = phi_foxh(r1, r2, g, g)
+            ((integrand, tail, magnitude),) = calls
+            head = abs(integrand(np.array([0.5 + 0j])).real[0])
+            target = 2.0 ** -10 * 4e-16 * magnitude
+            steps = exact._contour_cut(lambda t: head * tail(t), target)
+            assert steps < 256, (r1, r2, db)
+            span = steps * 60.0 / 256
+            bound = head * tail(span)
+            assert bound <= target, (r1, r2, db)
+            assert phi.abs_error_estimate >= math.exp(2.0 / g) * bound, (r1, r2, db)
+            z, b1, b2 = 2.0 ** (r1 + r2) / g ** 2, 2.0 ** r2 / g, 2.0 ** (r1 + r2) / g
+            s = 0.5 + 1j * taus[4 * steps:]
+            vals = (gamma(s) * incomplete_gamma_difference(s, b1, b2) * z ** -s).real
+            dropped = (np.sum(vals) - 0.5 * (vals[0] + vals[-1])) * (taus[1] - taus[0]) / np.pi
+            assert abs(dropped) <= bound, (r1, r2, db, dropped, bound)
 
 
 _HELPER_CPU_PROBE = """

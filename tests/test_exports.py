@@ -1,11 +1,17 @@
 """Package exports: every ``__all__`` entry resolves, the package
-re-exports only names that its modules list in ``__all__``, and only the
-package itself imports the test-reference module ``quadrature``."""
+re-exports only names that its modules list in ``__all__``, only the
+package itself imports the test-reference module ``quadrature``, and the
+runtime dependencies in ``pyproject.toml`` are the third-party packages
+that ``src/`` imports."""
 
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import xpharq
 
@@ -49,3 +55,22 @@ def test_only_the_package_imports_the_quadrature_references():
             if "quadrature" in parts:
                 importers.append((path.name, node.lineno))
     assert not importers
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    # scipy and mpmath are test references: a runtime import of either, or a
+    # declared dependency that nothing imports, fails here
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(xpharq.__file__).parent
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
+                    for d in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"xpharq"}
+    assert third_party == declared
