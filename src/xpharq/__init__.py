@@ -33,7 +33,6 @@ from .quadrature import (
     xp_outage_quadrature,
 )
 from .exact import (
-    IntegrationResult,
     foxh_h11_incomplete,
     incomplete_gamma_difference,
     outage_k2_via_foxh,

@@ -234,10 +234,11 @@ def _nested(bits: Sequence[float], gbars: Sequence[float], paid,
 
 
 @np.errstate(over="ignore")
-def _refine(evaluate, converged, what: str,
-            stop_below_zero: bool = False) -> tuple[list[float], list[float]]:
-    """Values from ``evaluate(n, m)`` over ``_PASSES``, and their gaps to the
-    pass before, at the first pass where ``converged(values, gaps)`` holds.
+def _refine(evaluate, converged, estimate, what: str, stop_below_zero: bool = False) -> Estimate:
+    """``estimate(values, gaps)`` of the values from ``evaluate(n, m)`` over
+    ``_PASSES`` and their gaps to the pass before, at the first pass where
+    ``converged(values, gaps)`` holds.  A ladder that gives up raises
+    ``ConvergenceError`` carrying that estimate of its last pass.
 
     With ``stop_below_zero`` the first value is one that the tolerance
     measures relative to itself.  It sums nonnegative terms, so a pass
@@ -254,16 +255,16 @@ def _refine(evaluate, converged, what: str,
         if previous is not None:
             gaps = [abs(v - p) for v, p in zip(values, previous)]
             if converged(values, gaps):
-                return values, gaps
+                return estimate(values, gaps)
         if stop_below_zero and values[0] < 0.0:
             raise ConvergenceError(
                 f"{what}: the pass at {(n, m)} (Chebyshev, Gauss) nodes reads {values[0]:.3e}, "
                 "below 0, so its error exceeds the value and no pass can meet the relative "
-                "tolerance", best_estimate=values, error_estimate=gaps)
+                "tolerance", estimate(values, gaps))
         previous = values
     raise ConvergenceError(
         f"{what}: passes at {_PASSES[-2]} and {_PASSES[-1]} (Chebyshev, Gauss) nodes "
-        f"differ by {max(gaps):.3e}", best_estimate=values, error_estimate=gaps)
+        f"differ by {max(gaps):.3e}", estimate(values, gaps))
 
 
 def _outage(limits: Sequence[float], powers: PowerProfile, rel_tol: float, what: str,
@@ -273,16 +274,14 @@ def _outage(limits: Sequence[float], powers: PowerProfile, rel_tol: float, what:
 
     The passes stop once two differ by at most rel_tol * value; that gap
     plus 1e-14 of the value is the uncertainty.  A pass that reads below 0
-    raises ``ConvergenceError`` at once.
+    raises ``ConvergenceError`` at once.  Only a converged value is clamped.
     """
     paid = [None] * (len(limits) - 1) + [_failed]
     evaluate = partial(_nested, limits, powers.snr_bars, paid)
     converged = lambda v, g: g[0] <= rel_tol * abs(v[0])
-    try:
-        (value,), (gap,) = _refine(evaluate, converged, what, stop_below_zero=True)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), exc.best_estimate[0], exc.error_estimate[0]) from None
-    return Estimate(clamp_probability(value, 1e-9, what), method, gap + _ROUNDOFF * abs(value))
+    estimate = lambda v, g: Estimate(v[0], method, g[0] + _ROUNDOFF * abs(v[0]))
+    est = _refine(evaluate, converged, estimate, what, stop_below_zero=True)
+    return Estimate(clamp_probability(est.value, 1e-9, what), method, est.uncertainty)
 
 
 def sum_info_cdf(
@@ -376,6 +375,8 @@ def throughput_recursion(
         eta, gap = _ratio(values, gaps)
         return gap <= max(1e-10, 1e-9 * eta)
 
-    values, gaps = _refine(evaluate, converged, f"{scheme} throughput")
-    eta, err = _ratio(values, [g + _ROUNDOFF for g in gaps])
-    return Estimate(eta * top * slot, f"analytical-{scheme}", err * top * slot)
+    def estimate(values, gaps):
+        eta, err = _ratio(values, [g + _ROUNDOFF for g in gaps])
+        return Estimate(eta * top * slot, f"analytical-{scheme}", err * top * slot)
+
+    return _refine(evaluate, converged, estimate, f"{scheme} throughput")

@@ -228,7 +228,7 @@ def _cmd_selftest(parser, args) -> int:
     )
 
     z = 1.0
-    h = foxh_h11_incomplete(z)
+    h = foxh_h11_incomplete(z).value
     bessel = 2.0 * math.sqrt(z) * _bessel_k1(2.0 * math.sqrt(z))
     check(
         "contour-bessel-degenerate",

@@ -31,14 +31,13 @@ class XpharqError(Exception):
 class ConvergenceError(XpharqError):
     """A numerical routine failed to reach its tolerance.
 
-    Carries the best available estimate so callers can decide whether the
-    partial result is still usable.
+    ``estimate`` is the best ``Estimate`` it reached, in the units and with
+    the method tag of its call's result, or None where it has none.
     """
 
-    def __init__(self, message: str, best_estimate=None, error_estimate=None):
+    def __init__(self, message: str, estimate: Estimate | None = None):
         super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
+        self.estimate = estimate
 
 
 class ConsistencyError(XpharqError):
@@ -112,14 +111,16 @@ class PowerProfile:
 
 @dataclass(frozen=True)
 class Estimate:
-    """An outage probability or throughput with a method tag and an uncertainty.
+    """A computed quantity with a method tag and an uncertainty: every
+    outage, throughput, integral and contour value the package returns.
 
     ``uncertainty`` is a numerical error bound for deterministic methods
     and a 95% confidence half-width for Monte Carlo.  The outage recursions
     (``exact``, ``oracle``, ``upper``) report their last pass gap plus 1e-14
-    of the value, at every K; ``lower`` the rounding of its product; and
+    of the value, at every K; ``lower`` the rounding of its product;
     ``asymptotic`` the width of its bracket [A e^{-S}, A] around the outage
-    probability, plus rounding.
+    probability, plus rounding; the contour (``mellin-barnes``) its last gap,
+    tail bound and rounding; ``gauss-kronrod`` its Kronrod-Gauss differences.
     """
 
     value: float

@@ -34,13 +34,13 @@ sqrt(pi / cosh(pi tau)) <= sqrt(2 pi) e^{-pi tau / 2}, so a closed-form
 bound on the integrand's rest beyond |Im s| = T follows from its value at
 tau = 0 (``_mellin_contour``).  The line is cut where that bound falls
 below 2^-10 of the rounding floor 4e-16 |value| that the assembly already
-reports, and the bound joins the error estimate.
+reports.  That bound, the last refinement gap and the node sum's rounding
+are the contour's error; refining stops once it is 1e-8 of a value bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .core import (
 )
 
 __all__ = [
-    "IntegrationResult",
     "outage_k2_via_foxh",
     "incomplete_gamma_difference",
     "foxh_h11_incomplete",
@@ -75,10 +74,12 @@ _STIRLING_SHIFT = 8
 _CONTOUR_C = 0.5
 _CONTOUR_STEP = 60.0 / 256
 _CONTOUR_MAX_STEPS = 256
-# the assembly's rounding floor per unit of |t1| + t23 + |phi|, and the share
-# of it the rest of the line beyond the cut may take
+# the assembly's rounding floor per unit of |t1| + t23 + |phi|, the share of
+# it the rest of the line beyond the cut may take, and a trapezoid sum's
+# rounding per unit of the sum of its |terms|
 _ROUNDING = 4e-16
 _CUT_SHARE = 2.0 ** -10
+_SUM_ROUNDING = 4.0 * 2.0 ** -52
 
 # Kernel panels: a 32-point Gauss-Legendre rule on [0, 1]; the first pass
 # gives each panel 64 radians of the phase of t^{i Im s}, half a node per
@@ -93,15 +94,6 @@ _T_UNDERFLOW = -math.log(math.ulp(0.0))
 _CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    """An integral with its absolute error estimate and integrand evaluation count."""
-
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-
-
 def incomplete_gamma_difference(s, b1: float, b2: float):
     """Gamma(s+1, b1) - Gamma(s+1, b2) = int_{b1}^{b2} t^s e^{-t} dt for complex s.
 
@@ -111,7 +103,8 @@ def incomplete_gamma_difference(s, b1: float, b2: float):
     with b2 clipped where e^{-t} underflows.  Gauss-Legendre panels on
     [0, W] start from the oscillation count max |Im s| W of t^s and double
     until two passes agree to 1e-13 relative, or to 2e-12 of the
-    integrand's L1 scale where rounding noise dominates.
+    integrand's L1 scale where rounding noise dominates, or raise a
+    ``ConvergenceError`` with no estimate (a kernel array is none).
 
     The weighted sums are taken by ``np.einsum``, not ``@``: a (nodes) x
     (32 panels) product is above OpenBLAS's threading threshold, so ``@``
@@ -155,9 +148,7 @@ def incomplete_gamma_difference(s, b1: float, b2: float):
     else:
         raise ConvergenceError(
             f"incomplete gamma difference not converged at {panels} panels "
-            f"(b1={b1}, b2={b2}, worst tolerance excess {float(excess.max()):.3e})",
-            best_estimate=scale * cur,
-        )
+            f"(b1={b1}, b2={b2}, worst tolerance excess {float(excess.max()):.3e})")
     out = (scale * cur).reshape(s_arr.shape)
     return out if out.ndim else complex(out)
 
@@ -187,25 +178,24 @@ def _contour_cut(tail, target: float) -> int:
                  if tail(n * _CONTOUR_STEP) <= target), _CONTOUR_MAX_STEPS)
 
 
-def _mellin_contour(integrand, tail, magnitude: float) -> tuple[float, float, int]:
-    """(1/2 pi i) int integrand(s) ds along Re(s) = 1/2, for an integrand
-    conjugate-symmetric in Im s.
+def _mellin_contour(integrand, tail, magnitude: float, scale: float = 1.0) -> Estimate:
+    """``scale`` (1/2 pi i) int integrand(s) ds along Re(s) = 1/2, for an
+    integrand conjugate-symmetric in Im s, as a ``mellin-barnes`` Estimate.
 
-    Returns the value, its error estimate and the number of distinct contour
-    nodes evaluated.  Folds the contour onto tau = Im s >= 0, so the value is
-    (1/pi) int_0^inf Re integrand dtau.  ``tail(T)`` bounds (1/pi)
-    int_T^inf |integrand| dtau per unit of integrand(1/2), the node at tau
-    = 0, which is evaluated first; ``magnitude`` bounds |value|.  The line
-    is cut at the first multiple T of the first pass's step where the
-    bound is at most 2^-10 of the rounding floor 4e-16 * magnitude, and at
-    |Im s| = 60 at most.  The trapezoid on [0, T] is refined until two
-    successive node counts agree to 1e-8; step-halving on this analytic
-    integrand converges spectrally, so the stopping gap vastly overstates
-    the final error.  The error estimate is that gap plus the tail bound.
-    The grids are nested: the n nodes of one pass are the even-indexed
-    nodes of the next pass's 2n - 1, so each pass evaluates the integrand
-    only at its n - 1 new odd-indexed nodes, and the node count of the last
-    pass is the number of evaluations.
+    Folds the contour onto tau = Im s >= 0, so the integral is (1/pi)
+    int_0^inf Re integrand dtau.  ``tail(T)`` bounds (1/pi) int_T^inf
+    |integrand| dtau per unit of integrand(1/2), the node at tau = 0, which
+    is evaluated first; ``magnitude`` bounds |integral|.  The line is cut at
+    the first multiple T of the first pass's step where the bound is at
+    most 2^-10 of the rounding floor 4e-16 * magnitude, and at |Im s| = 60
+    at most.  The trapezoid on [0, T] is refined until its error, the gap
+    of two successive node counts plus the tail bound plus the sum's own
+    rounding 4 eps trapezoid(|integrand|), is at most 1e-8 * magnitude;
+    on this analytic integrand step-halving converges spectrally, so the
+    gap vastly overstates the final error.  Value and error are scaled by
+    ``scale``, in a ``ConvergenceError``'s estimate too.  The grids are
+    nested: the n nodes of one pass are the even-indexed nodes of the next
+    pass's 2n - 1, so each pass evaluates only its n - 1 new odd nodes.
     """
 
     def at(tau: np.ndarray) -> np.ndarray:
@@ -231,14 +221,13 @@ def _mellin_contour(integrand, tail, magnitude: float) -> tuple[float, float, in
         finer[1::2] = at(np.linspace(0.0, span, len(finer))[1::2])
         vals = finer
         cur = trapezoid(vals)
-        if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
-            return cur, abs(cur - prev) + cut, len(vals)
+        error = abs(cur - prev) + cut + _SUM_ROUNDING * trapezoid(np.abs(vals))
+        best = Estimate(scale * cur, "mellin-barnes", scale * error)
+        if error <= 1e-8 * magnitude:
+            return best
         prev = cur
     raise ConvergenceError(
-        f"Mellin-Barnes contour not converged at {len(vals)} nodes (last {cur})",
-        best_estimate=cur,
-        error_estimate=abs(cur - prev) + cut,
-    )
+        f"Mellin-Barnes contour not converged at {len(vals)} nodes (last {best.value})", best)
 
 
 def _complete_tail(t: float) -> float:
@@ -263,7 +252,7 @@ def _incomplete_tail(t: float) -> float:
     return 2.0 * math.sqrt(2.0) / math.pi ** 2 * math.exp(-0.5 * math.pi * t)
 
 
-def foxh_h11_incomplete(z: float) -> float:
+def foxh_h11_incomplete(z: float) -> Estimate:
     """(1/2 pi i) int Gamma(s) Gamma(s+1) z^{-s} ds by contour integration.
 
     The H^{1,1}_{1,1} term with the incomplete kernel at b = 0, where it is
@@ -279,7 +268,7 @@ def foxh_h11_incomplete(z: float) -> float:
     # the integral of |integrand|, which bounds the value, is at most the
     # tail from 0 times the integrand at tau = 0, (1/2) Gamma(1/2)^2 z^{-1/2}
     magnitude = 0.5 * math.pi / math.sqrt(z) * _complete_tail(0.0)
-    return _mellin_contour(integrand, _complete_tail, magnitude)[0]
+    return _mellin_contour(integrand, _complete_tail, magnitude)
 
 
 def _assembly_terms(r1: float, r2: float, g1: float, g2: float) -> tuple[float, float]:
@@ -290,7 +279,7 @@ def _assembly_terms(r1: float, r2: float, g1: float, g2: float) -> tuple[float, 
     return t1, t23
 
 
-def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> IntegrationResult:
+def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Estimate:
     """phi via its Mellin-Barnes / incomplete-H representation.
 
     Independent of phi_quadrature: same quantity, different machinery.  The
@@ -300,8 +289,8 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Integrat
     e^{1/g1 + 1/g2}, is 2^-10 of 4e-16 (t1 + t23), which bounds phi = t1 +
     t23 - P; beyond |Im s| = T the rest is at most 2 sqrt(2) / pi^2 e^{-pi
     T / 2} times the integrand at Im s = 0 (``_incomplete_tail``).  The
-    error estimate is the gap of the last contour refinement plus that
-    tail bound.
+    uncertainty is that bound, the last refinement gap and the node sum's
+    rounding, all scaled, which the refinement brings to 1e-8 (t1 + t23).
     """
     if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
         raise ValueError("rates and average SNRs must be positive")
@@ -313,8 +302,7 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Integrat
                            * incomplete_gamma_difference(s, b1, b2))
     scale = math.exp(1.0 / snr_bar1 + 1.0 / snr_bar2)
     bound = sum(_assembly_terms(r1, r2, snr_bar1, snr_bar2)) / scale
-    mb, error, evaluations = _mellin_contour(integrand, _incomplete_tail, bound)
-    return IntegrationResult(scale * mb, scale * error, evaluations)
+    return _mellin_contour(integrand, _incomplete_tail, bound, scale)
 
 
 def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
@@ -324,7 +312,7 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     representation, a route independent of ``xp_outage``'s recursion.  At
     high SNR t23 and phi cancel; the uncertainty is the contour's error
     estimate plus the assembly's rounding, so it grows with the
-    cancellation.
+    cancellation.  A contour that gives up raises with phi's estimate.
     """
     if rates.K != 2 or powers.K != 2:
         raise ValueError("the closed form covers exactly K = 2")
@@ -332,5 +320,5 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     t1, t23 = _assembly_terms(r1, r2, g1, g2)
     phi = phi_foxh(r1, r2, g1, g2)
     value = clamp_probability(t1 + t23 - phi.value, _CLAMP_TOL, "two-round outage (contour phi)")
-    uncertainty = phi.abs_error_estimate + _ROUNDING * (abs(t1) + t23 + abs(phi.value))
+    uncertainty = phi.uncertainty + _ROUNDING * (abs(t1) + t23 + abs(phi.value))
     return Estimate(value, "k2-foxh", uncertainty)

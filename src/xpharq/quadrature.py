@@ -37,7 +37,6 @@ from .core import (
     _check_rounds,
     clamp_probability,
 )
-from .exact import IntegrationResult
 
 __all__ = [
     "integrate_adaptive",
@@ -112,15 +111,15 @@ def integrate_adaptive(
     tol: float,
     rel_tol: float = 0.0,
     limit: int = 512,
-) -> IntegrationResult:
-    """Adaptive bisection quadrature of f over [a, b].
+) -> Estimate:
+    """Adaptive bisection quadrature of f over [a, b], as a ``gauss-kronrod`` Estimate.
 
     The worst panel (by embedded Kronrod-vs-Gauss error estimate) is split
-    until the summed estimate drops below max(tol, rel_tol * |integral|).
-    The integrand may be vectorized over numpy arrays; scalar-only callables
-    are handled transparently.
+    until the summed estimate, the uncertainty, drops below max(tol,
+    rel_tol * |integral|).  The integrand may be vectorized over numpy
+    arrays; scalar-only callables are handled transparently.
 
-    Raises ConvergenceError carrying the best estimate when the panel limit
+    Raises ConvergenceError carrying the best Estimate when the panel limit
     is reached first.
     """
     if not (tol > 0.0):
@@ -128,26 +127,22 @@ def integrate_adaptive(
     if a > b:
         raise ValueError(f"integration bounds out of order: {a} > {b}")
     if a == b:
-        return IntegrationResult(0.0, 0.0, 0)
+        return Estimate(0.0, "gauss-kronrod", 0.0)
 
     val, err = _gk15(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total_val, total_err = val, err
-    evaluations = 15
     counter = 1
     while total_err > max(tol, rel_tol * abs(total_val)):
         if len(heap) >= limit:
             raise ConvergenceError(
                 f"quadrature did not reach tol={tol} within {limit} panels "
                 f"(best estimate {total_val} +- {total_err})",
-                best_estimate=total_val,
-                error_estimate=total_err,
-            )
+                Estimate(total_val, "gauss-kronrod", total_err))
         _, _, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1 = _gk15(f, lo, mid)
         v2, e2 = _gk15(f, mid, hi)
-        evaluations += 30
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
@@ -158,7 +153,7 @@ def integrate_adaptive(
         if counter % 128 == 0:
             total_val = sum(item[4] for item in heap)
             total_err = sum(item[5] for item in heap)
-    return IntegrationResult(total_val, total_err, evaluations)
+    return Estimate(total_val, "gauss-kronrod", total_err)
 
 
 def xp_outage_quadrature(
@@ -285,7 +280,7 @@ def phi_quadrature(
     snr_bar1: float,
     snr_bar2: float,
     tol: float = 1e-12,
-) -> IntegrationResult:
+) -> Estimate:
     """The phi integral of the two-round closed form, by direct quadrature.
 
     Absolute error at most ``tol``.  The prefactor exponentials are folded

@@ -210,13 +210,7 @@ def _validate_config(cfg: SweepConfig) -> None:
             error = method_error(cfg.quantity, scheme, method, k_rounds)
             if error is not None:
                 raise ConfigError(error)
-    for axis_value in cfg.values:
-        try:  # the point types check every value; build each point a row runs at
-            rates, powers, _ = _row_params(cfg, axis_value)
-            for scheme in cfg.schemes:
-                SimConfig(scheme, rates, powers, cfg.trials, cfg.seed)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.axis} = {axis_value!r}: {exc}") from None
+    _cells(cfg)
 
 
 @dataclass(frozen=True)
@@ -231,39 +225,39 @@ class SweepRow:
     seed: int
 
 
-def _row_params(cfg: SweepConfig, axis_value: float):
-    if cfg.axis == "snr_db":
-        rates = cfg.rates
-        snr_db = tuple([axis_value] * len(rates))
-        column_db = axis_value
-    else:
-        rates = (axis_value,) + cfg.rates[1:]
-        snr_db = cfg.snr_db if len(cfg.snr_db) > 1 else cfg.snr_db * len(rates)
-        column_db = cfg.snr_db[0]
-    powers = PowerProfile([db_to_linear(v) for v in snr_db])
-    return RateSchedule(rates), powers, column_db
+def _cells(cfg: SweepConfig) -> list[tuple[float, SimConfig]]:
+    """The (snr_db column, point) of every row cell, axis value then scheme.
+
+    The point types check every value, so a bad one raises ConfigError
+    naming its axis value.
+    """
+    cells = []
+    for axis_value in cfg.values:
+        if cfg.axis == "snr_db":
+            rates, snr_db, column_db = cfg.rates, (axis_value,) * len(cfg.rates), axis_value
+        else:
+            rates = (axis_value,) + cfg.rates[1:]
+            snr_db = cfg.snr_db if len(cfg.snr_db) > 1 else cfg.snr_db * len(rates)
+            column_db = cfg.snr_db[0]
+        try:
+            rates, powers = RateSchedule(rates), PowerProfile([db_to_linear(v) for v in snr_db])
+            cells += [(column_db, SimConfig(scheme, rates, powers, cfg.trials, cfg.seed))
+                      for scheme in cfg.schemes]
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.axis} = {axis_value!r}: {exc}") from None
+    return cells
 
 
-def _sweep_row(cfg: SweepConfig, axis_value: float, scheme: str, method: str,
-               est: Estimate) -> SweepRow:
-    rates, _, column_db = _row_params(cfg, axis_value)
-    return SweepRow(
-        snr_db=column_db,
-        K=rates.K,
-        rates=rates.rates,
-        scheme=scheme,
-        method=method,
-        value=est.value,
-        uncertainty=est.uncertainty,
-        seed=cfg.seed,
-    )
+def _sweep_row(column_db: float, point: SimConfig, method: str, est: Estimate) -> SweepRow:
+    return SweepRow(column_db, point.rates.K, point.rates.rates, point.scheme, method,
+                    est.value, est.uncertainty, point.seed)
 
 
-def _compute_row(args: tuple[SweepConfig, float, str, str]) -> SweepRow:
-    cfg, axis_value, scheme, method = args
-    rates, powers, _ = _row_params(cfg, axis_value)
-    est = evaluate(cfg.quantity, scheme, method, rates, powers, trials=cfg.trials, seed=cfg.seed)
-    return _sweep_row(cfg, axis_value, scheme, method, est)
+def _compute_row(args: tuple[str, float, SimConfig, str]) -> SweepRow:
+    quantity, column_db, point, method = args
+    est = evaluate(quantity, point.scheme, method, point.rates, point.powers,
+                   trials=point.trials, seed=point.seed)
+    return _sweep_row(column_db, point, method, est)
 
 
 def _run_task(task: tuple):
@@ -284,17 +278,17 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    cells = [(axis_value, scheme) for axis_value in cfg.values for scheme in cfg.schemes]
+    cells = _cells(cfg)
+    points = [point for _, point in cells]
     groups = {method: METHODS[cfg.quantity, method].purpose for method in cfg.methods}
     groups = {method: purpose for method, purpose in groups.items() if purpose is not None}
-    points = [SimConfig(scheme, *_row_params(cfg, axis_value)[:2], cfg.trials, cfg.seed)
-              for axis_value, scheme in cells] if groups else []
     parts = _share_count(cfg.trials, workers)
     # the block shares go first: they are the longest tasks
     tasks = [(_simulate_share, points, purpose, part, parts)
              for purpose in groups.values() for part in range(parts)]
-    singles = [(cell, method) for cell in cells for method in cfg.methods if method not in groups]
-    tasks += [(_compute_row, (cfg, *cell, method)) for cell, method in singles]
+    singles = [(i, method) for i in range(len(cells)) for method in cfg.methods
+               if method not in groups]
+    tasks += [(_compute_row, (cfg.quantity, *cells[i], method)) for i, method in singles]
     workers = min(workers, len(tasks))
     if workers <= 1:
         results = [_run_task(task) for task in tasks]
@@ -306,10 +300,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     results, rows = iter(results), {}
     for method, purpose in groups.items():
         estimates = _finish(points, purpose, itertools.islice(results, parts))
-        for cell, est in zip(cells, estimates):
-            rows[cell, method] = _sweep_row(cfg, *cell, method, est)
+        for i, est in enumerate(estimates):
+            rows[i, method] = _sweep_row(*cells[i], method, est)
     rows.update(zip(singles, results))
-    return [rows[cell, method] for cell in cells for method in cfg.methods]
+    return [rows[i, method] for i in range(len(cells)) for method in cfg.methods]
 
 
 def _fmt(x: float) -> str:

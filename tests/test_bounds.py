@@ -346,9 +346,10 @@ def test_outage_ladder_stops_at_a_negative_pass(monkeypatch):
     with pytest.raises(ConvergenceError, match="below 0") as info:
         outage_upper_ir(RateSchedule((80.0,) * 5), PowerProfile((1e100,) * 5))
     assert passes == [(32, 8), (64, 16), (128, 32)]
-    best, error = info.value.best_estimate, info.value.error_estimate
-    assert type(best) is float and best < 0.0
-    assert error >= -best
+    best = info.value.estimate
+    assert best.method == "ir-recursion"
+    assert type(best.value) is float and best.value < 0.0
+    assert best.uncertainty >= -best.value
 
 
 def test_outage_recursion_meets_the_asymptote_at_high_snr():
@@ -368,14 +369,16 @@ def test_outage_recursion_meets_the_asymptote_at_high_snr():
 def test_outage_convergence_error_carries_floats():
     # at K = 3 the top level reads V_2 directly, so the passes agree to the
     # bit and a zero tolerance is met; at K = 4 V_3 is interpolated, no two
-    # passes agree to the bit, and the error reports the one probability as
-    # a float, as the outage calls return it
+    # passes agree to the bit, and the error carries the one probability as
+    # an Estimate of floats, as the outage calls return it
     est = xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), rel_tol=0.0)
     assert est.uncertainty == 1e-14 * est.value
     with pytest.raises(ConvergenceError) as info:
         xp_outage(RateSchedule((1.0,) * 4), PowerProfile((10.0,) * 4), rel_tol=0.0)
-    assert type(info.value.best_estimate) is float, info.value.best_estimate
-    assert type(info.value.error_estimate) is float and info.value.error_estimate > 0.0
+    best = info.value.estimate
+    assert best.method == "xp-recursion"
+    assert type(best.value) is float, best
+    assert type(best.uncertainty) is float and best.uncertainty > 0.0, best
 
 
 def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):

@@ -1,8 +1,9 @@
 """Package exports: every ``__all__`` entry resolves, the package
 re-exports only names that its modules list in ``__all__``, only the
-package itself imports the test-reference module ``quadrature``, and the
+package itself imports the test-reference module ``quadrature``, the
 runtime dependencies in ``pyproject.toml`` are the third-party packages
-that ``src/`` imports."""
+that ``src/`` imports, and ``Estimate`` is the one result type that a
+``ConvergenceError`` carries."""
 
 import ast
 import importlib
@@ -74,3 +75,34 @@ def test_runtime_dependencies_are_the_third_party_imports():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"xpharq"}
     assert third_party == declared
+
+
+def _identifiers(node: ast.AST):
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.arg, ast.keyword)):
+        yield node.arg
+    elif isinstance(node, ast.alias):
+        yield node.name
+
+
+def test_convergence_errors_carry_one_estimate():
+    # a ConvergenceError takes a message and at most an Estimate; the
+    # second result type and the loose payload attributes stay gone
+    retired = {"IntegrationResult", "best_estimate", "error_estimate", "abs_error_estimate"}
+    raised, found = 0, []
+    for path in sorted(Path(xpharq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            found += [(path.name, name) for name in _identifiers(node) if name in retired]
+            if not (isinstance(node, ast.Call) and "ConvergenceError" in _identifiers(node.func)):
+                continue
+            raised += 1
+            keywords = [k.arg for k in node.keywords]
+            assert len(node.args) + len(keywords) <= 2, (path.name, node.lineno)
+            assert set(keywords) <= {"estimate"}, (path.name, node.lineno, keywords)
+    assert raised >= 5
+    assert not found, found

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from xpharq import (
+    ConvergenceError,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -606,6 +607,21 @@ def test_throughput_analytical_inr_agrees_with_monte_carlo():
         SimConfig(scheme="inr", rates=rates, powers=powers, trials=2_000_000, seed=0)
     )
     assert abs(mc.value - ana) <= 4.0 * mc.uncertainty / 1.96
+
+
+def test_throughput_convergence_error_carries_the_throughput():
+    # at 80 dB and 75 bits per round the IR ladder's last two passes differ
+    # by 3.7e-9 and it gives up; what it carries is eta in bits per channel
+    # use, not the scaled payoffs E[R] / max r and E[T] / K it recursed on
+    rates, powers = RateSchedule((75.0,) * 4), PowerProfile((1e8,) * 4)
+    with pytest.raises(ConvergenceError) as info:
+        throughput_recursion(rates, powers, "inr")
+    best = info.value.estimate
+    assert best.method == "analytical-inr"
+    mc = estimate_throughput(
+        SimConfig(scheme="inr", rates=rates, powers=powers, trials=200_000, seed=0)
+    )
+    assert abs(mc.value - best.value) <= 4.0 * mc.uncertainty / 1.96, (best, mc)
 
 
 def test_xp_outage_chain_matches_per_prefix_solvers():
