@@ -312,13 +312,24 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     representation, a route independent of ``xp_outage``'s recursion.  At
     high SNR t23 and phi cancel; the uncertainty is the contour's error
     estimate plus the assembly's rounding, so it grows with the
-    cancellation.  A contour that gives up raises with phi's estimate.
+    cancellation.  A contour that gives up raises with the outage assembled
+    from its best phi, unclamped.
     """
     if rates.K != 2 or powers.K != 2:
         raise ValueError("the closed form covers exactly K = 2")
     (r1, r2), (g1, g2) = rates.rates, powers.snr_bars
     t1, t23 = _assembly_terms(r1, r2, g1, g2)
-    phi = phi_foxh(r1, r2, g1, g2)
-    value = clamp_probability(t1 + t23 - phi.value, _CLAMP_TOL, "two-round outage (contour phi)")
-    uncertainty = phi.uncertainty + _ROUNDING * (abs(t1) + t23 + abs(phi.value))
-    return Estimate(value, "k2-foxh", uncertainty)
+
+    def assemble(phi: Estimate) -> Estimate:
+        return Estimate(t1 + t23 - phi.value, "k2-foxh",
+                        phi.uncertainty + _ROUNDING * (abs(t1) + t23 + abs(phi.value)))
+
+    try:
+        phi = phi_foxh(r1, r2, g1, g2)
+    except ConvergenceError as err:
+        if err.estimate is None:
+            raise
+        raise ConvergenceError(str(err), assemble(err.estimate)) from err
+    outage = assemble(phi)
+    value = clamp_probability(outage.value, _CLAMP_TOL, "two-round outage (contour phi)")
+    return Estimate(value, outage.method, outage.uncertainty)

@@ -7,46 +7,62 @@ point; the outage count, slots and delivered rate all follow from them.
 The counts are integers, so they sum exactly in any order and every output
 is identical for any worker count and any scheduling order.
 
-A block draws one row of n uniforms U in [0, 1) per round with
-``rng.random``, so round k of trial t sits at stream position
-(k - 1) n + t whatever the scheme or the mean SNRs: XP and INR on one seed
-see the same SNRs, and scaling the mean SNRs scales each trial's SNRs.  The
-SNR is g = gbar * -log1p(-U).  U is a multiple of 2^-53, so U = 0 gives
-g = 0 (no infinity), the smallest nonzero draw is 2^-53 gbar and the
-largest 53 ln 2 gbar = 36.7 gbar, and P(g < t) is exact to 2^-53 = 1.1e-16
-absolute.  The decision takes no logarithm: sum_{l<=k} log2(1 + g_l) >= R_k
-holds exactly when y_k = prod_{l<=k}(1 + g_l) - 1 >= expm1(R_k ln 2), and
-the block carries y_k = y_{k-1} + g_k (1 + y_{k-1}).  Every term is
+Round k of a block takes its n uniforms U in [0, 1) from stream positions
+(k - 1) n to k n - 1, drawn with ``rng.random``, and its exponentials are
+Z = -log1p(-U).  Round 1 holds its row's exponentials in ascending order,
+the order statistics E_(t) = sum_{i<=t} Z_i / (n - i + 1) (Renyi 1953;
+Devroye, Non-Uniform Random Variate Generation, 1986, ch. V): trial t's
+round-1 SNR is gbar_1 E_(t), so each point's round-1 failures are a prefix
+t < L_1 of the block, found by a binary search.  Later rounds are
+positional: round k of trial t is the exponential at stream position
+(k - 1) n + t.  They are iid and independent of round 1, so pairing them
+with sorted round-1 values leaves the joint law of the n trials, and every
+estimate's distribution, unchanged.  No position depends on the scheme or
+the mean SNRs: XP and INR on one seed see the same SNRs, and scaling the
+mean SNRs scales each trial's SNRs.  A later round's SNR is
+g = gbar * -log1p(-U).  U is a multiple of 2^-53, so U = 0 gives g = 0 (no
+infinity), the smallest nonzero draw is 2^-53 gbar and the largest
+53 ln 2 gbar = 36.7 gbar, and P(g < t) is exact to 2^-53 = 1.1e-16
+absolute.  In round 1 the running sum adds at most t 2^-53 relative
+rounding to the t-th value (7.3e-12 at n = 65536), and the smallest
+nonzero value is 2^-53 gbar / n.
+
+The decision takes no logarithm: sum_{l<=k} log2(1 + g_l) >= R_k holds
+exactly when y_k = prod_{l<=k}(1 + g_l) - 1 >= expm1(R_k ln 2), and the
+block carries y_k = y_{k-1} + g_k (1 + y_{k-1}).  Every term is
 nonnegative, so y_k keeps the log sum's relative precision at any rate and
 SNR; the shorter prod(1 + g) >= 2^R rounds 1 + g and 2^R to a few digits
 and miscounts at rates below about 1e-14 and deep fades.
 
-Per-round work follows the trials still pending.  While more than
-``_COMPACT_SHARE`` of a block is pending, each round updates full rows in
-place under a pending mask; after that the block gathers the pending
-trials' positions and y once and, each later round, draws the full row but
-transforms and updates only those positions.  Once no trial is pending the
-block draws no further row, so a block whose last pending trial succeeds at
-round j has advanced its stream by exactly j n doubles.  The arithmetic of
-a trial is the same in both phases, so where the switch falls changes no
-count.  Each worker reuses one workspace (rows g, y and step, and the
-pending and hit masks) sized to its largest block; of W workers, worker w
-runs blocks w, w + W, ... and sums their counts.  A point query is a
-group of one whose shares run on threads; a sweep's group runs its shares
-on processes.
+Per-round work follows the trials still pending.  A round after the first
+draws only positions [0, m) of its row, m being the longest round-1 prefix
+among the block's points, and advances the stream over the other n - m;
+once no trial is pending the block draws no further row, so a block whose
+last pending trial succeeds at round j has advanced its stream by exactly
+j n doubles.  While more than ``_COMPACT_SHARE`` of a point's prefix is
+pending, each round updates the prefix's rows in place under a pending
+mask; after that the point gathers the pending trials' positions and y
+once and, each later round, transforms and updates only those positions.
+The arithmetic of a trial is the same in both phases, so where the switch
+falls changes no count.  Each worker reuses one workspace (rows g, y and
+step, and the pending and hit masks) sized to its largest block; of W
+workers, worker w runs blocks w, w + W, ... and sums their counts.  A
+point query is a group of one whose shares run on threads; a sweep's group
+runs its shares on processes.
 
 Because round k of trial t sits at one stream position for every point, a
 group of points that share seed, trials and K (a sweep's Monte Carlo rows)
 is one simulation read at several points.  A group's block draws each
-round's row once, keeps it in the workspace (K rows more, whatever the
-number of points) and runs its points one after another through the kept
-rows.  It forms log1p(-U) of a row once, in place, where some point needs
-the full row; a point then multiplies by its own -gbar, and a point that
-carries only its pending trials gathers them from the row as it stands.
+round's row once (after round 1, over its longest prefix), keeps it in the
+workspace (K rows more, whatever the number of points) and runs its points
+one after another through the kept rows.  It forms log1p(-U) of a row's
+drawn prefix once, in place, where some point needs its whole prefix; a
+point then multiplies by its own -gbar, and a point that carries only its
+pending trials gathers them from the row as it stands.
 The arithmetic of each trial is the one it has alone, so each point's
 counts are bit-identical to a run of that point alone, and the stream
 advances by the rows its most demanding point needs.  A lone point keeps
-no row: it draws round 1 into y and every later round into g.
+no row: it sorts round 1 into y and draws every later round into g.
 
 The engine itself is scheme-agnostic: a cycle succeeds at the first round
 k whose accumulated mutual information reaches ``thresholds[k-1]``,
@@ -60,6 +76,7 @@ are ``core.decoding_limits``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -78,11 +95,11 @@ _BLOCK = 65536
 
 _LN2 = math.log(2.0)
 
-# Share of a block's trials pending at or below which it carries only those
-# trials.  Chosen by per-block CPU over the point-mc classes (K = 2, 4, 8 at
-# 0 to 20 dB): a quarter was fastest in total, 2 % ahead of an eighth and of
-# a half, and 17 % ahead of full rows to the last round.
-_COMPACT_SHARE = 0.25
+# Share of a point's round-1 failures still pending at or below which it
+# carries only those trials.  Chosen by CPU over the point-mc classes (K = 2,
+# 4, 8 at 0 to 20 dB, 1e6 trials): a half was fastest in total, within 1 % of
+# a quarter and 1.5 % of an eighth, and 5 % ahead of dense rounds to the last.
+_COMPACT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,6 +128,15 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+@functools.lru_cache(maxsize=1)
+def _order_weights(size: int) -> np.ndarray:
+    """-1 / (size - i) for i = 0, ..., size - 1, read-only: a block of n
+    weighs its i-th term by entry size - n + i, -1 / (n - i)."""
+    weights = -1.0 / np.arange(size, 0, -1, dtype=float)
+    weights.flags.writeable = False
+    return weights
+
+
 def _workspace(n: int, kept: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Rows g, y and step, then ``kept`` rows of draws, and the pending and
     hit masks, for n trials.  A point keeps no row (it draws into y and g);
@@ -128,6 +154,18 @@ def _to_snr(row: np.ndarray, gbar: float) -> None:
     """Uniform draws U in [0, 1) to exponential SNRs gbar * -log1p(-U), in place."""
     _log1m(row)
     row *= -gbar
+
+
+def _ascending_exponentials(rng: np.random.Generator, out: np.ndarray,
+                            scratch: np.ndarray) -> None:
+    """The n = len(out) exponentials of the stream's next n uniforms, in
+    ascending order, into ``out``: E_(t) = sum_{i<=t} Z_i / (n - i + 1) of
+    the exponentials Z_i = -log1p(-U_i) (Renyi's representation)."""
+    n = len(out)
+    rng.random(out=scratch)
+    _log1m(scratch)
+    scratch *= _order_weights(max(n, _BLOCK))[-n:]
+    np.cumsum(scratch, out=out)
 
 
 def _run_block(
@@ -150,32 +188,39 @@ def _run_block(
     limits = np.expm1(thresholds * _LN2)
     k_rounds = gbars.shape[1]
     rows, masks = work[0][:, :n], work[1][:, :n]
-    # a lone point draws round 1 into y and every later round into g
+    # a lone point keeps round 1 in y and draws every later round into g
     draws = rows[3:3 + k_rounds] if len(gbars) > 1 else [rows[1]] + [rows[0]] * (k_rounds - 1)
-    logged = []  # per round drawn: whether its row holds log1p(-U) yet
+    _ascending_exponentials(rng, draws[0], rows[0])
+    # gbar E_(t) < limit is monotone in t: each point's round-1 failures are a prefix
+    prefixes = [bisect.bisect_left(draws[0], limit, key=lambda e: gbar * e)
+                for gbar, limit in zip(gbars[:, 0], limits[:, 0])]
+    drawn = max(prefixes)  # later rounds draw only the trials of the longest prefix
+    logged = [True]  # per round drawn: whether its row holds log1p(-U) yet
 
     def draw(k: int, full: bool) -> np.ndarray:
         if k == len(logged):
-            rng.random(out=draws[k])  # round k + 1 of trial t is stream position k n + t
+            # round k + 1 of trial t is stream position k n + t
+            rng.random(out=draws[k][:drawn])
+            rng.bit_generator.advance(n - drawn)
             logged.append(False)
         if full and not logged[k]:
-            _log1m(draws[k])
+            _log1m(draws[k][:drawn])
             logged[k] = True
         return draws[k]
 
     counts = np.zeros(gbars.shape, dtype=np.int64)
-    for gbar, limit, count in zip(gbars, limits, counts):
-        g, y, step = rows[:3]
-        pending, hit = masks
-        np.multiply(draw(0, True), -gbar[0], out=y)
-        np.less(y, limit[0], out=pending)
-        left = int(np.count_nonzero(pending))
+    for gbar, limit, count, prefix in zip(gbars, limits, counts, prefixes):
+        g, y, step = rows[:3, :prefix]
+        pending, hit = masks[:, :prefix]
+        np.multiply(draws[0][:prefix], gbar[0], out=y)
+        pending.fill(True)
+        left = prefix
         count[0] = n - left
         index = None
         for k in range(1, k_rounds):
             if left == 0:
                 break
-            if index is None and left <= _COMPACT_SHARE * n:
+            if index is None and left <= _COMPACT_SHARE * prefix:
                 # few trials pending: gather them once and carry only them; the
                 # dead rows y and g then hold their SNRs and scratch.  The
                 # indices are in range, and mode="clip" writes straight into out
@@ -186,7 +231,7 @@ def _run_block(
                 pending, hit = pending[:left], hit[:left]
                 pending.fill(True)
             if index is None:
-                np.multiply(draw(k, True), -gbar[k], out=g)
+                np.multiply(draw(k, True)[:prefix], -gbar[k], out=g)
             else:
                 np.take(draw(k, False), index, out=g, mode="clip")
                 if logged[k]:

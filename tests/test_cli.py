@@ -166,13 +166,17 @@ def test_outage_mc_rare_event_warning(capsys):
         for method in methods:
             assert method_error("outage", scheme, method, rates.count(",") + 1) is None, method
         assert "outage events" in captured.err, captured.err
-    # few successes are as rare as few outages: 4 in 1e5 trials at -10 dB
-    # and none at -30 dB both warn, and name the success as the rare outcome
-    for rates, db, trials, seen in (("1", "-10", "100000", 4), ("1,1", "-30", "50", 0)):
+    # few successes are as rare as few outages: a few in 1e5 trials at
+    # -10 dB and none at -30 dB both warn, and name the success as the rare
+    # outcome, counted as the printed estimate implies
+    for rates, db, trials in (("1", "-10", 100000), ("1,1", "-30", 50)):
         rc = main(["outage", "--rates", rates, "--snr-db", db, "--method", "mc",
-                   "--trials", trials])
+                   "--trials", str(trials)])
         captured = capsys.readouterr()
         assert rc == 0
+        value = float(re.search(r" value=(\S+)", captured.out).group(1))
+        seen = round((1.0 - value) * trials)
+        assert (seen == 0) == (db == "-30"), (db, seen)
         assert f"only {seen} success events" in captured.err, captured.err
         assert "rare-event" in captured.err and "use --method " in captured.err
 

@@ -293,8 +293,9 @@ def test_outage_k2_contour_uncertainty_calibrated():
 def test_contour_gives_up_where_its_scale_swamps_the_sum():
     # at -20 and -15 dB phi_foxh multiplies the contour integral by
     # e^{2/g} up to e^200, so the trapezoid's rounding alone exceeds 1e-8 of
-    # t1 + t23; the contour raises, and the phi it carries, in phi's units,
-    # covers t1 + t23 - P.  The assembly would read P far outside [0, 1]
+    # t1 + t23; the call raises, and the outage it carries, assembled from
+    # the contour's best phi, covers P.  The assembly would read P far
+    # outside [0, 1] had the contour stopped
     points = [((0.01, 0.01), -20), ((0.01, 0.01), -15), ((0.1, 0.1), -20),
               ((0.1, 0.1), -15), ((0.5, 0.5), -20)]
     for (r1, r2), db in points:
@@ -303,10 +304,9 @@ def test_contour_gives_up_where_its_scale_swamps_the_sum():
         with pytest.raises(ConvergenceError, match="not converged") as info:
             outage_k2_via_foxh(rates, powers)
         best = info.value.estimate
-        assert best.method == "mellin-barnes", (r1, db)
-        t1, t23 = exact._assembly_terms(r1, r2, g, g)
-        phi = t1 + t23 - xp_outage(rates, powers).value
-        assert abs(best.value - phi) <= best.uncertainty, (r1, db, best, phi)
+        assert best.method == "k2-foxh", (r1, db)
+        want = xp_outage(rates, powers).value
+        assert abs(best.value - want) <= best.uncertainty, (r1, db, best, want)
 
 
 def test_contour_evaluates_each_node_once(monkeypatch):

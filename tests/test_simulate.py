@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from xpharq import (
     ConvergenceError,
@@ -27,6 +28,7 @@ from xpharq.simulate import (
     _BLOCK,
     _COMPACT_SHARE,
     _LN2,
+    _ascending_exponentials,
     _block_rng,
     _estimate,
     _run_block,
@@ -43,11 +45,16 @@ def _trial_major_block(seed, block_index, n, gbars, thresholds):
 
     Returns each trial's 0-based first-success round, K for an outage.  The
     stream's documented layout is round-major: round 1 of all n trials,
-    then round 2, and so on, each SNR gbar * -log1p(-U) of a uniform U.
+    then round 2, and so on, each row n exponentials -log1p(-U) of uniforms
+    U.  Round 1 is in ascending order, trial t taking the Renyi sum of
+    Z_i / (n - i + 1) over the row's first t exponentials Z_i; trial t of a
+    later round takes that row's t-th exponential.  The SNR is gbar times it.
     """
     rng = _block_rng(seed, block_index)
     k_rounds = len(gbars)
-    snr = -np.log1p(-rng.random((k_rounds, n))).T * gbars
+    exps = -np.log1p(-rng.random((k_rounds, n)))
+    exps[0] = np.cumsum(exps[0] * (1.0 / np.arange(n, 0, -1)))
+    snr = exps.T * gbars
     info_cum = np.cumsum(np.log1p(snr), axis=1) / _LN2
     reached = info_cum >= thresholds
     return np.where(reached.any(axis=1), np.argmax(reached, axis=1), k_rounds)
@@ -70,14 +77,17 @@ def _outages(n, counts):
 def _gather_round(first, k_rounds):
     """Round after which ``_run_block`` carries only the pending trials.
 
-    None when it never does: the block stays dense to round K, or no trial
-    is left pending before the pending share falls to ``_COMPACT_SHARE``.
+    Round 1's failures are a prefix of the block, and the later rounds run
+    on it, so the earliest gather follows round 2.  None when it never
+    does: the prefix stays dense to round K, or no trial is left pending
+    before the pending share of the prefix falls to ``_COMPACT_SHARE``.
     """
+    prefix = np.count_nonzero(first >= 1)
     for k in range(1, k_rounds):
         left = np.count_nonzero(first >= k)
         if left == 0:
             return None
-        if left <= _COMPACT_SHARE * len(first):
+        if left <= _COMPACT_SHARE * prefix:
             return k
     return None
 
@@ -124,13 +134,14 @@ def test_block_kernel_matches_trial_major_oracle():
         tiny = (10.0 ** decade, 10.0 ** (decade + 1.0))
         cases.append((3000, k_rounds, tiny, (-180.0, -100.0)))
         cases.append((3000, k_rounds, (20.0, 80.0), (100.0, 300.0)))
-    # one round, one trial, and trials gathered after round 1, after a
-    # middle round, or never (dense to round K, or none left pending)
+    # one round, one trial, and trials gathered after round 2 (the earliest),
+    # after a later round, or never (dense to round K, or none left pending)
     cases += [(n, 1, (0.5, 3.0), (-10.0, 30.0)) for n in (1, 2, 5000)]
     cases += [(1, k, (0.05, 3.0), (-10.0, 30.0)) for k in (2, 3, 8)]
     phases = {}  # case: the gather round, for xp, inr outage and inr throughput
-    for rate, db, k_rounds, gathered in ((0.5, 25.0, 4, (1, 1, 1)), (1.0, 3.0, 6, (2, None, 2)),
-                                         (1.0, 6.0, 6, (1, 4, 1)), (3.0, -10.0, 5, (None,) * 3),
+    for rate, db, k_rounds, gathered in ((0.5, 25.0, 4, (None, 2, None)),
+                                         (1.0, 3.0, 6, (3, 5, 2)), (1.0, 6.0, 6, (2, 4, 2)),
+                                         (3.0, -10.0, 5, (None,) * 3),
                                          (0.3, 60.0, 3, (None,) * 3)):
         for case in range(len(cases), len(cases) + 3):
             phases[case] = gathered[case % 3]
@@ -209,29 +220,76 @@ def test_block_streams_differ_by_index_and_seed():
         assert 0.0 < estimate_outage(cfg).value < 1.0
 
 
+def _exact_prefix_sums(terms):
+    """Each prefix sum of the doubles ``terms``, exact, then rounded once."""
+    one = 1 << 1074  # every double is an integer multiple of 2^-1074
+    total, sums = 0, []
+    for x in terms.tolist():
+        num, den = x.as_integer_ratio()
+        total += num * (one // den)
+        sums.append(total / one)  # int / int rounds correctly
+    return np.array(sums)
+
+
+def test_round_one_holds_ascending_order_statistics():
+    # round 1 of a block of n is the order statistics of the exponentials
+    # Z_i = -log1p(-U_i) of its stream's first n uniforms, the Renyi sums
+    # E_(t) = sum_{i<=t} Z_i / (n - i + 1), with at most t 2^-53 relative
+    # rounding from the running sum; a partial last block is one of 4321
+    for n, index in ((1, 0), (2, 0), (7, 1), (65_535, 2), (65_536, 3), (4321, 5)):
+        got, scratch = np.empty(n), np.empty(n)
+        _ascending_exponentials(_block_rng(17, index), got, scratch)
+        assert np.all(np.diff(got) >= 0.0), n
+        exps = -np.log1p(-_block_rng(17, index).random(n))
+        want = _exact_prefix_sums(exps * (1.0 / np.arange(n, 0, -1)))
+        t = np.arange(1, n + 1)
+        assert np.all(np.abs(got - want) <= t * 2.0 ** -53 * want), n
+    # pooled over many blocks, the rows are draws of Exp(1), and the least
+    # of n, scaled by n, is Exp(1) too
+    rows, least = [], []
+    for n, blocks in ((7, 1000), (100, 100)):
+        for index in range(blocks):
+            row = np.empty(n)
+            _ascending_exponentials(_block_rng(23, index), row, np.empty(n))
+            rows.append(row)
+            least.append(n * row[0])
+    assert stats.kstest(np.concatenate(rows), "expon").pvalue > 1e-3
+    assert stats.kstest(least, "expon").pvalue > 1e-3
+
+
 def test_block_summary_pinned():
     # a change of the stream or of its layout moves these counts; log it
     gbars = np.array([1.0, 4.0, 2.0])
     thresholds = np.array([1.0, 2.0, 3.0])
     got = _run_block(0, 3, 1000, gbars[None], thresholds[None], _workspace(1000))[0]
-    assert got.tolist() == [382, 398, 90]
-    assert _outages(1000, got) == 130
+    assert got.tolist() == [369, 400, 82]
+    assert _outages(1000, got) == 149
 
 
 def test_block_stream_advances_by_rows_drawn(monkeypatch):
     # one row of n doubles per round, none once no trial is pending: a block
-    # emptied at round j leaves its stream at j n, one pending at K at K n
+    # emptied at round j leaves its stream at j n, one pending at K at K n.
+    # A round after the first draws only the doubles of round 1's longest
+    # prefix of failures and skips the rest of its row
     used = []
 
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.bit_generator, self.drawn = rng, rng.bit_generator, 0
+
+        def random(self, out):
+            self.drawn += out.size
+            return self.rng.random(out=out)
+
     def spy(seed, block_index):
-        used.append(_block_rng(seed, block_index))
+        used.append(Counting(_block_rng(seed, block_index)))
         return used[-1]
 
     monkeypatch.setattr(simulate, "_block_rng", spy)
     n = 3000
     cases = (
         ([1e6] * 4, [0.5, 1.0, 1.5, 2.0], 1),
-        ([3.0, 30.0, 300.0, 3000.0], [1.0, 2.0, 3.0, 4.0], 3),
+        ([3.0, 30.0, 1000.0, 3000.0], [1.0, 2.0, 3.0, 4.0], 3),
         ([300.0] * 5, [0.5, 1.0, 1.5, 2.0, 2.5], 2),
         ([1.0] * 4, [10.0, 20.0, 30.0, 40.0], 4),
         ([2.0, 0.5, 8.0, 1.0], [0.5, 1.0, 2.0, 2.5], 4),
@@ -248,15 +306,19 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         ref = _block_rng(7, 2)
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, (gbars, rows)
+        assert used[-1].drawn == n + (rows - 1) * (n - got[0]), (gbars, rows)
     # a group draws each round once, as far as its most demanding point needs
     for group in ((0, 0), (0, 1), (1, 0), (0, 1, 0), (0, 1, 3), (4, 1), (3, 4)):
         gbars = np.array([cases[i][0] for i in group])
         thresholds = np.array([cases[i][1] for i in group])
         got = _run_block(7, 2, n, gbars, thresholds, _workspace(n, 4))
         assert np.array_equal(got, [alone[i] for i in group]), group
+        rows = max(cases[i][2] for i in group)
         ref = _block_rng(7, 2)
-        ref.random(max(cases[i][2] for i in group) * n)
+        ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, group
+        prefix = max(n - alone[i][0] for i in group)
+        assert used[-1].drawn == n + (rows - 1) * prefix, group
 
 
 def test_group_block_equals_each_point_alone():
@@ -295,8 +357,9 @@ def test_group_block_equals_each_point_alone():
                           else "gathered"))
     for k_rounds in (2, 3, 4, 8):
         want = {"pending at K", "empty at 1", "empty part-way", "dense", "gathered"}
-        if k_rounds == 2:  # no round lies between the first and the last
-            want.remove("empty part-way")
+        if k_rounds == 2:  # no round lies between the first and the last, and
+            # round 2 runs dense on round 1's failures, the earliest gather after it
+            want -= {"empty part-way", "gathered"}
         assert {phase for k, phase in seen if k == k_rounds} == want, k_rounds
 
 
