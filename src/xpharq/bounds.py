@@ -18,9 +18,8 @@ at the ln x its caller's panels reach: at most n of them (the pass's
 Chebyshev node count) are evaluated directly; more are read from a degree
 n-1 Chebyshev interpolant in ln x on [0, ln U_k] (Trefethen,
 *Approximation Theory and Approximation Practice*), its transform built
-once per node count, evaluated by Clenshaw's recurrence on flat buffers
-in numpy ``chebval``'s order of operations.  The top level reads V_2 at m
-Gauss nodes per panel and n = 4m, so wherever it has at most 4 panels
+once per node count, read by numpy's ``chebval``.  The top level reads V_2
+at m Gauss nodes per panel and n = 4m, so wherever it has at most 4 panels
 K = 3 needs no interpolant and K = 4 one, of V_3.
 
 The u-integral runs over the panels [0, 1], [1, 2], ..., [32, 64]
@@ -48,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polyutils
-from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebval, chebvander
 
 from .core import (
     ConvergenceError,
@@ -158,25 +157,6 @@ def _cheb_transform(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vt
 
 
-def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``chebval(x, c)`` for c of shape (n,) or (n, columns), n >= 2: the same
-    operations in the same order, so the same bits, on three flat buffers
-    that each coefficient row updates in place."""
-    rows, shape = c.reshape(len(c), -1, 1), c.shape[1:] + x.shape
-    x = x.ravel()
-    x2 = 2 * x
-    c0, c1, t = (np.empty((rows.shape[1], x.size)) for _ in range(3))
-    c0[...], c1[...] = rows[-2], rows[-1]
-    for row in rows[-3::-1]:
-        np.multiply(c1, x2, out=t)
-        np.add(c0, t, out=t)
-        np.subtract(row, c1, out=c0)
-        c1, t = t, c1
-    np.multiply(c1, x, out=t)
-    np.add(c0, t, out=t)
-    return t.reshape(shape)
-
-
 def _interpolate(f, n: int, lo: float, hi: float):
     """The degree n-1 Chebyshev interpolant on [lo, hi] of each payoff row of f:
     row by row, the arithmetic of ``Chebyshev.interpolate(f, n - 1, domain=[lo,
@@ -188,7 +168,7 @@ def _interpolate(f, n: int, lo: float, hi: float):
     c[0] /= n
     c[1:] /= 0.5 * n
     off, scl = polyutils.mapparms([lo, hi], Chebyshev.window)
-    return lambda s: _clenshaw(c, off + scl * s)
+    return lambda s: chebval(off + scl * s, c)
 
 
 def _sampled(level, n: int, lo: float, hi: float, failed):

@@ -205,6 +205,11 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("axis=snr_db sets every round's SNR; remove the snr_db key")
     if cfg.snr_db and len(cfg.snr_db) not in (1, k_rounds):
         raise ConfigError(f"snr_db needs 1 or {k_rounds} entries")
+    for key in ("methods", "schemes"):
+        entries = getattr(cfg, key)
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ConfigError(f"{key} lists {entry!r} twice")
     for scheme in cfg.schemes:
         for method in cfg.methods:
             error = method_error(cfg.quantity, scheme, method, k_rounds)
@@ -228,10 +233,11 @@ class SweepRow:
 def _cells(cfg: SweepConfig) -> list[tuple[float, SimConfig]]:
     """The (snr_db column, point) of every row cell, axis value then scheme.
 
-    The point types check every value, so a bad one raises ConfigError
-    naming its axis value.
+    The point types check every value, so a bad rate or SNR raises
+    ConfigError naming its axis value, and a bad trials or seed one naming
+    no axis value.
     """
-    cells = []
+    columns = []
     for axis_value in cfg.values:
         if cfg.axis == "snr_db":
             rates, snr_db, column_db = cfg.rates, (axis_value,) * len(cfg.rates), axis_value
@@ -241,11 +247,14 @@ def _cells(cfg: SweepConfig) -> list[tuple[float, SimConfig]]:
             column_db = cfg.snr_db[0]
         try:
             rates, powers = RateSchedule(rates), PowerProfile([db_to_linear(v) for v in snr_db])
-            cells += [(column_db, SimConfig(scheme, rates, powers, cfg.trials, cfg.seed))
-                      for scheme in cfg.schemes]
         except ValueError as exc:
             raise ConfigError(f"{cfg.axis} = {axis_value!r}: {exc}") from None
-    return cells
+        columns.append((column_db, rates, powers))
+    try:
+        return [(column_db, SimConfig(scheme, rates, powers, cfg.trials, cfg.seed))
+                for column_db, rates, powers in columns for scheme in cfg.schemes]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _sweep_row(column_db: float, point: SimConfig, method: str, est: Estimate) -> SweepRow:

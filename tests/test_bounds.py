@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import Chebyshev
 from scipy.integrate import quad
 
 from xpharq import (
@@ -424,15 +424,23 @@ def test_levels_read_at_most_n_points_are_not_interpolated(monkeypatch):
         assert sorted(built) == sorted(passes * (k_rounds - 3)), (k_rounds, passes, built)
 
 
-@pytest.mark.parametrize("n", [32, 64, 256])
-def test_clenshaw_is_chebval_to_the_bit(n):
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_interpolant_is_numpys_chebyshev_interpolate(n):
+    # the cached transform and the domain map give, row by row, the bits of
+    # numpy's own interpolant on [lo, hi] and of its evaluation
+    lo, hi = 0.3, 7.25
+    rows = (lambda x: -np.expm1(-np.expm1(x) / 40.0), lambda x: np.exp(-x) * np.cos(3.0 * x))
+    stacked = lambda x: np.stack([row(x) for row in rows])
     rng = np.random.default_rng(n)
-    decay = np.exp(-np.arange(n) / 4.0)
-    for c in (rng.standard_normal(n) * decay, rng.standard_normal((n, 2)) * decay[:, None]):
+    for f, payoff in ((rows[0], rows[:1]), (stacked, rows)):
+        read = bounds._interpolate(f, n, lo, hi)
         for shape in ((37,), (5, 3, 8)):
-            x = rng.uniform(-1.0, 1.0, shape)
-            got, want = bounds._clenshaw(c, x), chebval(x, c)
-            assert got.shape == want.shape and np.array_equal(got, want), (c.shape, shape)
+            s = rng.uniform(lo, hi, shape)
+            got = read(s)
+            assert got.shape == f(s).shape, (n, got.shape, shape)
+            for row, value in zip(payoff, got.reshape((len(payoff),) + shape)):
+                want = Chebyshev.interpolate(row, n - 1, domain=[lo, hi])(s)
+                assert np.array_equal(value, want), (n, len(payoff), shape)
 
 
 def test_outage_upper_at_large_rates_and_high_snr():

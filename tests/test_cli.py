@@ -878,19 +878,25 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
     ("seed = 18446744073709551616", "seed must fit in 64 bits"),
     ("rates = -1,1", "rates entries must be positive and finite, got -1.0"),
     ("rates = 1,nan", "rates entries must be positive and finite, got nan"),
+    # a repeated entry would write each of its rows twice
+    ("methods = exact,mc,exact", "methods lists 'exact' twice"),
+    ("schemes = xp,xp", "schemes lists 'xp' twice"),
 ])
 def test_config_field_errors_name_the_problem(tmp_path, capsys, line, problem):
     key = line.split(" = ")[0]
+    # the rates are checked per axis value, so their error names the first
+    # one; every other key holds for all rows and is blamed on no axis value
+    problem = f"snr_db = 0.0: {problem}" if key == "rates" else problem
     text = re.sub(rf"^{key} = .*$", line, _SWEEP_CONFIG, flags=re.M)
     assert line in text.splitlines()
-    with pytest.raises(ConfigError, match=re.escape(problem)):
+    with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
         parse_config(text)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--config", str(cfg_path), "--out", "-"])
     assert info.value.code == 2
-    assert problem in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: {problem}\n")
 
 
 def test_sweep_config_not_utf8_is_usage_error(tmp_path, capsys):
