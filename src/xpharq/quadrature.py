@@ -1,30 +1,29 @@
-"""Ground-truth numerical machinery.
+"""Reference quadratures for the tests.
 
-This module holds the reference oracles for the analytical formulas
-elsewhere in the package: a self-contained adaptive Gauss-Kronrod
-integrator, the nested quadrature of the exact XP outage probability over
-the joint density below, the nested integral behind the high-SNR
-coefficients, and phi by direct quadrature.  No production path calls
-them, and no other module of the package imports this one.
+A self-contained adaptive Gauss-Kronrod integrator, phi by direct
+quadrature on it, and one nested Gauss-Legendre rule behind the exact XP
+outage probability and the high-SNR coefficients hbar.  No production path
+calls them; the package imports this module only to export them.  They
+import nothing from the package but ``.core``, so they share no node,
+panel, cut-off or interpolant with the recursion in ``bounds``.
 
-The change of variables behind the nested integrals is
+The nested integrals run over y_k = ln x_k, where
 
-    x_k = prod_{l<=k} (1 + gamma_l),   x_0 = 1,
+    x_k = prod_{l<=k} (1 + gamma_l),   x_0 = 1.
 
-under which the XP outage event becomes the simplex-like region
-x_{k-1} < x_k < 2^{R_k^sum} for every k, and the joint density of
-(x_1, ..., x_K) factorizes as
-
-    prod_{i=1}^{K-1} x_i^{-1} * prod_k (1/gbar_k) exp(-(x_k/x_{k-1} - 1)/gbar_k).
-
-The innermost integral (over x_K) is an exponential in x_K/x_{K-1} and is
-done analytically, reducing the numerical dimension by one.
+The XP outage event is y_{k-1} < y_k < ln 2^{R_k^sum} for every k, and the
+step d = y_k - y_{k-1} = ln(1 + gamma_k) of round k has the density
+e^{d - (e^d - 1)/gbar_k} / gbar_k, independently of the other rounds.
+That d is ``bounds._level``'s v = ln(x_k/x_{k-1}), so the rule shares the
+recursion's integrand.  The innermost level is in closed form, which
+reduces the numerical dimension by one.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -80,23 +79,18 @@ _NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG7 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
-
-def _vector_call(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Call f on an array of abscissae, falling back to a scalar loop."""
-    try:
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(float(x))) for x in xs])
+_LN2 = math.log(2.0)
+# the nested rule's largest pass: m nodes a level (leggauss solves an m x m
+# eigenproblem, once per m), and m^D in all (16 MB an array)
+_MAX_M, _MAX_NODES = 128, 2 ** 21
+_leggauss = cache(np.polynomial.legendre.leggauss)
 
 
 def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7/15 panel: (kronrod value, |kronrod - gauss|)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    ys = _vector_call(f, center + half * _NODES)
+    ys = np.asarray(f(center + half * _NODES), dtype=float)
     if not np.isfinite(ys).all():
         raise ValueError(f"integrand not finite on [{lo}, {hi}]")
     k15 = half * float(np.dot(_WGK, ys))
@@ -116,8 +110,8 @@ def integrate_adaptive(
 
     The worst panel (by embedded Kronrod-vs-Gauss error estimate) is split
     until the summed estimate, the uncertainty, drops below max(tol,
-    rel_tol * |integral|).  The integrand may be vectorized over numpy
-    arrays; scalar-only callables are handled transparently.
+    rel_tol * |integral|).  The integrand maps an array of abscissae to
+    an array of values.
 
     Raises ConvergenceError carrying the best Estimate when the panel limit
     is reached first.
@@ -156,63 +150,67 @@ def integrate_adaptive(
     return Estimate(total_val, "gauss-kronrod", total_err)
 
 
+def _nested_rule(log_limits, y0, last, weight, tol, rel_tol, what) -> Estimate:
+    """The nested integral over y_0 < y_1 < ... < y_D, y_j up to log_limits[j - 1].
+
+    Level j integrates weight(j - 1, y_j - y_{j-1}) times the levels inside
+    it, and ``last(y_D)`` closes the nest (``last(y0)`` where D = 0).  An
+    m-point Gauss-Legendre rule runs on every level's interval, each level's
+    nodes a broadcast of the outer level's, so a pass is m^D evaluations.
+    m doubles from 16 until two passes differ by at most max(tol, rel_tol *
+    |value|).  The uncertainty is that gap plus tol, plus 1e-14 of the
+    value for rounding, and ``what`` is the method tag.  Where the next
+    pass would exceed _MAX_M nodes a level or _MAX_NODES in all,
+    ConvergenceError carries the last.
+    """
+    prev, gap, m = math.inf, math.inf, 16
+    while m <= _MAX_M and m ** len(log_limits) <= _MAX_NODES:
+        t, w = _leggauss(m)
+        y, mass = np.float64(y0), np.float64(1.0)
+        for j, top in enumerate(log_limits):
+            half = 0.5 * (top - y)[..., None]
+            step = half * (t + 1.0)
+            mass = mass[..., None] * (half * w) * weight(j, step)
+            y = y[..., None] + step
+        value = float((mass * last(y)).sum())
+        gap = abs(value - prev)
+        if gap <= max(tol, rel_tol * abs(value)):
+            return Estimate(value, what, gap + tol + 1e-14 * abs(value))
+        prev, m = value, 2 * m
+    raise ConvergenceError(
+        f"{what}: passes differ by {gap:.3e}, and {m} nodes a level would "
+        f"exceed the largest pass", Estimate(prev, what, gap + tol))
+
+
 def xp_outage_quadrature(
     rates: RateSchedule,
     powers: PowerProfile,
     tol: float = 1e-10,
     rel_tol: float = 1e-9,
 ) -> Estimate:
-    """Exact XP outage probability by nested adaptive quadrature (K <= 4).
+    """Exact XP outage probability by the nested Gauss-Legendre rule (K <= 4).
 
-    Integrates the transformed joint density over the outage region
-    x_{k-1} < x_k < 2^{R_k^sum}.  Each level maps its cell onto [0, 1] and
-    tightens the tolerance tenfold so inner errors stay inside the outer
-    budget; the innermost level is analytic.
+    Integrates the density of y_k = ln x_k over the outage region
+    y_{k-1} < y_k < ln 2^{R_k^sum}, k < K; round K's outage given
+    y_{K-1} is in closed form.
     """
     _check_rounds(rates, powers)
     K = rates.K
     if K > 4:
         raise ValueError("nested quadrature supports K <= 4; use Monte Carlo beyond")
-    thresholds = [2.0 ** c for c in rates.cumulative()]
+    logs = [c * _LN2 for c in rates.cumulative()]
     gbars = powers.snr_bars
 
-    if K == 1:
-        p = -math.expm1(-(thresholds[0] - 1.0) / gbars[0])
-        return Estimate(p, "xp-quadrature", 1e-16)
+    def weight(j: int, d: np.ndarray) -> np.ndarray:
+        # gamma_j = e^d - 1 has density e^{-gamma/gbar}/gbar, and d gamma = e^d dd
+        return np.exp(d - np.expm1(d) / gbars[j]) / gbars[j]
 
-    def innermost(x: np.ndarray) -> np.ndarray:
-        # integral over x_K of its conditional density, times x_{K-1}
-        # (which cancels the x_{K-1}^{-1} density factor)
-        return x * (-np.expm1(-(thresholds[-1] / x - 1.0) / gbars[-1]))
+    def last(y: np.ndarray) -> np.ndarray:
+        return -np.expm1(-np.expm1(logs[-1] - y) / gbars[-1])
 
-    def level(k: int, lower: float, tol_k: float, rel_k: float) -> float:
-        """Integral over x_k from `lower` to its threshold, inner levels nested."""
-        hi = thresholds[k - 1]
-        width = hi - lower
-        gbar = gbars[k - 1]
-
-        if k == K - 1:
-            def integrand(u: np.ndarray) -> np.ndarray:
-                xk = lower + width * u
-                w = np.exp(-(xk / lower - 1.0) / gbar) / gbar
-                return width * w / xk * innermost(xk)
-        else:
-            def integrand(u: np.ndarray) -> np.ndarray:
-                us = np.atleast_1d(np.asarray(u, dtype=float))
-                out = np.empty_like(us)
-                for i, ui in enumerate(us):
-                    xk = lower + width * float(ui)
-                    w = math.exp(-(xk / lower - 1.0) / gbar) / gbar
-                    out[i] = width * w / xk * level(k + 1, xk, tol_k * 0.1, rel_k * 0.1)
-                return out if np.ndim(u) else out[0]
-
-        return integrate_adaptive(integrand, 0.0, 1.0, tol_k, rel_tol=rel_k).value
-
-    top = level(1, 1.0, tol, rel_tol)
-    # Inner levels contribute at most ~tol/9 on top of the outer estimate.
-    uncertainty = tol + rel_tol * abs(top)
-    p = clamp_probability(top, max(100.0 * tol, 1e-9), "xp outage (quadrature)")
-    return Estimate(p, "xp-quadrature", uncertainty)
+    est = _nested_rule(logs[:-1], 0.0, last, weight, tol, rel_tol, "xp-quadrature")
+    p = clamp_probability(est.value, max(100.0 * tol, 1e-9), "xp outage (quadrature)")
+    return Estimate(p, est.method, est.uncertainty)
 
 
 def hbar_quadrature(
@@ -225,53 +223,31 @@ def hbar_quadrature(
 
     Defined by hbar_{K,K}(x) = 2^{R_K^sum} - x and
 
-        hbar_{K,k}(x) = integral_x^{2^{R_k^sum}} t^{-1} hbar_{K,k+1}(t) dt.
+        hbar_{K,k}(x) = integral_x^{2^{R_k^sum}} t^{-1} hbar_{K,k+1}(t) dt,
 
-    Independent of the recursive coefficient-table construction; used to
-    validate it.  The innermost integral is analytic, so the numerical
-    depth is K - k - 1.  Cost grows geometrically with depth.
+    which in y = ln t has weight 1.  Independent of the recursive
+    coefficient-table construction; used to validate it.  Level K - 1 is
+    in closed form, so the rule nests K - k - 1 deep, and its node cap
+    stops it past K - k = 5.
     """
     K = rates.K
     if not 1 <= k <= K:
         raise ValueError(f"level {k} outside 1..{K}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("x must be positive")
     thresholds = [2.0 ** c for c in rates.cumulative()]
     if x > thresholds[k - 1]:
         raise ValueError(f"x={x} above the level-{k} threshold {thresholds[k - 1]}")
-
     if k == K:
         return thresholds[-1] - x
+    logs = [c * _LN2 for c in rates.cumulative()]
 
-    def penultimate(lo: np.ndarray) -> np.ndarray:
-        # integral_lo^{T_{K-1}} t^{-1} (T_K - t) dt, closed form
-        return thresholds[-1] * np.log(thresholds[-2] / lo) - (thresholds[-2] - lo)
+    def last(y: np.ndarray) -> np.ndarray:
+        # hbar_{K,K-1}(e^y) = integral_y^{ln U_{K-1}} (U_K - e^s) ds
+        return thresholds[-1] * (logs[-2] - y) - np.exp(y) * np.expm1(logs[-2] - y)
 
-    if k == K - 1:
-        return float(penultimate(np.asarray(x)))
-
-    def level(j: int, lower: float, tol_rel: float) -> float:
-        hi = thresholds[j - 1]
-        width = hi - lower
-
-        if j == K - 2:
-            def integrand(u: np.ndarray) -> np.ndarray:
-                t = lower + width * u
-                return width / t * penultimate(t)
-        else:
-            def integrand(u: np.ndarray) -> np.ndarray:
-                us = np.atleast_1d(np.asarray(u, dtype=float))
-                out = np.empty_like(us)
-                for i, ui in enumerate(us):
-                    t = lower + width * float(ui)
-                    out[i] = width / t * level(j + 1, t, tol_rel * 0.1)
-                return out if np.ndim(u) else out[0]
-
-        return integrate_adaptive(
-            integrand, 0.0, 1.0, tol=1e-300, rel_tol=tol_rel
-        ).value
-
-    return level(k, x, rel_tol)
+    return _nested_rule(logs[k - 1:-2], math.log(x), last, lambda j, d: 1.0,
+                        0.0, rel_tol, "hbar-quadrature").value
 
 
 def phi_quadrature(

@@ -233,10 +233,16 @@ class SweepRow:
 def _cells(cfg: SweepConfig) -> list[tuple[float, SimConfig]]:
     """The (snr_db column, point) of every row cell, axis value then scheme.
 
-    The point types check every value, so a bad rate or SNR raises
-    ConfigError naming its axis value, and a bad trials or seed one naming
-    no axis value.
+    The point types check every value.  A bad axis value or SNR raises
+    ConfigError naming its axis value; a bad fixed rate, trials or seed
+    one naming no axis value.
     """
+    fixed = cfg.rates if cfg.axis == "snr_db" else cfg.rates[1:]
+    try:
+        if fixed:
+            RateSchedule(fixed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     columns = []
     for axis_value in cfg.values:
         if cfg.axis == "snr_db":

@@ -8,8 +8,8 @@ void; the tests use it only away from that corner.
 
 Also the joint density of the cumulative SNR products behind the nested
 quadrature, the log-log slope through high-SNR outage points, whose
-negation is the diversity order, and the high-SNR coefficient recursion in
-mpmath.
+negation is the diversity order, the high-SNR coefficient recursion in
+mpmath, and the XP outage of two and of three rounds by mpmath integrals.
 """
 
 import math
@@ -94,3 +94,30 @@ def hbar_mp(rates, digits):
             row = [head + (-1) ** (K - k) * mp.exp(lt)] + [
                 -c / i for i, c in enumerate(row, start=1)]
         return row[0] + (-1) ** K
+
+
+def xp_two_rounds_mp(a1: float, big_z: float, gbar: float):
+    """Pr(gamma_1 < a1 and (1 + gamma_1)(1 + gamma_2) < big_z), 40 digits."""
+    with mp.workdps(40):
+        g = mp.mpf(gbar)
+        return float(mp.quad(
+            lambda x: mp.exp(-x / g) / g * -mp.expm1(-(big_z / (1 + x) - 1) / g), [0, a1]
+        ))
+
+
+def xp_three_rounds_mp(limits, gbar: float):
+    """XP outage of three equal-SNR rounds as a 2-D integral over x_1, x_2."""
+    with mp.workdps(25):
+        g = mp.mpf(gbar)
+        u1, u2, u3 = (mp.mpf(u) for u in limits)
+
+        def given_x1(x1):
+            return mp.quad(
+                lambda x2: mp.exp(-(x2 / x1 - 1) / g) / (g * x1) * -mp.expm1(-(u3 / x2 - 1) / g),
+                [x1, u2], method="gauss-legendre",
+            )
+
+        return float(mp.quad(
+            lambda x1: mp.exp(-(x1 - 1) / g) / g * given_x1(x1), [1, u1],
+            method="gauss-legendre",
+        ))

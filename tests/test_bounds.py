@@ -26,6 +26,8 @@ from xpharq import (
 )
 from xpharq import bounds
 
+from oracles import xp_three_rounds_mp, xp_two_rounds_mp
+
 
 def _sum2_cdf_reference(r: float, g1: float, g2: float) -> float:
     """Pr(log2(1+gamma_1) + log2(1+gamma_2) < r) via a scipy integral.
@@ -154,33 +156,6 @@ def test_outage_upper_snr_permutation_invariance():
     assert a == pytest.approx(c, rel=1e-9)
 
 
-def _mp_two_rounds(a1: float, big_z: float, gbar: float):
-    """Pr(gamma_1 < a1 and (1 + gamma_1)(1 + gamma_2) < big_z), 40 digits."""
-    with mp.workdps(40):
-        g = mp.mpf(gbar)
-        return float(mp.quad(
-            lambda x: mp.exp(-x / g) / g * -mp.expm1(-(big_z / (1 + x) - 1) / g), [0, a1]
-        ))
-
-
-def _mp_xp_three_rounds(limits, gbar: float):
-    """XP outage of three equal-SNR rounds as a 2-D integral over x_1, x_2."""
-    with mp.workdps(25):
-        g = mp.mpf(gbar)
-        u1, u2, u3 = (mp.mpf(u) for u in limits)
-
-        def given_x1(x1):
-            return mp.quad(
-                lambda x2: mp.exp(-(x2 / x1 - 1) / g) / (g * x1) * -mp.expm1(-(u3 / x2 - 1) / g),
-                [x1, u2], method="gauss-legendre",
-            )
-
-        return float(mp.quad(
-            lambda x1: mp.exp(-(x1 - 1) / g) / g * given_x1(x1), [1, u1],
-            method="gauss-legendre",
-        ))
-
-
 def _mp_xp_two_rounds_high_snr(r1: float, r2: float, gbar: float):
     """XP outage of two equal-SNR rounds by exponential integrals, 40 digits.
 
@@ -227,7 +202,7 @@ def test_recursion_uncertainty_calibrated():
         gbar = 10.0 ** (snr_db / 10.0)
         powers = PowerProfile((gbar, gbar))
         if snr_db <= 160:
-            refs = (_mp_two_rounds(1.0, 4.0, gbar), _mp_two_rounds(3.0, 4.0, gbar))
+            refs = (xp_two_rounds_mp(1.0, 4.0, gbar), xp_two_rounds_mp(3.0, 4.0, gbar))
         else:
             refs = ((4.0 * math.log(2.0) - 1.0) / gbar**2,
                     (8.0 * math.log(2.0) - 3.0) / gbar**2)
@@ -237,7 +212,7 @@ def test_recursion_uncertainty_calibrated():
             assert err <= 1e-12 * est.value, (snr_db, est, ref)
     rates = RateSchedule((1.0, 1.0, 1.0))
     est = xp_outage(rates, PowerProfile((0.1,) * 3))
-    ref = _mp_xp_three_rounds((2.0, 4.0, 8.0), 0.1)
+    ref = xp_three_rounds_mp((2.0, 4.0, 8.0), 0.1)
     assert abs(est.value - ref) <= min(est.uncertainty, 1e-12 * est.value), (est, ref)
     # R_1 ln 2 far past 8: the first v-panel is split, and the stopping
     # rule, relative only, sees its error at outages of 1e-78 to 1e-297
@@ -253,7 +228,7 @@ def test_recursion_uncertainty_calibrated():
     a1 = math.expm1(1e-9 * math.log(2.0))
     for rates, gbar, ref in (
         ((1e-12,), 1.0, -math.expm1(-math.expm1(1e-12 * math.log(2.0)))),
-        ((1e-9, 2.0), 1e4, _mp_two_rounds(a1, 2.0 ** (2.0 + 1e-9), 1e4)),
+        ((1e-9, 2.0), 1e4, xp_two_rounds_mp(a1, 2.0 ** (2.0 + 1e-9), 1e4)),
     ):
         est = xp_outage(RateSchedule(rates), PowerProfile((gbar,) * len(rates)))
         err = abs(est.value - ref)

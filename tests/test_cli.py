@@ -883,10 +883,8 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
     ("schemes = xp,xp", "schemes lists 'xp' twice"),
 ])
 def test_config_field_errors_name_the_problem(tmp_path, capsys, line, problem):
+    # each of these keys holds for all rows, so its error names no axis value
     key = line.split(" = ")[0]
-    # the rates are checked per axis value, so their error names the first
-    # one; every other key holds for all rows and is blamed on no axis value
-    problem = f"snr_db = 0.0: {problem}" if key == "rates" else problem
     text = re.sub(rf"^{key} = .*$", line, _SWEEP_CONFIG, flags=re.M)
     assert line in text.splitlines()
     with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
@@ -897,6 +895,20 @@ def test_config_field_errors_name_the_problem(tmp_path, capsys, line, problem):
         main(["sweep", "--config", str(cfg_path), "--out", "-"])
     assert info.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {problem}\n")
+
+
+def test_r1_axis_blames_a_bad_fixed_rate_on_its_key_and_a_bad_value_on_itself():
+    r1_axis = _SWEEP_CONFIG.replace("axis = snr_db", "axis = r1").replace(
+        "values = 0,5,10", "values = 0.5,2\nsnr_db = 10")
+    for old, new, problem in (
+        ("rates = 1,1", "rates = 1,-1", "rates entries must be positive and finite, got -1.0"),
+        ("values = 0.5,2", "values = 0.5,-2",
+         "r1 = -2.0: rates entries must be positive and finite, got -2.0"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            parse_config(r1_axis.replace(old, new))
+    # the axis value replaces the first rate, which is never checked
+    parse_config(r1_axis.replace("rates = 1,1", "rates = -1,1"))
 
 
 def test_sweep_config_not_utf8_is_usage_error(tmp_path, capsys):

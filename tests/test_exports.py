@@ -1,7 +1,7 @@
 """Package exports: every ``__all__`` entry resolves, the package
 re-exports only names that its modules list in ``__all__``, only the
-package itself imports the test-reference module ``quadrature``, the
-runtime dependencies in ``pyproject.toml`` are the third-party packages
+package itself imports the test-reference module ``quadrature``, which
+imports nothing from the package but ``core``, the runtime dependencies in ``pyproject.toml`` are the third-party packages
 that ``src/`` imports, and ``Estimate`` is the one result type that a
 ``ConvergenceError`` carries."""
 
@@ -56,6 +56,19 @@ def test_only_the_package_imports_the_quadrature_references():
             if "quadrature" in parts:
                 importers.append((path.name, node.lineno))
     assert not importers
+
+
+def test_the_quadrature_references_import_only_core():
+    # a reference that took the recursion's nodes, panels or interpolants
+    # would check the recursion against itself
+    path = Path(xpharq.__file__).parent / "quadrature.py"
+    package = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("xpharq")):
+            package.append((node.level, node.module))
+        elif isinstance(node, ast.Import):
+            package += [(0, a.name) for a in node.names if a.name.split(".")[0] == "xpharq"]
+    assert package == [(1, "core")]
 
 
 def test_runtime_dependencies_are_the_third_party_imports():

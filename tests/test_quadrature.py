@@ -1,4 +1,4 @@
-"""Adaptive quadrature building blocks and the nested outage oracle."""
+"""Adaptive quadrature building blocks and the nested outage and hbar references."""
 
 import math
 
@@ -17,7 +17,7 @@ from xpharq import (
     xp_outage_quadrature,
 )
 
-from oracles import joint_density_x
+from oracles import hbar_mp, joint_density_x, xp_three_rounds_mp, xp_two_rounds_mp
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +49,6 @@ def test_integrate_constant_and_exponential():
 def test_integrate_log_over_x():
     res = integrate_adaptive(lambda x: np.log(x) / x, 1.0, 2.0, tol=1e-13)
     assert res.value == pytest.approx(math.log(2.0) ** 2 / 2.0, rel=1e-12)
-
-
-def test_integrate_scalar_only_integrand():
-    # integrands that choke on array input fall back to a scalar loop
-    def f(x):
-        return math.exp(-float(x))
-
-    res = integrate_adaptive(f, 0.0, 1.0, tol=1e-12)
-    assert res.value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
 
 def test_integrate_empty_interval():
@@ -215,3 +206,53 @@ def test_hbar_quadrature_rejects_x_beyond_cell():
     rates = RateSchedule((1.0, 1.0))
     with pytest.raises(ValueError):
         hbar_quadrature(rates, k=1, x=5.0)  # upper end of the k=1 cell is 2
+
+
+# ---------------------------------------------------------------------------
+# the nested Gauss-Legendre rule against independent values
+
+
+def test_hbar_quadrature_matches_the_mpmath_coefficient_recursion():
+    rng = np.random.default_rng(30)
+    for K in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            rates = RateSchedule(tuple(rng.uniform(0.25, 3.0, K)))
+            ref = float(hbar_mp(rates, 40))
+            assert hbar_quadrature(rates) == pytest.approx(ref, rel=1e-13), rates
+
+
+def test_xp_quadrature_uncertainty_covers_mpmath():
+    cases = [((1.0, 1.0), g, xp_two_rounds_mp(1.0, 4.0, g))
+             for g in (0.1, 1.0, 10.0, 1e2, 1e4)]
+    cases.append(((1.0, 1.0, 1.0), 10.0, xp_three_rounds_mp((2.0, 4.0, 8.0), 10.0)))
+    for r, g, ref in cases:
+        rates, powers = RateSchedule(r), PowerProfile((g,) * len(r))
+        for tol, rel_tol in ((1e-10, 1e-9), (0.0, 1e-12)):
+            est = xp_outage_quadrature(rates, powers, tol=tol, rel_tol=rel_tol)
+            assert abs(est.value - ref) <= est.uncertainty, (r, g, tol, est, ref)
+        assert est.value == pytest.approx(ref, rel=1e-13), (r, g)
+
+
+def test_xp_quadrature_matches_the_recursion_on_a_grid():
+    for K in (2, 3, 4):
+        for r in (0.5, 1.0, 2.0):
+            for snr_db in (0, 10, 20, 30, 40):
+                rates = RateSchedule((r,) * K)
+                powers = PowerProfile((10.0 ** (snr_db / 10.0),) * K)
+                est = xp_outage_quadrature(rates, powers, tol=0.0, rel_tol=1e-12)
+                rec = xp_outage(rates, powers)
+                assert abs(est.value - rec.value) <= est.uncertainty + rec.uncertainty
+                assert est.value == pytest.approx(rec.value, rel=1e-12), (K, r, snr_db)
+
+
+def test_xp_quadrature_raises_where_its_rule_cannot_resolve_a_level():
+    # at -40 dB round 1's step density is a layer 1e-4 wide in d on
+    # [0, 8 ln 2], which 128 nodes do not resolve; under a relative rule the
+    # rule says so and carries its last pass, a probability, in the call's
+    # tag (the outage is 1; the passes read 2e-127, 2e-31, 2e-7 and 0.097)
+    rates, powers = RateSchedule((8.0, 8.0)), PowerProfile((1e-4, 1e-4))
+    with pytest.raises(ConvergenceError) as info:
+        xp_outage_quadrature(rates, powers, tol=0.0, rel_tol=1e-12)
+    est = info.value.estimate
+    assert est.method == "xp-quadrature"
+    assert 0.0 < est.value < 1.0 and est.uncertainty > 0.0
