@@ -27,6 +27,16 @@ absolute.  In round 1 the running sum adds at most t 2^-53 relative
 rounding to the t-th value (7.3e-12 at n = 65536), and the smallest
 nonzero value is 2^-53 gbar / n.
 
+Round 1 draws only positions [0, first) and advances the stream over the
+other n - first.  A point's round-1 failures number Binomial(n, p), p =
+P(gbar E < limit), so the block first draws to six standard deviations past
+the mean of the point likeliest to fail, and doubles that stretch until
+gbar E_(t) >= limit holds at its last position t for every point; that
+test is monotone in t, so each point's prefix is the one a full row gives.
+Each stretch adds the running sum so far to its first term before its own
+running sum, which makes the additions those of one sum over the row:
+E_(t) is bit-identical to a full row's however many stretches it takes.
+
 The decision takes no logarithm: sum_{l<=k} log2(1 + g_l) >= R_k holds
 exactly when y_k = prod_{l<=k}(1 + g_l) - 1 >= expm1(R_k ln 2), and the
 block carries y_k = y_{k-1} + g_k (1 + y_{k-1}).  Every term is
@@ -39,10 +49,11 @@ draws only positions [0, m) of its row, m being the longest round-1 prefix
 among the block's points, and advances the stream over the other n - m;
 once no trial is pending the block draws no further row, so a block whose
 last pending trial succeeds at round j has advanced its stream by exactly
-j n doubles.  While more than ``_COMPACT_SHARE`` of a point's prefix is
-pending, each round updates the prefix's rows in place under a pending
-mask; after that the point gathers the pending trials' positions and y
-once and, each later round, transforms and updates only those positions.
+j n doubles, whatever its first round drew.  While more than
+``_COMPACT_SHARE`` of a point's prefix is pending, each round updates the
+prefix's rows in place under a pending mask; after that the point gathers
+the pending trials' positions and y once and, each later round, transforms
+and updates only those positions.
 The arithmetic of a trial is the same in both phases, so where the switch
 falls changes no count.  Each worker reuses one workspace (rows g, y and
 step, and the pending and hit masks) sized to its largest block; of W
@@ -156,16 +167,33 @@ def _to_snr(row: np.ndarray, gbar: float) -> None:
     row *= -gbar
 
 
-def _ascending_exponentials(rng: np.random.Generator, out: np.ndarray,
-                            scratch: np.ndarray) -> None:
-    """The n = len(out) exponentials of the stream's next n uniforms, in
-    ascending order, into ``out``: E_(t) = sum_{i<=t} Z_i / (n - i + 1) of
-    the exponentials Z_i = -log1p(-U_i) (Renyi's representation)."""
-    n = len(out)
-    rng.random(out=scratch)
-    _log1m(scratch)
-    scratch *= _order_weights(max(n, _BLOCK))[-n:]
-    np.cumsum(scratch, out=out)
+def _ascending_exponentials(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray,
+                            gbars: np.ndarray, limits: np.ndarray, size: int) -> int:
+    """Round 1 of a block of n = len(out): the exponentials of the stream's
+    next n uniforms in ascending order, E_(t) = sum_{i<=t} Z_i / (n - i + 1)
+    of Z_i = -log1p(-U_i) (Renyi's representation), into ``out`` as far as
+    the points (``gbars``, ``limits``) can fail round 1.
+
+    It draws ``size`` >= 1 positions, then twice as many, until gbar E >= limit
+    holds at the last one for every point (or all n are drawn), and returns
+    that count ``first``: out[:first] holds E_(1), ..., E_(first) as one
+    running sum over the row would, and the stream stands at n.
+    """
+    n, drawn, carry = len(out), 0, 0.0
+    weights = _order_weights(max(n, _BLOCK))[-n:]
+    while drawn < n:
+        stop = min(size, n)
+        chunk = scratch[drawn:stop]
+        rng.random(out=chunk)
+        _log1m(chunk)
+        chunk *= weights[drawn:stop]
+        chunk[0] += carry  # before the sum, so the additions are those of one sum over the row
+        np.cumsum(chunk, out=out[drawn:stop])
+        drawn, carry, size = stop, out[stop - 1], 2 * size
+        if np.all(gbars * carry >= limits):  # monotone in t: no point fails past here
+            break
+    rng.bit_generator.advance(n - drawn)
+    return drawn
 
 
 def _run_block(
@@ -190,9 +218,13 @@ def _run_block(
     rows, masks = work[0][:, :n], work[1][:, :n]
     # a lone point keeps round 1 in y and draws every later round into g
     draws = rows[3:3 + k_rounds] if len(gbars) > 1 else [rows[1]] + [rows[0]] * (k_rounds - 1)
-    _ascending_exponentials(rng, draws[0], rows[0])
+    # round 1 draws first to six standard deviations past the mean prefix of
+    # the point likeliest to fail (module docstring)
+    p = -math.expm1(-float(np.max(limits[:, 0] / gbars[:, 0])))
+    size = int(n * p + 6.0 * math.sqrt(n * p * (1.0 - p))) + 64
+    first = _ascending_exponentials(rng, draws[0], rows[0], gbars[:, 0], limits[:, 0], size)
     # gbar E_(t) < limit is monotone in t: each point's round-1 failures are a prefix
-    prefixes = [bisect.bisect_left(draws[0], limit, key=lambda e: gbar * e)
+    prefixes = [bisect.bisect_left(draws[0], limit, hi=first, key=lambda e: gbar * e)
                 for gbar, limit in zip(gbars[:, 0], limits[:, 0])]
     drawn = max(prefixes)  # later rounds draw only the trials of the longest prefix
     logged = [True]  # per round drawn: whether its row holds log1p(-U) yet
@@ -315,9 +347,12 @@ def estimate_throughput(cfg: SimConfig) -> Estimate:
 
     A cycle's delivered rate and slot count are fixed by its success round
     (``rewards[k-1]`` and k, or 0 and K in outage), so the estimate and the
-    variance of the reward/slots ratio follow from the histogram alone.  If
-    all trials share one outcome that variance is 0, and the half-width is
-    how far eta moves when 3/n of them take the unseen outcome moving it most.
+    variance of the reward/slots ratio follow from the histogram alone.  An
+    outcome no trial took may still hold mass the histogram cannot show (with
+    equal rates every XP success delivers the same rate per slot, so the
+    delta variance is 0 whenever no outage is seen): the half-width is never
+    below how far eta moves when 3/n of the trials take the unseen outcome
+    that moves it most.
     """
     return _estimate_point(cfg, "throughput")
 
@@ -343,11 +378,13 @@ def _estimate(cfg: SimConfig, purpose: str, counts: np.ndarray) -> Estimate:
     slots = sum(c * t for c, _, t in outcomes)
     delivered = float(np.dot(counts, rewards))
     eta = delivered / slots
-    if max(c for c, _, _ in outcomes) == n:
-        q = min(3.0 / n, 1.0)
-        half = max(abs(((1.0 - q) * delivered / n + q * r) / ((1.0 - q) * slots / n + q * t) - eta)
-                   for _, r, t in outcomes)
-    else:  # E[(reward - eta * slots)^2] over the outcomes
-        sq = sum(c * (r - eta * t) ** 2 for c, r, t in outcomes)
-        half = 1.96 * math.sqrt(sq / n / (n * (slots / n) ** 2))
+    # the delta method on E[(reward - eta * slots)^2] over the outcomes, no
+    # narrower than how far eta moves when 3/n of the trials take an unseen outcome
+    sq = sum(c * (r - eta * t) ** 2 for c, r, t in outcomes)
+    half = 1.96 * math.sqrt(sq / n / (n * (slots / n) ** 2))
+    q = min(3.0 / n, 1.0)
+    for c, r, t in outcomes:
+        if c == 0:
+            half = max(half, abs(((1.0 - q) * delivered / n + q * r)
+                                 / ((1.0 - q) * slots / n + q * t) - eta))
     return Estimate(eta, f"mc-{cfg.scheme}", half)

@@ -326,6 +326,21 @@ def test_throughput_mc_matches_analytical_loosely(capsys):
     assert float(_field(out, "uncertainty")) > 0.0
 
 
+def test_throughput_mc_without_outages_keeps_an_uncertainty(capsys):
+    # with equal rates every XP success delivers one bit per slot, so a run
+    # that sees no outage reads eta = 1 with a delta variance of 0; the unseen
+    # outage still bounds the half-width from below
+    for rates, db, trials in (("1,1", "30", "50000"), ("1,1,1", "20", "100000")):
+        argv = ["throughput", "--scheme", "xp", "--rates", rates, "--snr-db", db]
+        assert main(argv + ["--method", "mc", "--trials", trials, "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        value, half = float(_field(captured.out, "value")), float(_field(captured.out, "uncertainty"))
+        assert value == 1.0, captured.out
+        assert main(argv + ["--method", "analytical"]) == 0
+        exact = float(_field(capsys.readouterr().out, "value"))
+        assert half > 0.0 and half >= abs(value - exact), (rates, half, exact)
+
+
 def test_hbar_dump(capsys):
     rc = main(["hbar", "--rates", "1,1,1"])
     out = capsys.readouterr().out

@@ -231,14 +231,22 @@ def _exact_prefix_sums(terms):
     return np.array(sums)
 
 
+def _full_round_one(rng, n, size=None):
+    """Round 1 of a block of n drawn in full: no point passes an infinite limit."""
+    out = np.empty(n)
+    first = _ascending_exponentials(rng, out, np.empty(n), np.ones(1), np.array([np.inf]),
+                                    size or n)
+    assert first == n
+    return out
+
+
 def test_round_one_holds_ascending_order_statistics():
     # round 1 of a block of n is the order statistics of the exponentials
     # Z_i = -log1p(-U_i) of its stream's first n uniforms, the Renyi sums
     # E_(t) = sum_{i<=t} Z_i / (n - i + 1), with at most t 2^-53 relative
     # rounding from the running sum; a partial last block is one of 4321
     for n, index in ((1, 0), (2, 0), (7, 1), (65_535, 2), (65_536, 3), (4321, 5)):
-        got, scratch = np.empty(n), np.empty(n)
-        _ascending_exponentials(_block_rng(17, index), got, scratch)
+        got = _full_round_one(_block_rng(17, index), n)
         assert np.all(np.diff(got) >= 0.0), n
         exps = -np.log1p(-_block_rng(17, index).random(n))
         want = _exact_prefix_sums(exps * (1.0 / np.arange(n, 0, -1)))
@@ -249,12 +257,38 @@ def test_round_one_holds_ascending_order_statistics():
     rows, least = [], []
     for n, blocks in ((7, 1000), (100, 100)):
         for index in range(blocks):
-            row = np.empty(n)
-            _ascending_exponentials(_block_rng(23, index), row, np.empty(n))
+            row = _full_round_one(_block_rng(23, index), n)
             rows.append(row)
             least.append(n * row[0])
     assert stats.kstest(np.concatenate(rows), "expon").pvalue > 1e-3
     assert stats.kstest(least, "expon").pvalue > 1e-3
+
+
+def test_round_one_stops_where_every_point_has_passed():
+    # round 1 draws from a first size on, doubling, until gbar E >= limit at
+    # its last position for every point, and skips the stream to n; what it
+    # holds, however many times it extends, is bit-equal to one running sum
+    # over the full row, and each point's prefix of failures is the same
+    for n, index in ((1, 0), (7, 1), (3000, 2), (65_536, 3), (4321, 5)):
+        full = _full_round_one(_block_rng(29, index), n)
+        ref = _block_rng(29, index)
+        ref.random(n)
+        for size in (1, 3, n):
+            assert np.array_equal(_full_round_one(_block_rng(29, index), n, size), full)
+            # the point with the longest prefix is first, then last, then alone
+            for gbars in ((1.0, 40.0, 7.0), (40.0, 7.0, 1.0), (3.0,)):
+                gbars, limits = np.array(gbars), np.full(len(gbars), full[(2 * n) // 3])
+                rng, out = _block_rng(29, index), np.empty(n)
+                first = _ascending_exponentials(rng, out, np.empty(n), gbars, limits, size)
+                assert rng.bit_generator.state == ref.bit_generator.state, (n, size)
+                assert np.array_equal(out[:first], full[:first]), (n, size, gbars)
+                prefixes = [np.count_nonzero(g * full < lim) for g, lim in zip(gbars, limits)]
+                assert [np.count_nonzero(g * out[:first] < lim)
+                        for g, lim in zip(gbars, limits)] == prefixes, (n, size, gbars)
+                assert max(prefixes) < first <= n, (n, size, gbars, first)
+                if first < n:  # every point passes at the last end, and some failed at those before
+                    assert np.all(gbars * out[first - 1] >= limits), (n, size, gbars)
+                    assert first <= max(size, 2 * max(prefixes)), (n, size, first)
 
 
 def test_block_summary_pinned():
@@ -269,8 +303,9 @@ def test_block_summary_pinned():
 def test_block_stream_advances_by_rows_drawn(monkeypatch):
     # one row of n doubles per round, none once no trial is pending: a block
     # emptied at round j leaves its stream at j n, one pending at K at K n.
-    # A round after the first draws only the doubles of round 1's longest
-    # prefix of failures and skips the rest of its row
+    # Round 1 draws only until every point has passed its limit, a round
+    # after the first only the doubles of round 1's longest prefix of
+    # failures, and each skips the rest of its row
     used = []
 
     class Counting:
@@ -306,7 +341,13 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         ref = _block_rng(7, 2)
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, (gbars, rows)
-        assert used[-1].drawn == n + (rows - 1) * (n - got[0]), (gbars, rows)
+        # round 1 draws past its prefix of failures, to n at most; at 60 dB
+        # that prefix is empty and round 1 stops within its first 64 doubles
+        prefix = n - got[0]
+        first = used[-1].drawn - (rows - 1) * prefix
+        assert min(prefix + 1, n) <= first <= n, (gbars, rows, first)
+        if gbars[0] == 1e6:
+            assert first < n / 10, first
     # a group draws each round once, as far as its most demanding point needs
     for group in ((0, 0), (0, 1), (1, 0), (0, 1, 0), (0, 1, 3), (4, 1), (3, 4)):
         gbars = np.array([cases[i][0] for i in group])
@@ -318,7 +359,8 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, group
         prefix = max(n - alone[i][0] for i in group)
-        assert used[-1].drawn == n + (rows - 1) * prefix, group
+        first = used[-1].drawn - (rows - 1) * prefix
+        assert min(prefix + 1, n) <= first <= n, (group, first)
 
 
 def test_group_block_equals_each_point_alone():
@@ -610,6 +652,25 @@ def test_throughput_single_outcome_reports_rule_of_three():
     assert mc.value == 0.0
     assert mc.uncertainty == pytest.approx(30.0 * q / (3.0 * (1.0 - q) + q), rel=1e-12)
     assert abs(mc.value - throughput_recursion(rates3, low, "inr").value) <= mc.uncertainty
+
+
+def test_throughput_interval_covers_when_no_outage_is_seen():
+    # outcome counts drawn from the recursion's probabilities, no engine run:
+    # where most runs see no outage the interval must still cover eta at
+    # about 95 %; 130 misses of 2000 is 6.5 %, 3.1 sigma above 5 %
+    rng = np.random.default_rng(12)
+    for rates, db, trials in (((1.0, 1.0), 30.0, 50_000), ((1.0, 1.0, 1.0), 20.0, 100_000)):
+        rates, powers = RateSchedule(rates), PowerProfile((10.0 ** (db / 10.0),) * len(rates))
+        cfg = SimConfig(scheme="xp", rates=rates, powers=powers, trials=trials, seed=0)
+        chain = [1.0] + xp_outage_chain(rates, powers)
+        # first success at rounds 1..K, then outage
+        probs = [a - b for a, b in zip(chain, chain[1:])] + [chain[-1]]
+        truth = throughput_recursion(rates, powers, "xp").value
+        misses = 0
+        for counts in rng.multinomial(trials, probs, size=2000):
+            est = _estimate(cfg, "throughput", counts[:-1])
+            misses += abs(est.value - truth) > est.uncertainty
+        assert misses <= 130, (rates, db, misses)
 
 
 def test_throughput_analytical_reference_cases():
