@@ -300,6 +300,19 @@ def test_block_summary_pinned():
     assert _outages(1000, got) == 149
 
 
+def _round_one_drawn(n, gbars, thresholds, prefix):
+    """The doubles round 1 of a block of n draws: the first of the ends
+    size, 2 size, 4 size, ... (at most n) past the longest prefix of
+    failures, size being six standard deviations past the binomial mean
+    prefix of the point likeliest to fail, plus 64."""
+    limits = np.expm1(np.asarray(thresholds) * math.log(2.0))
+    p = -math.expm1(-float(np.max(limits / np.asarray(gbars))))
+    end = int(n * p + 6.0 * math.sqrt(n * p * (1.0 - p))) + 64
+    while end <= prefix and end < n:
+        end *= 2
+    return min(end, n)
+
+
 def test_block_stream_advances_by_rows_drawn(monkeypatch):
     # one row of n doubles per round, none once no trial is pending: a block
     # emptied at round j leaves its stream at j n, one pending at K at K n.
@@ -341,12 +354,10 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         ref = _block_rng(7, 2)
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, (gbars, rows)
-        # round 1 draws past its prefix of failures, to n at most; at 60 dB
-        # that prefix is empty and round 1 stops within its first 64 doubles
         prefix = n - got[0]
-        first = used[-1].drawn - (rows - 1) * prefix
-        assert min(prefix + 1, n) <= first <= n, (gbars, rows, first)
-        if gbars[0] == 1e6:
+        first = _round_one_drawn(n, gbars[:1], thresholds[:1], prefix)
+        assert used[-1].drawn == first + (rows - 1) * prefix, (gbars, rows)
+        if gbars[0] == 1e6:  # at 60 dB no trial fails round 1
             assert first < n / 10, first
     # a group draws each round once, as far as its most demanding point needs
     for group in ((0, 0), (0, 1), (1, 0), (0, 1, 0), (0, 1, 3), (4, 1), (3, 4)):
@@ -359,8 +370,8 @@ def test_block_stream_advances_by_rows_drawn(monkeypatch):
         ref.random(rows * n)
         assert used[-1].bit_generator.state == ref.bit_generator.state, group
         prefix = max(n - alone[i][0] for i in group)
-        first = used[-1].drawn - (rows - 1) * prefix
-        assert min(prefix + 1, n) <= first <= n, (group, first)
+        first = _round_one_drawn(n, gbars[:, 0], thresholds[:, 0], prefix)
+        assert used[-1].drawn == first + (rows - 1) * prefix, group
 
 
 def test_group_block_equals_each_point_alone():

@@ -9,8 +9,9 @@ a drift of the host over time favours neither side.  The record goes to
 ``BENCH_<label>.json`` at the repository root holding this script: both
 sides' raw JSON records, and for each end-to-end metric of
 ``BENCHMARK.json`` the median over pairs of log(change / base) and how many
-pairs favour the change.  A run takes ``--seconds`` plus about 2 s of set-up
-probes: ten sweep-ref pairs at 8 s a run take about 3 minutes.
+pairs favour the change.  Each run lasts the ``run_seconds`` of
+``BENCHMARK.json`` plus about 2 s of set-up probes: ten pairs at 20 s a run
+take about 8 minutes.
 """
 
 from __future__ import annotations
@@ -60,15 +61,15 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     trees = {"base": args.base, "change": args.change}
     records = {"base": [], "change": []}
     for pair in range(args.pairs):
         for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-            record = run_once(trees[side], args.workload, args.seed, args.seconds)
+            record = run_once(trees[side], args.workload, args.seed, seconds)
             if not record["correct"]:
                 print(f"pair {pair}: {side} run had {record['failed']} failed items",
                       file=sys.stderr)
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
         print(f"pair {pair + 1} of {args.pairs} done", file=sys.stderr)
     summary = summarise(records["base"], records["change"], metrics)
     result = {
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "workload": args.workload, "seed": args.seed, "seconds": seconds,
         "pairs": args.pairs, "order": "ABBA",
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
