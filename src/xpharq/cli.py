@@ -28,7 +28,8 @@ import numpy as np
 from .asymptotic import build_hbar_table, hbar_eval
 from .bounds import outage_lower, outage_upper_ir, xp_outage
 from .core import PowerProfile, RateSchedule, XpharqError
-from .exact import foxh_h11_incomplete, incomplete_gamma_difference, outage_k2_via_foxh
+from .exact import (_CONTOUR_WORK, foxh_h11_incomplete, incomplete_gamma_difference,
+                    outage_k2_via_foxh)
 from .simulate import SimConfig, estimate_outage
 from .sweep import (METHODS, ConfigError, _fmt, db_to_linear, emit_gnuplot, evaluate,
                     method_error, parse_config, run_sweep, write_csv)
@@ -219,6 +220,10 @@ def _cmd_selftest(parser, args) -> int:
             failures += 1
             print(f"FAIL {name}: {detail}")
 
+    def work() -> str:
+        # the last contour's one pass; the complete kernel takes no panels
+        return f"nodes={_CONTOUR_WORK['nodes']} kernel_panels={_CONTOUR_WORK['panels']}"
+
     g = incomplete_gamma_difference(0.0, 0.7, 1.4)
     ref = math.exp(-0.7) - math.exp(-1.4)
     check(
@@ -233,7 +238,7 @@ def _cmd_selftest(parser, args) -> int:
     check(
         "contour-bessel-degenerate",
         abs(h - bessel) <= 1e-6 * bessel,
-        f"H(z=1, b=0) = {h!r} vs 2 sqrt(z) K1 = {bessel!r}",
+        f"H(z=1, b=0) = {h!r} vs 2 sqrt(z) K1 = {bessel!r}; {work()}",
     )
 
     rates = RateSchedule([1.0, 1.0])
@@ -243,7 +248,7 @@ def _cmd_selftest(parser, args) -> int:
     check(
         "two-round-triangulation",
         abs(p_rec - p_foxh) <= 1e-6 * p_rec,
-        f"recursion={p_rec!r} contour={p_foxh!r}",
+        f"recursion={p_rec!r} contour={p_foxh!r}; {work()}",
     )
 
     # the high-SNR limit of the outage recursion: at 120 dB xp_outage * gbar^3

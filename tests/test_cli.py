@@ -360,6 +360,11 @@ def test_selftest_passes(capsys):
     assert "selftest: ok" in out
     assert "FAIL" not in out
     assert out.count("PASS ") == 6
+    # each contour line reports its one pass: nodes, and the kernel's
+    # Gauss-Legendre panels (none for the closed-form complete kernel)
+    lines = {line.split(":")[0]: line for line in out.splitlines()}
+    assert lines["PASS contour-bessel-degenerate"].endswith("; nodes=183 kernel_panels=0")
+    assert lines["PASS two-round-triangulation"].endswith("; nodes=340 kernel_panels=1")
 
 
 def test_no_production_path_reaches_adaptive_quadrature(monkeypatch, capsys):

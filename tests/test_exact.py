@@ -165,6 +165,59 @@ def test_incomplete_gamma_rejects_divergent_cases():
             incomplete_gamma_difference(1.0, b1, b2)
 
 
+def _kernel_cases():
+    # random orders with |Im s| <= 60, some with Re s + 1 <= 0, on every
+    # (b1, b2) pair of the grid
+    rng = np.random.default_rng(7)
+    for b1 in (1e-30, 0.01, 0.2, 1.0):
+        for b2 in (2.0 * b1, 10.0, math.inf):
+            s = rng.uniform(-1.5, 3.0, 10) + 1j * rng.uniform(-60.0, 60.0, 10)
+            s[:2] = (0.5, 0.5 + 60j)
+            yield s, b1, b2
+
+
+def test_kernel_values_lie_within_their_bound_of_mpmath():
+    # the one pass's error bound, truncation plus rounding, covers the
+    # 30-digit incomplete gamma at each order
+    with mp.workdps(30):
+        for s, b1, b2 in _kernel_cases():
+            vals, errs, panels = exact._kernel(s, b1, b2)
+            assert panels >= 1 and np.all(errs > 0.0), (b1, b2)
+            top = mp.inf if b2 == math.inf else b2
+            for order, got, err in zip(s, vals, errs):
+                ref = complex(mp.gammainc(mp.mpc(order.real, order.imag) + 1, b1, top))
+                assert abs(got - ref) <= err, (order, b1, b2, abs(got - ref), err)
+
+
+def _pass_at(s, b1, b2, panels):
+    """``_kernel``'s pass and error bounds at a chosen panel count."""
+    width = math.log(min(b2, exact._T_UNDERFLOW) / b1)
+    a = s + 1.0
+    re, which = np.unique(a.real, return_inverse=True)
+    bound = exact._log_gauss_bound(re, float(np.abs(a.imag).max()), b1, width, panels)
+    return exact._gauss_pass(a, re, which, b1, width, panels, bound)
+
+
+def test_kernel_bound_covers_the_chosen_pass_against_four_times_the_panels():
+    # the chosen pass against one with 4x the panels, whose own error is
+    # far smaller; and passes coarser than the bound allows, where the
+    # truncation bound is what covers the gap, so it is not vacuous there
+    for s, b1, b2 in _kernel_cases():
+        vals, errs, panels = exact._kernel(s, b1, b2)
+        fine, fine_errs = _pass_at(s, b1, b2, 4 * panels)
+        assert np.all(np.abs(vals - fine) <= errs + fine_errs), (b1, b2, panels)
+    s = 0.5 + 1j * np.array([0.0, 20.0, 40.0, 60.0])
+    vals, _, panels = exact._kernel(s, 0.2, 10.0)
+    fine, fine_errs = _pass_at(s, 0.2, 10.0, 4 * panels)
+    gaps = []
+    for coarse in range(1, panels):
+        got, errs = _pass_at(s, 0.2, 10.0, coarse)
+        assert np.all(np.abs(got - fine) <= errs + fine_errs), coarse
+        gaps.append(np.max(np.abs(got - fine) / errs))
+    # somewhere the truncation error is within 1e3 of its bound
+    assert max(gaps) >= 1e-3, gaps
+
+
 # ---------------------------------------------------------------------------
 # contour representation
 
@@ -212,6 +265,25 @@ def _assert_phi_paths_agree(r1_values):
 def test_phi_foxh_matches_quadrature_on_grid():
     """Contour and direct-integral phi agree over a broad rate/SNR grid."""
     _assert_phi_paths_agree((0.5, 1.0, 2.0, 3.0))
+
+
+def _phi_mpmath(r1, r2, g1, g2):
+    """phi by 30-digit quadrature of its defining integral."""
+    with mp.workdps(30):
+        big_z, lo = mp.mpf(2) ** (r1 + r2), mp.mpf(2) ** r2
+        f = lambda z: mp.e ** ((1 - big_z / z) / g1 + (1 - z) / g2)
+        return float(mp.quad(f, mp.linspace(lo, big_z, 9)) / g2)
+
+
+def test_phi_foxh_lies_within_its_bound_of_mpmath():
+    # the one-pass uncertainty, strip bound plus tail bound plus node
+    # errors plus rounding, covers phi, oscillatory kernels included
+    for r1 in (0.5, 2.0, 6.0, 8.0):
+        for r2 in (0.5, 3.0):
+            for g in (1.0, 10.0, 100.0):
+                got = phi_foxh(r1, r2, g, g)
+                ref = _phi_mpmath(r1, r2, g, g)
+                assert abs(got.value - ref) <= got.uncertainty, (r1, r2, g, got, ref)
 
 
 def test_phi_foxh_matches_quadrature_on_oscillatory_kernels():
@@ -310,23 +382,24 @@ def test_contour_gives_up_where_its_scale_swamps_the_sum():
 
 
 def test_contour_evaluates_each_node_once(monkeypatch):
-    # the node at tau = 0 sizes the line: 117 first-pass steps of 60/256
-    # reach |Im s| = 27.4.  The n-node grid is the even-indexed half of the
-    # next pass's 2n - 1 nodes, so a pass evaluates the kernel only at its
-    # new odd nodes
+    # the node at tau = 0 sizes the pass: the cut, 117 steps of 60/256,
+    # reaches |Im s| = 27.4, and the strip bound's step splits it into 339
+    # steps.  One pass evaluates the kernel once at each of the 340 nodes,
+    # on the one panel that its Bernstein-ellipse bound asks for
     seen = []
-    real = exact.incomplete_gamma_difference
+    real = exact._kernel
 
     def counting(s, b1, b2):
-        seen.append(np.asarray(s).imag.copy())
+        seen.append(s.imag.copy())
         return real(s, b1, b2)
 
-    monkeypatch.setattr(exact, "incomplete_gamma_difference", counting)
+    monkeypatch.setattr(exact, "_kernel", counting)
     res = phi_foxh(1.0, 1.0, 10.0, 10.0)
-    assert [len(t) for t in seen] == [1, 117, 117, 234]
+    assert [len(t) for t in seen] == [1, 339]
     nodes = np.concatenate(seen)
     assert len(np.unique(nodes)) == len(nodes)
-    assert np.array_equal(np.sort(nodes), np.linspace(0.0, 117 * 60.0 / 256, 469))
+    assert np.allclose(nodes, np.linspace(0.0, 117 * 60.0 / 256, 340), rtol=1e-15, atol=0.0)
+    assert exact._CONTOUR_WORK == {"nodes": 340, "panels": 1}
     # the value computed when every pass evaluated the whole line to 60
     assert abs(res.value - 0.1576149085553178) <= res.uncertainty
 
@@ -351,13 +424,13 @@ def test_log_gamma_against_scipy_and_mpmath():
 def test_contour_tail_bound_covers_the_dropped_line(monkeypatch):
     # the part of the old line [T, 60] that the cut drops, by scipy's gamma
     # on the old last pass's nodes, lies within the tail bound the error
-    # estimate carries; that bound is 2^-10 of the assembly's rounding floor
+    # carries; that bound is 2^-10 of the assembly's rounding floor
     calls = []
     real = exact._mellin_contour
 
-    def spying(integrand, tail, magnitude, *rest):
+    def spying(integrand, tail, strip, magnitude, *rest):
         calls.append((integrand, tail, magnitude))
-        return real(integrand, tail, magnitude, *rest)
+        return real(integrand, tail, strip, magnitude, *rest)
 
     monkeypatch.setattr(exact, "_mellin_contour", spying)
     taus = np.linspace(0.0, 60.0, 1025)
@@ -367,7 +440,8 @@ def test_contour_tail_bound_covers_the_dropped_line(monkeypatch):
             calls.clear()
             phi = phi_foxh(r1, r2, g, g)
             ((integrand, tail, magnitude),) = calls
-            head = abs(integrand(np.array([0.5 + 0j])).real[0])
+            vals, errs, _ = integrand(np.array([0.5 + 0j]))
+            head = abs(vals.real[0]) + float(np.max(errs))
             target = 2.0 ** -10 * 4e-16 * magnitude
             steps = exact._contour_cut(lambda t: head * tail(t), target)
             assert steps < 256, (r1, r2, db)

@@ -256,3 +256,13 @@ def test_xp_quadrature_raises_where_its_rule_cannot_resolve_a_level():
     est = info.value.estimate
     assert est.method == "xp-quadrature"
     assert 0.0 < est.value < 1.0 and est.uncertainty > 0.0
+
+
+def test_xp_quadrature_default_rule_raises_rather_than_accept_a_miss():
+    # the default rule is relative only: at R = (8, 8), -40 dB an absolute
+    # floor of 1e-10 accepted the 16- and 32-node passes, 2.3e-127 and
+    # 1.7e-31, as an outage of 1.7e-31 +- 1e-10 where the outage is 1
+    rates, powers = RateSchedule((8.0, 8.0)), PowerProfile((1e-4, 1e-4))
+    assert xp_outage(rates, powers).value == 1.0
+    with pytest.raises(ConvergenceError, match="exceed the largest pass"):
+        xp_outage_quadrature(rates, powers)

@@ -8,8 +8,11 @@ every run in a fresh interpreter started in that tree, in ABBA order so that
 a drift of the host over time favours neither side.  The record goes to
 ``BENCH_<label>.json`` at the repository root holding this script: both
 sides' raw JSON records, and for each end-to-end metric of
-``BENCHMARK.json`` the median over pairs of log(change / base) and how many
-pairs favour the change.  Each run lasts the ``run_seconds`` of
+``BENCHMARK.json`` the median over pairs of log(change / base), a bootstrap
+95 % interval of that median, how many pairs favour the change, and a
+verdict: ``improved`` or ``worse`` where the interval excludes 0, else
+``unresolved`` (Kalibera & Jones, "Rigorous benchmarking in reasonable
+time", ISMM 2013).  Each run lasts the ``run_seconds`` of
 ``BENCHMARK.json`` plus about 2 s of set-up probes: ten pairs at 20 s a run
 take about 8 minutes.
 """
@@ -21,11 +24,15 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# resamples of the pairs for the bootstrap interval, drawn from a fixed seed
+# so that one record always yields one interval
+BOOTSTRAP_DRAWS = 10_000
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -36,15 +43,31 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def bootstrap_interval(ratios: list) -> tuple[float, float]:
+    """The 2.5 and 97.5 percentiles of the median of ``ratios`` resampled with replacement."""
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_DRAWS))
+    return medians[int(0.025 * BOOTSTRAP_DRAWS)], medians[int(0.975 * BOOTSTRAP_DRAWS) - 1]
+
+
 def summarise(base: list, change: list, metrics: list) -> dict:
-    """Per metric: the median paired log-ratio change / base and the pairs favouring the change."""
+    """Per metric: the median paired log-ratio change / base, its bootstrap
+    95 % interval, the pairs favouring the change, and the verdict."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
         ratios = [math.log(c["metrics"][name]["value"] / b["metrics"][name]["value"])
                   for b, c in zip(base, change)]
+        lo, hi = bootstrap_interval(ratios)
+        if lo <= 0.0 <= hi:
+            verdict = "unresolved"
+        else:
+            verdict = "improved" if sign * hi < 0.0 else "worse"
         out[name] = {
             "median_log_ratio": statistics.median(ratios),
+            "interval_95": [lo, hi],
+            "verdict": verdict,
             "favouring_change": sum(sign * r < 0.0 for r in ratios),
             "pairs": len(ratios),
             "base_median": statistics.median(b["metrics"][name]["value"] for b in base),
@@ -88,9 +111,10 @@ def main(argv=None) -> int:
         json.dump(result, f, indent=1)
         f.write("\n")
     for name, s in summary.items():
+        lo, hi = s["interval_95"]
         print(f"{name}: {s['base_median']:.4g} -> {s['change_median']:.4g}, median log-ratio "
-              f"{s['median_log_ratio']:+.3f}, {s['favouring_change']} of {s['pairs']} pairs "
-              "favour the change")
+              f"{s['median_log_ratio']:+.3f} [{lo:+.3f}, {hi:+.3f}], {s['favouring_change']} "
+              f"of {s['pairs']} pairs favour the change: {s['verdict']}")
     return 0
 
 
