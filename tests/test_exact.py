@@ -279,9 +279,9 @@ def _phi_mpmath(r1, r2, g1, g2):
 
 def test_phi_foxh_lies_within_its_bound_of_mpmath():
     # the one-pass uncertainty, strip bound plus tail bound plus node
-    # errors plus rounding, covers phi on the grids of the two tests below,
-    # oscillatory kernels included; phi_quadrature's own error, about 1e-12
-    # absolute, is too coarse for that
+    # errors plus rounding, covers phi on the grids of the two
+    # quadrature-agreement tests, oscillatory kernels included;
+    # phi_quadrature's own error, about 1e-12 absolute, is too coarse for that
     for r1 in (0.5, 1.0, 2.0, 3.0, 6.0, 8.0):
         for r2 in (0.5, 1.0, 2.0, 3.0):
             for g in (1.0, 10.0, 100.0):
