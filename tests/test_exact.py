@@ -3,11 +3,10 @@ special functions.
 
 The exact outage is the backward recursion ``xp_outage``; this file checks it
 at K <= 2.
-Reference values come from independent routes: composite Simpson on a dense
-fixed grid, mpmath's incomplete gamma, log-gamma and outage integrals,
-scipy's gamma, log-gamma, exp1 and Bessel K, and, for the contour, the
-recursion.  scipy and mpmath are test references only; the package runs on
-numpy alone.
+Reference values come from independent routes: mpmath's phi, incomplete
+gamma, log-gamma and outage integrals, scipy's gamma, log-gamma, exp1 and
+Bessel K, and, for the contour, the recursion.  scipy and mpmath are test
+references only; the package runs on numpy alone.
 """
 
 import math
@@ -19,7 +18,6 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 from scipy.special import exp1, gamma, kv, loggamma
 
 from xpharq import (
@@ -30,20 +28,11 @@ from xpharq import (
     incomplete_gamma_difference,
     outage_k2_via_foxh,
     phi_foxh,
-    phi_quadrature,
     xp_outage,
 )
 from xpharq import exact
 
 _EULER_GAMMA = 0.5772156649015329
-
-
-def _phi_simpson(r1, r2, g1, g2, n=20001):
-    """Composite-Simpson evaluation of phi on a dense fixed grid."""
-    big_z = 2.0 ** (r1 + r2)
-    z = np.linspace(2.0**r2, big_z, n)
-    f = np.exp((1.0 - big_z / z) / g1 + (1.0 - z) / g2) / g2
-    return float(simpson(f, x=z))
 
 
 def _outage_k2_mpmath(r1, r2, g1, g2, dps=40):
@@ -79,27 +68,6 @@ def test_outage_k1_rejects_bad_input():
     for args in ((0.0, 10.0), (1.0, -1.0), (math.nan, 10.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="must be positive"):
             _outage_k1(*args)
-
-
-def test_phi_quadrature_against_simpson():
-    for r1, r2, g1, g2 in ((1.0, 1.0, 10.0, 10.0), (2.0, 1.0, 3.0, 30.0), (0.5, 2.0, 1.0, 1.0)):
-        res = phi_quadrature(r1, r2, g1, g2)
-        ref = _phi_simpson(r1, r2, g1, g2)
-        assert res.value == pytest.approx(ref, rel=1e-9), (r1, r2, g1, g2)
-        assert res.method == "gauss-kronrod" and res.uncertainty >= 0.0
-
-
-def test_phi_quadrature_interval_collapse():
-    # r1 -> 0 collapses the integration interval to a point
-    res = phi_quadrature(1e-12, 1.0, 10.0, 10.0)
-    assert 0.0 <= res.value < 1e-10
-
-
-def test_phi_quadrature_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        phi_quadrature(1.0, 1.0, 10.0, 10.0, tol=0.1)
-    with pytest.raises(ValueError):
-        phi_quadrature(1.0, 1.0, 10.0, 10.0, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +202,8 @@ def test_foxh_params_validation():
         args[slot] = math.nan
         bad.append(tuple(args))
     for args in bad:
-        for phi in (phi_foxh, phi_quadrature):
-            with pytest.raises(ValueError, match="must be positive"):
-                phi(*args)
+        with pytest.raises(ValueError, match="must be positive"):
+            phi_foxh(*args)
 
 
 def test_foxh_degenerate_bessel_identity():
@@ -252,21 +219,6 @@ def test_foxh_large_argument_decays():
     assert abs(foxh_h11_incomplete(1e4).value) < 1e-10
 
 
-def _assert_phi_paths_agree(r1_values):
-    for r1 in r1_values:
-        for r2 in (0.5, 1.0, 2.0, 3.0):
-            for g in (1.0, 10.0, 100.0):
-                ref = phi_quadrature(r1, r2, g, g, tol=1e-12).value
-                got = phi_foxh(r1, r2, g, g)
-                assert abs(got.value - ref) <= 1e-12 * max(1.0, abs(ref)), (r1, r2, g)
-                assert got.method == "mellin-barnes" and got.uncertainty >= 0.0
-
-
-def test_phi_foxh_matches_quadrature_on_grid():
-    """Contour and direct-integral phi agree over a broad rate/SNR grid."""
-    _assert_phi_paths_agree((0.5, 1.0, 2.0, 3.0))
-
-
 def _phi_mpmath(r1, r2, g1, g2):
     """phi by 20-digit quadrature of its defining integral; on the grid below
     it is within 1e-11 of each contour uncertainty of a 30-digit one on nine
@@ -279,21 +231,32 @@ def _phi_mpmath(r1, r2, g1, g2):
 
 def test_phi_foxh_lies_within_its_bound_of_mpmath():
     # the one-pass uncertainty, strip bound plus tail bound plus node
-    # errors plus rounding, covers phi on the grids of the two
-    # quadrature-agreement tests, oscillatory kernels included;
-    # phi_quadrature's own error, about 1e-12 absolute, is too coarse for that
+    # errors plus rounding, 1.6e-16 to 2.4e-13 here, covers phi on a broad
+    # rate/SNR grid; at r1 = 6 and 8, ln(b2/b1) = r1 ln 2 reaches 5.5, so
+    # t^s turns about 50 times over the kernel interval at the contour's
+    # end, Im s = 60
     for r1 in (0.5, 1.0, 2.0, 3.0, 6.0, 8.0):
         for r2 in (0.5, 1.0, 2.0, 3.0):
             for g in (1.0, 10.0, 100.0):
                 got = phi_foxh(r1, r2, g, g)
                 ref = _phi_mpmath(r1, r2, g, g)
+                assert got.method == "mellin-barnes"
                 assert abs(got.value - ref) <= got.uncertainty, (r1, r2, g, got, ref)
 
 
-def test_phi_foxh_matches_quadrature_on_oscillatory_kernels():
-    # ln(b2/b1) = r1 ln 2 reaches 5.5: t^s turns about 50 times over the
-    # kernel interval at the contour's end, Im s = 60
-    _assert_phi_paths_agree((6.0, 8.0))
+def test_phi_raises_where_its_scale_overflows():
+    # the contour's scale e^{1/g1 + 1/g2} overflows a double below about
+    # -25.5 dB; it raises a ConvergenceError with no estimate there, and
+    # the assembly passes it on, while -25 dB still gives an outage of 1
+    rates = RateSchedule((1.0, 1.0))
+    g = 10.0 ** -2.6
+    for call in (lambda: phi_foxh(1.0, 1.0, g, g),
+                 lambda: outage_k2_via_foxh(rates, PowerProfile((g, g)))):
+        with pytest.raises(ConvergenceError, match="overflows a double") as info:
+            call()
+        assert info.value.estimate is None
+    est = outage_k2_via_foxh(rates, PowerProfile((10.0 ** -2.5,) * 2))
+    assert est.value == 1.0 and est.uncertainty < 1e-14
 
 
 # ---------------------------------------------------------------------------

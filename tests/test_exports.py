@@ -2,11 +2,13 @@
 re-exports only names that its modules list in ``__all__``, only the
 package itself imports the test-reference module ``quadrature``, which
 imports nothing from the package but ``core``, the runtime dependencies in ``pyproject.toml`` are the third-party packages
-that ``src/`` imports, and ``Estimate`` is the one result type that a
-``ConvergenceError`` carries."""
+that ``src/`` imports, ``Estimate`` is the one result type that a
+``ConvergenceError`` carries, and every name the benchmark scripts take
+from the package resolves."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import xpharq
+from xpharq import bounds, sweep
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(xpharq.__path__))
 
@@ -119,3 +122,30 @@ def test_convergence_errors_carry_one_estimate():
             assert set(keywords) <= {"estimate"}, (path.name, node.lineno, keywords)
     assert raised >= 5
     assert not found, found
+
+
+def test_the_benchmark_scripts_resolve_every_package_name():
+    # the benchmark scripts are kept unchanged across commits, so a name
+    # they import, or the tracer patches by attribute, has to stay
+    bench = Path(xpharq.__file__).parents[2] / "benchmarks"
+    scripts = sorted(bench.glob("*.py"))
+    assert scripts
+    missing, imported = [], 0
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names if a.name.split(".")[0] == "xpharq"]
+                for name in modules:
+                    importlib.import_module(name)
+                imported += len(modules)
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "xpharq"):
+                module = importlib.import_module(node.module)
+                missing += [(path.name, node.module, a.name) for a in node.names
+                            if not hasattr(module, a.name)]
+                imported += len(node.names)
+    assert imported >= 6
+    assert not missing, missing
+    assert isinstance(bounds.Chebyshev, type) and hasattr(bounds.Chebyshev, "interpolate")
+    assert callable(sweep._compute_row)
+    assert "budget" in inspect.signature(xpharq.outage_upper_ir).parameters

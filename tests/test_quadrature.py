@@ -1,4 +1,4 @@
-"""Adaptive quadrature building blocks and the nested outage and hbar references."""
+"""The nested Gauss-Legendre outage and hbar references."""
 
 import math
 
@@ -10,132 +10,13 @@ from xpharq import (
     PowerProfile,
     RateSchedule,
     hbar_quadrature,
-    integrate_adaptive,
     outage_asymptotic_general,
     outage_lower,
     xp_outage,
     xp_outage_quadrature,
 )
 
-from oracles import hbar_mp, joint_density_x, xp_three_rounds_mp, xp_two_rounds_mp
-
-
-# ---------------------------------------------------------------------------
-# panel rule and adaptive driver
-
-
-def test_single_panel_polynomial_exactness():
-    """One 15-point panel must integrate polynomials up to degree 22 exactly.
-
-    With a large tolerance the driver accepts the first panel untouched, so
-    this pins the embedded node/weight constants themselves.
-    """
-    for deg in (0, 1, 5, 13, 22):
-        res = integrate_adaptive(lambda x, d=deg: x**d, 0.0, 1.0, tol=1.0)
-        assert res.value == pytest.approx(1.0 / (deg + 1), rel=5e-15), f"degree {deg}"
-    # degree 13 is inside the embedded lower-order rule too: error estimate ~ 0
-    res = integrate_adaptive(lambda x: x**13, 0.0, 1.0, tol=1.0)
-    assert res.uncertainty < 1e-12
-
-
-def test_integrate_constant_and_exponential():
-    res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 1.0, tol=1e-12)
-    assert res.value == pytest.approx(1.0, abs=1e-14)
-    res = integrate_adaptive(np.exp, 0.0, 1.0, tol=1e-13)
-    assert res.value == pytest.approx(math.e - 1.0, rel=1e-13)
-    assert abs(res.value - (math.e - 1.0)) <= res.uncertainty + 1e-15
-
-
-def test_integrate_log_over_x():
-    res = integrate_adaptive(lambda x: np.log(x) / x, 1.0, 2.0, tol=1e-13)
-    assert res.value == pytest.approx(math.log(2.0) ** 2 / 2.0, rel=1e-12)
-
-
-def test_integrate_empty_interval():
-    res = integrate_adaptive(np.exp, 2.0, 2.0, tol=1e-12)
-    assert res.value == 0.0
-
-
-def test_integrate_relative_tolerance_mode():
-    # absolute target unreachable for a large value; relative target drives it
-    res = integrate_adaptive(lambda x: 1e12 * np.exp(x), 0.0, 1.0, tol=1e-300, rel_tol=1e-10)
-    assert res.value == pytest.approx(1e12 * (math.e - 1.0), rel=1e-9)
-
-
-def test_integrate_convergence_failure_keeps_best_estimate():
-    def rough(x):
-        return 1.0 / np.sqrt(np.abs(x))
-
-    with pytest.raises(ConvergenceError) as info:
-        integrate_adaptive(rough, 0.0, 1.0, tol=1e-14, limit=16)
-    best = info.value.estimate
-    assert best is not None and best.method == "gauss-kronrod"
-    # the true value is 2; the partial result should already be close
-    assert abs(best.value - 2.0) < 0.05
-    assert best.uncertainty > 0.0
-
-
-# ---------------------------------------------------------------------------
-# transformed joint density
-
-
-def test_joint_density_unit_point():
-    powers = PowerProfile((1.0, 1.0))
-    assert joint_density_x((1.0, 1.0), powers) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_joint_density_outside_support():
-    powers = PowerProfile((1.0, 1.0))
-    assert joint_density_x((0.5, 2.0), powers) == 0.0  # x_1 < 1
-    assert joint_density_x((2.0, 1.5), powers) == 0.0  # x_2 < x_1
-
-
-def test_joint_density_normalizes_k2():
-    powers = PowerProfile((1.0, 2.0))
-    g1, g2 = powers.snr_bars
-    hi1 = 1.0 + 45.0 * g1
-
-    def inner(x1: float) -> float:
-        hi2 = x1 * (1.0 + 45.0 * g2)
-
-        def f(x2):
-            return np.array([joint_density_x((x1, v), powers) for v in np.atleast_1d(x2)])
-
-        return integrate_adaptive(f, x1, hi2, tol=1e-11).value
-
-    def outer(x1):
-        return np.array([inner(float(v)) for v in np.atleast_1d(x1)])
-
-    total = integrate_adaptive(outer, 1.0, hi1, tol=1e-8).value
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_joint_density_normalizes_k3():
-    powers = PowerProfile((1.0, 0.5, 2.0))
-    g1, g2, g3 = powers.snr_bars
-
-    def mass_above(x1: float) -> float:
-        def inner(x2: float) -> float:
-            hi3 = x2 * (1.0 + 40.0 * g3)
-
-            def f(x3):
-                return np.array(
-                    [joint_density_x((x1, x2, v), powers) for v in np.atleast_1d(x3)]
-                )
-
-            return integrate_adaptive(f, x2, hi3, tol=1e-10).value
-
-        def fmid(x2):
-            return np.array([inner(float(v)) for v in np.atleast_1d(x2)])
-
-        hi2 = x1 * (1.0 + 40.0 * g2)
-        return integrate_adaptive(fmid, x1, hi2, tol=1e-9).value
-
-    def fout(x1):
-        return np.array([mass_above(float(v)) for v in np.atleast_1d(x1)])
-
-    total = integrate_adaptive(fout, 1.0, 1.0 + 40.0 * g1, tol=1e-7).value
-    assert total == pytest.approx(1.0, abs=1e-6)
+from oracles import hbar_mp, xp_three_rounds_mp, xp_two_rounds_mp
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +130,15 @@ def test_xp_quadrature_raises_where_its_rule_cannot_resolve_a_level():
     # at -40 dB round 1's step density is a layer 1e-4 wide in d on
     # [0, 8 ln 2], which 128 nodes do not resolve; under a relative rule the
     # rule says so and carries its last pass, a probability, in the call's
-    # tag (the outage is 1; the passes read 2e-127, 2e-31, 2e-7 and 0.097)
+    # tag (the outage is 1; the passes read 2e-127, 2e-31, 2e-7 and 0.097),
+    # with an uncertainty that covers the outage
     rates, powers = RateSchedule((8.0, 8.0)), PowerProfile((1e-4, 1e-4))
     with pytest.raises(ConvergenceError) as info:
         xp_outage_quadrature(rates, powers, tol=0.0, rel_tol=1e-12)
     est = info.value.estimate
     assert est.method == "xp-quadrature"
     assert 0.0 < est.value < 1.0 and est.uncertainty > 0.0
+    assert abs(est.value - xp_outage(rates, powers).value) <= est.uncertainty
 
 
 def test_xp_quadrature_default_rule_raises_rather_than_accept_a_miss():
