@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from .asymptotic import build_hbar_table, hbar_eval
-from .bounds import outage_lower, outage_upper_ir, xp_outage
+from .bounds import _RECURSION_WORK, outage_lower, outage_upper_ir, xp_outage
 from .core import PowerProfile, RateSchedule, XpharqError
 from .exact import (_CONTOUR_WORK, foxh_h11_incomplete, incomplete_gamma_difference,
                     outage_k2_via_foxh)
@@ -264,14 +264,19 @@ def _cmd_selftest(parser, args) -> int:
         f"recursion={rec!r} xp_outage*gbar^3={limit!r} closed={closed!r}",
     )
 
+    def ladder() -> str:
+        # the last recursion's passes, and whether its estimate or a gap stopped it
+        return f"passes={_RECURSION_WORK['passes']} stop={_RECURSION_WORK['stop']}"
+
     g3 = PowerProfile([10.0, 10.0, 10.0])
     low = outage_lower(r3, g3).value
     mid = xp_outage(r3, g3).value
+    mid_work = ladder()
     up = outage_upper_ir(r3, g3).value
     check(
         "bound-sandwich",
         low <= mid <= up,
-        f"lower={low!r} xp={mid!r} upper={up!r}",
+        f"lower={low!r} xp={mid!r} ({mid_work}) upper={up!r} ({ladder()})",
     )
 
     cfg1 = SimConfig(scheme="xp", rates=rates, powers=powers, trials=200_000, seed=7)

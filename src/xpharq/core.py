@@ -1,4 +1,5 @@
-"""Domain types: rate schedules, power profiles, estimates and errors.
+"""Domain types: rate schedules, power profiles, estimates and errors, and
+the one Gauss-Legendre table that every quadrature of the package reads.
 
 A HARQ cycle runs up to K rounds over independent Rayleigh block-fading
 channels.  Round k carries incremental rate R_k and sees an instantaneous
@@ -10,7 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "XpharqError",
@@ -116,8 +120,11 @@ class Estimate:
 
     ``uncertainty`` is a numerical error bound for deterministic methods
     and a 95% confidence half-width for Monte Carlo.  The outage recursions
-    (``exact``, ``oracle``, ``upper``) report their last pass gap plus 1e-14
-    of the value, at every K; ``lower`` the rounding of its product;
+    (``exact``, ``oracle``, ``upper``) and analytical throughput report the
+    error estimate of their first pass, or where that misses the tolerance
+    the gap that stopped a later pass, plus 1e-14 of the value (of the
+    largest payoff for throughput), at every K; ``lower`` the rounding of
+    its product;
     ``asymptotic`` the width of its bracket [A e^{-S}, A] around the outage
     probability, plus rounding; the contour (``mellin-barnes``) its strip
     and tail bounds, each node's error and the node sum's rounding; the
@@ -170,3 +177,14 @@ def clamp_probability(value: float, tol: float, what: str) -> float:
     if 0.0 <= value <= 1.0:
         return value
     raise ConsistencyError(f"{what} = {value!r} is outside [0, 1] beyond tolerance {tol}")
+
+
+@cache
+def _unit_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [0, 1], built on first
+    use: the recursion's panels, the contour's kernel and the nested
+    references all read this one read-only table."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

@@ -56,12 +56,12 @@ import math
 
 import numpy as np
 
-from .bounds import _GAUSS
 from .core import (
     ConvergenceError,
     Estimate,
     PowerProfile,
     RateSchedule,
+    _unit_gauss,
     clamp_probability,
 )
 
@@ -103,7 +103,6 @@ _SUM_ROUNDING = 4.0 * _EPS
 # starts from the oscillation count, 64 radians of the phase of t^{i Im s}
 # per panel, and doubles at most _KERNEL_DOUBLINGS times until the error
 # bound meets _KERNEL_TOL of the L1 scale
-_PANEL_X, _PANEL_W = _GAUSS[32]
 _PANEL_PHASE = 64.0
 _KERNEL_DOUBLINGS = 6
 _KERNEL_TOL = 2e-12
@@ -220,8 +219,9 @@ def _gauss_pass(a: np.ndarray, re: np.ndarray, which: np.ndarray, b1: float, wid
     another CPU long after the call returns.
     """
     h = width / panels
-    u = ((np.arange(panels)[:, None] + _PANEL_X) * h).ravel()
-    w = np.tile(_PANEL_W * h, panels)
+    nodes, weights = _unit_gauss(32)
+    u = ((np.arange(panels)[:, None] + nodes) * h).ravel()
+    w = np.tile(weights * h, panels)
     decay = b1 * np.expm1(u)
     terms = np.multiply.outer(a, u)
     terms -= decay
@@ -284,9 +284,19 @@ def _gamma_front(s: np.ndarray, log_z: float, power: int) -> tuple[np.ndarray, n
 
 
 def _contour_cut(tail, target: float) -> int:
-    """The fewest first-pass steps T / _CONTOUR_STEP with tail(T) <= target, at most 256."""
-    return next((n for n in range(1, _CONTOUR_MAX_STEPS)
-                 if tail(n * _CONTOUR_STEP) <= target), _CONTOUR_MAX_STEPS)
+    """The fewest first-pass steps T / _CONTOUR_STEP with tail(T) <= target, at most 256.
+
+    Every tail falls with T, so a bisection on [1, 256) finds that step in
+    at most 8 calls.
+    """
+    lo, hi = 1, _CONTOUR_MAX_STEPS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid * _CONTOUR_STEP) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _mellin_contour(integrand, tail, strip, magnitude: float, scale: float = 1.0) -> Estimate:

@@ -3,8 +3,9 @@
 One nested Gauss-Legendre rule behind the exact XP outage probability and
 the high-SNR coefficients hbar.  No production path calls it; the package
 imports this module only to export it.  It imports nothing from the
-package but ``.core``, so it shares no node, panel, cut-off or interpolant
-with the recursion in ``bounds``.
+package but ``.core``, whose Gauss-Legendre table (numpy's ``leggauss``
+on [0, 1]) every quadrature of the package reads; it shares no panel,
+cut-off or interpolant with the recursion in ``bounds``.
 
 The nested integrals run over y_k = ln x_k, where
 
@@ -21,7 +22,6 @@ reduces the numerical dimension by one.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .core import (
     PowerProfile,
     RateSchedule,
     _check_rounds,
+    _unit_gauss,
     clamp_probability,
 )
 
@@ -38,10 +39,11 @@ __all__ = ["xp_outage_quadrature", "hbar_quadrature"]
 
 
 _LN2 = math.log(2.0)
-# the nested rule's largest pass: m nodes a level (leggauss solves an m x m
-# eigenproblem, once per m), and m^D in all (16 MB an array)
+# the nested rule's largest pass: m nodes a level, and m^D in all (16 MB an
+# array).  Each m's rule is one m x m eigenproblem, solved once: at m = 256
+# about 0.01 s with OpenBLAS on one thread, as xpharq loads numpy, but about
+# 0.5 s where numpy was loaded first with OpenBLAS's default threads
 _MAX_M, _MAX_NODES = 128, 2 ** 21
-_leggauss = cache(np.polynomial.legendre.leggauss)
 
 
 def _nested_rule(log_limits, y0, last, weight, tol, rel_tol, what) -> Estimate:
@@ -60,12 +62,12 @@ def _nested_rule(log_limits, y0, last, weight, tol, rel_tol, what) -> Estimate:
     """
     prev, gap, m = math.inf, math.inf, 16
     while m <= _MAX_M and m ** len(log_limits) <= _MAX_NODES:
-        t, w = _leggauss(m)
+        t, w = _unit_gauss(m)
         y, mass = np.float64(y0), np.float64(1.0)
         for j, top in enumerate(log_limits):
-            half = 0.5 * (top - y)[..., None]
-            step = half * (t + 1.0)
-            mass = mass[..., None] * (half * w) * weight(j, step)
+            span = (top - y)[..., None]
+            step = span * t
+            mass = mass[..., None] * (span * w) * weight(j, step)
             y = y[..., None] + step
         value = float((mass * last(y)).sum())
         gap = abs(value - prev)

@@ -60,3 +60,20 @@ def test_bootstrap_interval_is_reproducible_and_brackets_the_median():
     assert (lo, hi) == ab.bootstrap_interval(ratios)
     assert min(ratios) <= lo <= 0.05 <= hi <= max(ratios)
     assert ab.bootstrap_interval([0.2] * 5) == (0.2, 0.2)
+
+
+def test_a_broken_run_makes_every_verdict_incorrect():
+    # the change is faster in every pair, but one of its runs reported a
+    # wrong item: the numbers measured a broken program, so no metric can
+    # be judged, and the count of such runs per side is kept
+    base = _records([10.0, 10.4, 9.8, 10.1, 10.2, 9.9], [5.0, 5.1, 4.9, 5.0, 5.2, 5.0])
+    change = _records([7.5, 7.9, 7.4, 7.6, 7.8, 7.5], [6.0, 6.2, 5.9, 6.1, 6.0, 6.1])
+    assert ab.summarise(base, change, _METRICS)["cpu_ms_p50"]["verdict"] == "improved"
+    for record in base:
+        record["correct"] = True
+    change[3]["correct"] = False
+    assert (ab.failed_runs(base), ab.failed_runs(change)) == (0, 1)
+    out = ab.summarise(base, change, _METRICS)
+    assert {name: s["verdict"] for name, s in out.items()} == {
+        "cpu_ms_p50": "incorrect", "rate": "incorrect"}
+    assert out["cpu_ms_p50"]["favouring_change"] == 6

@@ -26,7 +26,7 @@ from xpharq import (
 )
 from xpharq import bounds
 
-from oracles import xp_three_rounds_mp, xp_two_rounds_mp
+from oracles import throughput_from_chain, xp_three_rounds_mp, xp_two_rounds_mp
 
 
 def _sum2_cdf_reference(r: float, g1: float, g2: float) -> float:
@@ -249,6 +249,56 @@ def test_recursion_uncertainty_calibrated():
                 assert err <= 1e-12 * ref, (scheme, snr_db, est, ref)
 
 
+def _quadrature_chain(rates, gbar):
+    """XP outage of each prefix of ``rates`` at equal SNR by the nested rule,
+    and the sum of their uncertainties."""
+    chain = [xp_outage_quadrature(rates.prefix(k), PowerProfile((gbar,) * k))
+             for k in range(1, rates.K + 1)]
+    return [e.value for e in chain], sum(e.uncertainty for e in chain)
+
+
+def test_recursion_uncertainty_covers_independent_references():
+    # a sample of the benchmark's analytic pool, K = 2-4, 0.5-2 bits a round
+    # and 0-40 dB, where nearly every recursion stops at its first pass by
+    # its own error estimate: the uncertainty covers |value - reference|
+    # beyond the reference's own error.  References: 40-digit mpmath for
+    # K = 2 and 3, and the nested rule (its outage chain for XP throughput)
+    # at K = 3 and 4
+    cases = []
+    for r1, r2, db in ((0.5, 2.0, 0), (1.0, 1.5, 15), (2.0, 2.0, 40)):
+        g = 10.0 ** (db / 10.0)
+        ref = xp_two_rounds_mp(2.0 ** r1 - 1.0, 2.0 ** (r1 + r2), g)
+        cases.append((xp_outage, (r1, r2), g, ref, 0.0))
+    for r1, r2, db in ((0.5, 1.5, 15), (2.0, 1.0, 35)):
+        g, u = 10.0 ** (db / 10.0), 2.0 ** (r1 + r2)
+        cases.append((outage_upper_ir, (r1, r2), g, xp_two_rounds_mp(u - 1.0, u, g), 0.0))
+    g = 10.0
+    cases.append((xp_outage, (0.5, 1.0, 2.0), g,
+                  xp_three_rounds_mp((2.0 ** 0.5, 2.0 ** 1.5, 2.0 ** 3.5), g), 0.0))
+    cases.append((outage_upper_ir, (2.0, 0.5, 1.0), g, xp_three_rounds_mp((2.0 ** 3.5,) * 3, g),
+                  0.0))
+    for rates, db in (((1.5, 2.0, 1.0), 30), ((0.5, 2.0, 1.0, 1.5), 30), ((1.0,) * 4, 10),
+                      ((2.0,) * 4, 20), ((1.5, 0.5, 0.5, 1.0), 0)):
+        ref = xp_outage_quadrature(RateSchedule(rates), PowerProfile((10.0 ** (db / 10.0),)
+                                                                     * len(rates)))
+        cases.append((xp_outage, rates, 10.0 ** (db / 10.0), ref.value, ref.uncertainty))
+    for scheme, (r1, r2), db in (("xp", (1.0, 2.0), 10), ("xp", (0.5, 0.5), 30),
+                                 ("inr", (2.0, 1.5), 0), ("inr", (1.0, 1.0), 20)):
+        g = 10.0 ** (db / 10.0)
+        solve = lambda r, p, s=scheme: throughput_recursion(r, p, s)
+        cases.append((solve, (r1, r2), g, _mp_throughput_two_rounds(scheme, r1, r2, g), 0.0))
+    for rates, db in (((1.0, 2.0, 0.5), 20), ((2.0, 1.0, 0.5, 0.5), 10)):
+        g = 10.0 ** (db / 10.0)
+        chain, spread = _quadrature_chain(RateSchedule(rates), g)
+        ref = throughput_from_chain("xp", RateSchedule(rates), chain)
+        # eta moves by at most (R_K^sum + eta) / E[T] <= R_K^sum + eta per
+        # unit of chain error
+        cases.append((throughput_recursion, rates, g, ref, (sum(rates) + ref) * spread))
+    for solve, rates, g, ref, ref_err in cases:
+        est = solve(RateSchedule(rates), PowerProfile((g,) * len(rates)))
+        assert abs(est.value - ref) <= est.uncertainty + ref_err, (solve, rates, g, est, ref)
+
+
 @pytest.mark.parametrize("k_rounds", [3, 4])
 def test_recursion_converges_at_saturated_outage(k_rounds):
     # large rates at low SNR: the value is 1 to double precision, and the
@@ -320,11 +370,27 @@ def test_outage_ladder_stops_at_a_negative_pass(monkeypatch):
     monkeypatch.setattr(bounds, "_nested", counting)
     with pytest.raises(ConvergenceError, match="below 0") as info:
         outage_upper_ir(RateSchedule((80.0,) * 5), PowerProfile((1e100,) * 5))
-    assert passes == [(32, 8), (64, 16), (128, 32)]
+    assert passes == [(32, 16), (64, 16), (128, 32)]
+    assert bounds._RECURSION_WORK == {"passes": 3, "stop": "raised"}
     best = info.value.estimate
     assert best.method == "ir-recursion"
     assert type(best.value) is float and best.value < 0.0
     assert best.uncertainty >= -best.value
+
+
+def test_recursion_work_records_the_passes_and_what_stopped_them():
+    # at 1 bit a round and 10 dB every recursion's first pass meets the
+    # tolerance by its own error estimate; the IR bound at 2 bits a round,
+    # K = 4 and 0 dB does not (the estimate reads 3e-8 of an outage near 1),
+    # and the second pass's gap to it, plus its own estimate, stops it
+    for k_rounds in (2, 3, 4):
+        rates, powers = RateSchedule((1.0,) * k_rounds), PowerProfile((10.0,) * k_rounds)
+        for solve in (xp_outage, outage_upper_ir, lambda r, p: throughput_recursion(r, p, "xp"),
+                      lambda r, p: throughput_recursion(r, p, "inr")):
+            solve(rates, powers)
+            assert bounds._RECURSION_WORK == {"passes": 1, "stop": "estimate"}, k_rounds
+    outage_upper_ir(RateSchedule((2.0,) * 4), PowerProfile((1.0,) * 4))
+    assert bounds._RECURSION_WORK == {"passes": 2, "stop": "gap"}
 
 
 def test_outage_recursion_meets_the_asymptote_at_high_snr():
@@ -342,18 +408,23 @@ def test_outage_recursion_meets_the_asymptote_at_high_snr():
 
 
 def test_outage_convergence_error_carries_floats():
-    # at K = 3 the top level reads V_2 directly, so the passes agree to the
-    # bit and a zero tolerance is met; at K = 4 V_3 is interpolated, no two
-    # passes agree to the bit, and the error carries the one probability as
-    # an Estimate of floats, as the outage calls return it
-    est = xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3), rel_tol=0.0)
+    # at K = 2 the top level reads the closed-form last level, the passes at
+    # (64, 16) and (128, 32) agree to the bit, and a zero tolerance is met by
+    # their gap; at K = 3 the first two passes read V_2 at the same 16 Gauss
+    # nodes and agree to the bit, but the second adds its own error estimate
+    # to that gap of 0, and at K = 4 V_3 is interpolated and no two passes
+    # agree to the bit: the error carries the one probability as an
+    # Estimate of floats, as the outage calls return it
+    est = xp_outage(RateSchedule((1.0,) * 2), PowerProfile((10.0,) * 2), rel_tol=0.0)
     assert est.uncertainty == 1e-14 * est.value
-    with pytest.raises(ConvergenceError) as info:
-        xp_outage(RateSchedule((1.0,) * 4), PowerProfile((10.0,) * 4), rel_tol=0.0)
-    best = info.value.estimate
-    assert best.method == "xp-recursion"
-    assert type(best.value) is float, best
-    assert type(best.uncertainty) is float and best.uncertainty > 0.0, best
+    for k_rounds in (3, 4):
+        with pytest.raises(ConvergenceError) as info:
+            xp_outage(RateSchedule((1.0,) * k_rounds), PowerProfile((10.0,) * k_rounds),
+                      rel_tol=0.0)
+        best = info.value.estimate
+        assert best.method == "xp-recursion"
+        assert type(best.value) is float, best
+        assert type(best.uncertainty) is float and best.uncertainty > 0.0, best
 
 
 def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
@@ -376,8 +447,10 @@ def test_recursion_skips_levels_the_limits_never_bind(monkeypatch):
 
 
 def test_levels_read_at_most_n_points_are_not_interpolated(monkeypatch):
-    # the top level reads V_2 at 4 panels of m Gauss nodes, n = 4 m points:
-    # K = 3 builds no interpolant, K = 4 one per pass (V_3), K = 5 two
+    # at 1 bit a round and 10 dB the top level reads V_2 on one panel, m
+    # Gauss nodes, and n >= 2 m: K = 3 builds no interpolant, K = 4 one per
+    # pass (V_3), K = 5 two.  The default tolerance stops at the first pass;
+    # a zero tolerance runs all four
     passes, built = [], []
     nested, interpolate = bounds._nested, bounds._interpolate
 
@@ -392,11 +465,16 @@ def test_levels_read_at_most_n_points_are_not_interpolated(monkeypatch):
     monkeypatch.setattr(bounds, "_nested", recording_nested)
     monkeypatch.setattr(bounds, "_interpolate", recording_interpolate)
     for k_rounds in (3, 4, 5):
-        passes.clear()
-        built.clear()
-        xp_outage(RateSchedule((1.0,) * k_rounds), PowerProfile((10.0,) * k_rounds))
-        assert len(passes) >= 2
-        assert sorted(built) == sorted(passes * (k_rounds - 3)), (k_rounds, passes, built)
+        rates, powers = RateSchedule((1.0,) * k_rounds), PowerProfile((10.0,) * k_rounds)
+        for rel_tol, ran in ((1e-9, [32]), (0.0, [32, 64, 128, 256])):
+            passes.clear()
+            built.clear()
+            try:
+                xp_outage(rates, powers, rel_tol=rel_tol)
+            except ConvergenceError:
+                assert rel_tol == 0.0
+            assert passes == ran, (k_rounds, rel_tol, passes)
+            assert sorted(built) == sorted(passes * (k_rounds - 3)), (k_rounds, passes, built)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
@@ -408,7 +486,10 @@ def test_interpolant_is_numpys_chebyshev_interpolate(n):
     stacked = lambda x: np.stack([row(x) for row in rows])
     rng = np.random.default_rng(n)
     for f, payoff in ((rows[0], rows[:1]), (stacked, rows)):
-        read = bounds._interpolate(f, n, lo, hi)
+        read, tail = bounds._interpolate(f, n, lo, hi)
+        coef = [Chebyshev.interpolate(row, n - 1, domain=[lo, hi]).coef for row in payoff]
+        assert np.array_equal(tail, np.array([abs(c[-2]) + abs(c[-1]) for c in coef]).reshape(
+            np.shape(tail))), (n, len(payoff))
         for shape in ((37,), (5, 3, 8)):
             s = rng.uniform(lo, hi, shape)
             got = read(s)
@@ -439,7 +520,7 @@ def _level_all_panels(s, bits, gbar, inner, m):
     excess = np.maximum(2.0 ** bits * np.exp(-s) - 1.0, 0.0)
     v_edges = np.log1p(np.minimum(gbar * bounds._PANEL_EDGES, excess[..., None]))
     width = np.diff(v_edges, axis=-1)
-    t, w = bounds._GAUSS[m]
+    t, w = bounds._unit_gauss(m)
     v = v_edges[..., :-1, None] + width[..., None] * t
     f = np.exp(v - np.expm1(v) / gbar) * inner(s[..., None, None] + v)
     return ((f @ w) * width).sum(axis=-1) / gbar
@@ -463,9 +544,9 @@ def test_level_skips_only_panels_no_node_reaches(limit, panels, m):
 
     def inner(t):
         seen.append(t.shape[-2])
-        return closed(t)
+        return closed(t), (0.0, 0.0, 0.0)
 
-    cut = bounds._level(s, bits, gbar, inner, m)
+    cut, _ = bounds._level(s, bits, gbar, inner, m)
     assert seen == [panels]
     np.testing.assert_allclose(cut, _level_all_panels(s, bits, gbar, closed, m),
                                rtol=1e-14, atol=0.0)

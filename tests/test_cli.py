@@ -365,6 +365,10 @@ def test_selftest_passes(capsys):
     lines = {line.split(":")[0]: line for line in out.splitlines()}
     assert lines["PASS contour-bessel-degenerate"].endswith("; nodes=183 kernel_panels=0")
     assert lines["PASS two-round-triangulation"].endswith("; nodes=340 kernel_panels=1")
+    # both K = 3 recursions of the sandwich stop at their first pass, by its
+    # own error estimate
+    sandwich = lines["PASS bound-sandwich"]
+    assert sandwich.count("(passes=1 stop=estimate)") == 2, sandwich
 
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -498,6 +502,29 @@ def test_cli_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_cli_import_builds_no_gauss_rule():
+    # the recursion, the contour's kernel and the nested references read
+    # one Gauss-Legendre table, core's, and each rule is built at its first
+    # use, not at import
+    probe = ("import numpy.polynomial.legendre as L\n"
+             "built = []\n"
+             "real = L.leggauss\n"
+             "L.leggauss = lambda m: built.append(m) or real(m)\n"
+             "import xpharq.cli\n"
+             "from xpharq import bounds, core, exact, quadrature\n"
+             "assert bounds._unit_gauss is exact._unit_gauss is quadrature._unit_gauss"
+             " is core._unit_gauss\n"
+             "print(len(built), core._unit_gauss.cache_info().currsize)\n"
+             "nodes, weights = core._unit_gauss(16)\n"
+             "assert core._unit_gauss(16)[0] is nodes and not weights.flags.writeable\n"
+             "print(built)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["0 0", "[16]"]
 
 
 @pytest.mark.skipif(shutil.which("xpharq") is None,

@@ -244,6 +244,30 @@ def test_phi_foxh_lies_within_its_bound_of_mpmath():
                 assert abs(got.value - ref) <= got.uncertainty, (r1, r2, g, got, ref)
 
 
+def test_contour_cut_bisects_to_the_linear_scan(monkeypatch):
+    # every tail falls with T, so the bisection stops at the first step the
+    # linear scan 1, 2, ... would reach, on the grid above, in at most 8
+    # calls of the tail bound where the scan took up to 118
+    real, cuts = exact._contour_cut, []
+
+    def recording(tail, target):
+        calls = []
+        steps = real(lambda t: calls.append(t) or tail(t), target)
+        cuts.append((tail, target, steps, len(calls)))
+        return steps
+
+    monkeypatch.setattr(exact, "_contour_cut", recording)
+    for r1 in (0.5, 1.0, 2.0, 3.0, 6.0, 8.0):
+        for r2 in (0.5, 1.0, 2.0, 3.0):
+            for g in (1.0, 10.0, 100.0):
+                phi_foxh(r1, r2, g, g)
+    assert len(cuts) == 72
+    for tail, target, steps, calls in cuts:
+        scan = next((n for n in range(1, exact._CONTOUR_MAX_STEPS)
+                     if tail(n * exact._CONTOUR_STEP) <= target), exact._CONTOUR_MAX_STEPS)
+        assert steps == scan and calls <= 8, (steps, scan, calls)
+
+
 def test_phi_raises_where_its_scale_overflows():
     # the contour's scale e^{1/g1 + 1/g2} overflows a double below about
     # -25.5 dB; it raises a ConvergenceError with no estimate there, and

@@ -12,7 +12,10 @@ sides' raw JSON records, and for each end-to-end metric of
 95 % interval of that median, how many pairs favour the change, and a
 verdict: ``improved`` or ``worse`` where the interval excludes 0, else
 ``unresolved`` (Kalibera & Jones, "Rigorous benchmarking in reasonable
-time", ISMM 2013).  Each run lasts the ``run_seconds`` of
+time", ISMM 2013).  A run whose record says ``correct: false`` measured a
+broken program, so if either side has one, every verdict is
+``incorrect``; the record keeps each side's count of such runs.  Each run
+lasts the ``run_seconds`` of
 ``BENCHMARK.json`` plus about 2 s of set-up probes: ten pairs at 20 s a run
 take about 8 minutes.
 """
@@ -51,16 +54,25 @@ def bootstrap_interval(ratios: list) -> tuple[float, float]:
     return medians[int(0.025 * BOOTSTRAP_DRAWS)], medians[int(0.975 * BOOTSTRAP_DRAWS) - 1]
 
 
+def failed_runs(records: list) -> int:
+    """How many of ``records`` report a wrong or failed item."""
+    return sum(not record.get("correct", True) for record in records)
+
+
 def summarise(base: list, change: list, metrics: list) -> dict:
     """Per metric: the median paired log-ratio change / base, its bootstrap
-    95 % interval, the pairs favouring the change, and the verdict."""
+    95 % interval, the pairs favouring the change, and the verdict, which
+    is ``incorrect`` wherever a run of either side was."""
+    broken = failed_runs(base) + failed_runs(change)
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
         ratios = [math.log(c["metrics"][name]["value"] / b["metrics"][name]["value"])
                   for b, c in zip(base, change)]
         lo, hi = bootstrap_interval(ratios)
-        if lo <= 0.0 <= hi:
+        if broken:
+            verdict = "incorrect"
+        elif lo <= 0.0 <= hi:
             verdict = "unresolved"
         else:
             verdict = "improved" if sign * hi < 0.0 else "worse"
@@ -102,6 +114,7 @@ def main(argv=None) -> int:
     result = {
         "workload": args.workload, "seed": args.seed, "seconds": seconds,
         "pairs": args.pairs, "order": "ABBA",
+        "failed_runs": {side: failed_runs(records[side]) for side in records},
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "summary": summary, "base": records["base"], "change": records["change"],
