@@ -34,8 +34,7 @@ from .exact import (
     phi_foxh,
 )
 from .asymptotic import build_hbar_table, hbar_eval, outage_asymptotic_general
-from .bounds import (ir_outage_chain, outage_lower, outage_upper_ir, sum_info_cdf,
-                     throughput_recursion, xp_outage)
+from .bounds import ir_outage_chain, outage_lower, outage_upper_ir, throughput_recursion, xp_outage
 from .simulate import SimConfig, estimate_outage, estimate_throughput
 from .sweep import (
     ConfigError,

@@ -71,7 +71,6 @@ from .core import (
 __all__ = [
     "outage_lower",
     "outage_upper_ir",
-    "sum_info_cdf",
     "ir_outage_chain",
     "xp_outage",
     "throughput_recursion",
@@ -90,8 +89,6 @@ _ROUNDOFF = 1e-14
 # e^{-u} is 0 in double beyond this u
 _U_TAIL = 745.0
 _TINY = np.finfo(float).tiny
-# the last ladder's passes, and what stopped it: "estimate", "gap" or "raised"
-_RECURSION_WORK = {"passes": 0, "stop": None}
 
 
 @cache
@@ -209,19 +206,21 @@ def _cheb_transform(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interpolate(f, n: int, lo: float, hi: float):
-    """The degree n-1 Chebyshev interpolant on [lo, hi] of each payoff row of f,
-    and per row the sum of its last two coefficients' magnitudes: an estimate
-    of its error.  Row by row, the arithmetic of ``Chebyshev.interpolate(f,
-    n - 1, domain=[lo, hi])`` and of its evaluation, with the transform of
-    each n built once."""
+    """The degree n-1 Chebyshev interpolant on [lo, hi] of each payoff row of
+    the values f returns, per row the sum of its last two coefficients'
+    magnitudes (an estimate of its error), and what f returns beside the
+    values.  Row by row, the arithmetic of ``Chebyshev.interpolate(f, n - 1,
+    domain=[lo, hi])`` and of its evaluation, with the transform of each n
+    built once."""
     x, vt = _cheb_transform(n)
+    values, rest = f(polyutils.mapdomain(x, Chebyshev.window, [lo, hi]))
     # at most 256 x 256 by one or two columns: under OpenBLAS's threading
     # threshold, so ``@`` wakes no helper thread (unlike the contour's)
-    c = (vt @ f(polyutils.mapdomain(x, Chebyshev.window, [lo, hi]))[..., None])[..., 0].T
+    c = (vt @ values[..., None])[..., 0].T
     c[0] /= n
     c[1:] /= 0.5 * n
     off, scl = polyutils.mapparms([lo, hi], Chebyshev.window)
-    return (lambda s: chebval(off + scl * s, c)), np.abs(c[-2:]).sum(axis=0)
+    return (lambda s: chebval(off + scl * s, c)), np.abs(c[-2:]).sum(axis=0), rest
 
 
 def _sampled(level, n: int, lo: float, hi: float, failed):
@@ -236,15 +235,7 @@ def _sampled(level, n: int, lo: float, hi: float, failed):
         if s.size <= n:
             value, bound = level(s.ravel())
             return value.reshape(value.shape[:-1] + s.shape), bound
-        nodes = []
-
-        def sample(x):
-            value, bound = level(x)
-            nodes.append(bound)
-            return value
-
-        cheb, tail = _interpolate(sample, n, lo, hi)
-        floor, rate, uniform = nodes[0]
+        cheb, tail, (floor, rate, uniform) = _interpolate(level, n, lo, hi)
         return (np.where(s < lo, failed, cheb(np.maximum(s, lo))),
                 (floor + tail, rate, uniform + tail))
     return at
@@ -287,16 +278,17 @@ def _nested(bits: Sequence[float], gbars: Sequence[float], paid,
 
 @np.errstate(over="ignore")
 def _refine(evaluate, converged, estimate, what: str, stop_below_zero: bool = False) -> Estimate:
-    """``estimate(values, errors)`` at the first pass over ``_PASSES`` where
-    ``converged(values, errors)`` holds, the values and their error
-    estimates from ``evaluate(n, m)``.
+    """``estimate(values, errors, work)`` at the first pass over ``_PASSES``
+    where ``converged(values, errors)`` holds, the values and their error
+    estimates from ``evaluate(n, m)``, and ``work`` the record ``{"passes":
+    count, "stop": what stopped the ladder}``.
 
-    The first pass is measured by its own estimate.  Every later one is
-    measured by its gap to the pass before, and where both take the same
-    m, by that gap plus its own estimate: the gap cannot see the error of
-    the Gauss nodes they share.  A ladder that gives up raises
-    ``ConvergenceError`` carrying the estimate of its last pass by that
-    gap.  ``_RECURSION_WORK`` records the passes run and what stopped them.
+    The first pass is measured by its own estimate (stop "estimate").
+    Every later one is measured by its gap to the pass before (stop "gap"),
+    and where both take the same m, by that gap plus its own estimate: the
+    gap cannot see the error of the Gauss nodes they share.  A ladder that
+    gives up raises ``ConvergenceError`` carrying the estimate of its last
+    pass by that gap, with stop "raised".
 
     With ``stop_below_zero`` the first value is one that the tolerance
     measures relative to itself.  It sums nonnegative terms, so a pass
@@ -309,7 +301,6 @@ def _refine(evaluate, converged, estimate, what: str, stop_below_zero: bool = Fa
     previous = None
     for count, (n, m) in enumerate(_PASSES, 1):
         values, errors = evaluate(n, m)
-        _RECURSION_WORK.update(passes=count, stop="raised")
         if previous is None:
             gaps, stop = errors, "estimate"
         else:
@@ -320,14 +311,14 @@ def _refine(evaluate, converged, estimate, what: str, stop_below_zero: bool = Fa
             raise ConvergenceError(
                 f"{what}: the pass at {(n, m)} (Chebyshev, Gauss) nodes reads {values[0]:.3e}, "
                 "below 0, so its error exceeds the value and no pass can meet the relative "
-                "tolerance", estimate(values, [max(abs(v), g) for v, g in zip(values, gaps)]))
+                "tolerance", estimate(values, [max(abs(v), g) for v, g in zip(values, gaps)],
+                                      {"passes": count, "stop": "raised"}))
         if converged(values, gaps):
-            _RECURSION_WORK["stop"] = stop
-            return estimate(values, gaps)
+            return estimate(values, gaps, {"passes": count, "stop": stop})
         previous = values
     raise ConvergenceError(
         f"{what}: passes at {_PASSES[-2]} and {_PASSES[-1]} (Chebyshev, Gauss) nodes "
-        f"differ by {max(gaps):.3e}", estimate(values, gaps))
+        f"differ by {max(gaps):.3e}", estimate(values, gaps, {"passes": count, "stop": "raised"}))
 
 
 def _outage(limits: Sequence[float], powers: PowerProfile, rel_tol: float, what: str,
@@ -343,20 +334,9 @@ def _outage(limits: Sequence[float], powers: PowerProfile, rel_tol: float, what:
     paid = [None] * (len(limits) - 1) + [_failed]
     evaluate = partial(_nested, limits, powers.snr_bars, paid)
     converged = lambda v, g: g[0] <= rel_tol * abs(v[0])
-    estimate = lambda v, g: Estimate(v[0], method, g[0] + _ROUNDOFF * abs(v[0]))
+    estimate = lambda v, g, work: Estimate(v[0], method, g[0] + _ROUNDOFF * abs(v[0]), work)
     est = _refine(evaluate, converged, estimate, what, stop_below_zero=True)
-    return Estimate(clamp_probability(est.value, 1e-9, what), method, est.uncertainty)
-
-
-def sum_info_cdf(
-    r: float,
-    powers: PowerProfile,
-    rel_tol: float = 1e-9,
-) -> Estimate:
-    """Pr(sum_{k<=K} I_k < r): the HARQ-IR outage at information total r."""
-    if r <= 0.0:
-        return Estimate(0.0, "ir-recursion", 0.0)
-    return _outage((r,) * powers.K, powers, rel_tol, "IR outage", "ir-recursion")
+    return Estimate(clamp_probability(est.value, 1e-9, what), method, est.uncertainty, est.work)
 
 
 def outage_upper_ir(
@@ -385,7 +365,8 @@ def ir_outage_chain(
     """
     _check_rounds(rates, powers)
     r1 = decoding_limits(rates, "inr", "throughput")[0]
-    return [sum_info_cdf(r1, powers.prefix(k), rel_tol).value for k in range(1, rates.K + 1)]
+    return [_outage((r1,) * k, powers.prefix(k), rel_tol, "IR outage", "ir-recursion").value
+            for k in range(1, rates.K + 1)]
 
 
 def xp_outage(
@@ -423,9 +404,11 @@ def throughput_recursion(
     E[T] 1 per round entered.  Scaled by max r_k and by K, each
     pays at most 1, as outage does.  The ladder stops once a pass's error
     estimates, or its gaps (see ``_refine``), move eta = E[R] / E[T] by at
-    most max(1e-10, 1e-9 * eta).  The uncertainty is (dE[R] + eta dE[T]) /
-    E[T], each d that estimate or gap plus 1e-14 of that scale, which covers
-    the interpolation and truncation errors of a rarely decoded E[R].
+    most max(1e-10, 1e-9 * eta) in those scaled units, which is max(1e-10 *
+    max r_k / K, 1e-9 * eta) in the bits per channel use returned.  The
+    uncertainty is (dE[R] + eta dE[T]) / E[T], each d that estimate or gap
+    plus 1e-14 of that scale, which covers the interpolation and truncation
+    errors of a rarely decoded E[R].
     """
     _check_rounds(rates, powers)
     reward = decoding_limits(rates, scheme, "throughput")
@@ -439,8 +422,8 @@ def throughput_recursion(
         eta, gap = _ratio(values, gaps)
         return gap <= max(1e-10, 1e-9 * eta)
 
-    def estimate(values, gaps):
+    def estimate(values, gaps, work):
         eta, err = _ratio(values, [g + _ROUNDOFF for g in gaps])
-        return Estimate(eta * top * slot, f"analytical-{scheme}", err * top * slot)
+        return Estimate(eta * top * slot, f"analytical-{scheme}", err * top * slot, work)
 
     return _refine(evaluate, converged, estimate, f"{scheme} throughput")

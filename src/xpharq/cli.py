@@ -26,10 +26,9 @@ import time
 import numpy as np
 
 from .asymptotic import build_hbar_table, hbar_eval
-from .bounds import _RECURSION_WORK, outage_lower, outage_upper_ir, xp_outage
-from .core import PowerProfile, RateSchedule, XpharqError
-from .exact import (_CONTOUR_WORK, foxh_h11_incomplete, incomplete_gamma_difference,
-                    outage_k2_via_foxh)
+from .bounds import outage_lower, outage_upper_ir, xp_outage
+from .core import Estimate, PowerProfile, RateSchedule, XpharqError
+from .exact import foxh_h11_incomplete, incomplete_gamma_difference, outage_k2_via_foxh
 from .simulate import SimConfig, estimate_outage
 from .sweep import (METHODS, ConfigError, _fmt, db_to_linear, emit_gnuplot, evaluate,
                     method_error, parse_config, run_sweep, write_csv)
@@ -76,7 +75,9 @@ def _resolve_seed(parser: argparse.ArgumentParser, flag_value) -> int:
         parser.error(f"XPHARQ_SEED {exc}")
 
 
-def _point(parser: argparse.ArgumentParser, args) -> tuple[RateSchedule, PowerProfile]:
+def _point(parser: argparse.ArgumentParser,
+           args) -> tuple[RateSchedule, PowerProfile, tuple[float, ...]]:
+    """The schedule, the profile and the per-round SNRs in dB of a point query."""
     try:
         rates = RateSchedule(args.rates)
     except ValueError as exc:
@@ -86,15 +87,14 @@ def _point(parser: argparse.ArgumentParser, args) -> tuple[RateSchedule, PowerPr
         snr_db = snr_db * rates.K
     if len(snr_db) != rates.K:
         parser.error(f"--snr-db needs 1 or {rates.K} entries, got {len(snr_db)}")
-    args.snr_db = snr_db  # echo the per-round values in the output record
     try:
-        return rates, PowerProfile([db_to_linear(v) for v in snr_db])
+        return rates, PowerProfile([db_to_linear(v) for v in snr_db]), snr_db
     except ValueError as exc:
         parser.error(f"--snr-db: {exc}")
 
 
 def _cmd_point(parser, args) -> int:
-    rates, powers = _point(parser, args)
+    rates, powers, snr_db = _point(parser, args)
     error = method_error(args.command, args.scheme, args.method, rates.K)
     if error is not None:
         parser.error(error)
@@ -129,7 +129,7 @@ def _cmd_point(parser, args) -> int:
     print(
         f"{args.command} scheme={args.scheme} method={args.method} K={rates.K} "
         f"rates={','.join(_fmt(r) for r in rates.rates)} "
-        f"snr_db={','.join(_fmt(v) for v in args.snr_db)} "
+        f"snr_db={','.join(_fmt(v) for v in snr_db)} "
         f"value={_fmt(est.value)} uncertainty={_fmt(est.uncertainty)} seconds={elapsed:.3f}"
     )
     if args.method == "upper":
@@ -220,9 +220,10 @@ def _cmd_selftest(parser, args) -> int:
             failures += 1
             print(f"FAIL {name}: {detail}")
 
-    def work() -> str:
-        # the last contour's one pass; the complete kernel takes no panels
-        return f"nodes={_CONTOUR_WORK['nodes']} kernel_panels={_CONTOUR_WORK['panels']}"
+    def work(est: Estimate) -> str:
+        # the contour's one pass (the complete kernel takes no panels), or
+        # the ladder's passes and whether its estimate or a gap stopped it
+        return " ".join(f"{key}={value}" for key, value in est.work.items())
 
     g = incomplete_gamma_difference(0.0, 0.7, 1.4)
     ref = math.exp(-0.7) - math.exp(-1.4)
@@ -233,22 +234,22 @@ def _cmd_selftest(parser, args) -> int:
     )
 
     z = 1.0
-    h = foxh_h11_incomplete(z).value
+    h = foxh_h11_incomplete(z)
     bessel = 2.0 * math.sqrt(z) * _bessel_k1(2.0 * math.sqrt(z))
     check(
         "contour-bessel-degenerate",
-        abs(h - bessel) <= 1e-6 * bessel,
-        f"H(z=1, b=0) = {h!r} vs 2 sqrt(z) K1 = {bessel!r}; {work()}",
+        abs(h.value - bessel) <= 1e-6 * bessel,
+        f"H(z=1, b=0) = {h.value!r} vs 2 sqrt(z) K1 = {bessel!r}; {work(h)}",
     )
 
     rates = RateSchedule([1.0, 1.0])
     powers = PowerProfile([10.0, 10.0])
     p_rec = xp_outage(rates, powers).value
-    p_foxh = outage_k2_via_foxh(rates, powers).value
+    p_foxh = outage_k2_via_foxh(rates, powers)
     check(
         "two-round-triangulation",
-        abs(p_rec - p_foxh) <= 1e-6 * p_rec,
-        f"recursion={p_rec!r} contour={p_foxh!r}; {work()}",
+        abs(p_rec - p_foxh.value) <= 1e-6 * p_rec,
+        f"recursion={p_rec!r} contour={p_foxh.value!r}; {work(p_foxh)}",
     )
 
     # the high-SNR limit of the outage recursion: at 120 dB xp_outage * gbar^3
@@ -264,19 +265,14 @@ def _cmd_selftest(parser, args) -> int:
         f"recursion={rec!r} xp_outage*gbar^3={limit!r} closed={closed!r}",
     )
 
-    def ladder() -> str:
-        # the last recursion's passes, and whether its estimate or a gap stopped it
-        return f"passes={_RECURSION_WORK['passes']} stop={_RECURSION_WORK['stop']}"
-
     g3 = PowerProfile([10.0, 10.0, 10.0])
     low = outage_lower(r3, g3).value
-    mid = xp_outage(r3, g3).value
-    mid_work = ladder()
-    up = outage_upper_ir(r3, g3).value
+    mid = xp_outage(r3, g3)
+    up = outage_upper_ir(r3, g3)
     check(
         "bound-sandwich",
-        low <= mid <= up,
-        f"lower={low!r} xp={mid!r} ({mid_work}) upper={up!r} ({ladder()})",
+        low <= mid.value <= up.value,
+        f"lower={low!r} xp={mid.value!r} ({work(mid)}) upper={up.value!r} ({work(up)})",
     )
 
     cfg1 = SimConfig(scheme="xp", rates=rates, powers=powers, trials=200_000, seed=7)

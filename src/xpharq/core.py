@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -130,11 +130,19 @@ class Estimate:
     and tail bounds, each node's error and the node sum's rounding; the
     nested rule (``xp-quadrature``) its last pass gap plus ``tol`` and
     rounding, and ``inf`` on the estimate of the ConvergenceError it raises.
+
+    ``work`` is what the computation did, where a method counts it, and
+    None elsewhere: the payoff ladder's ``{"passes": count, "stop":
+    "estimate" | "gap" | "raised"}`` (the pass's own estimate or its gap met
+    the tolerance, or the ladder gave up), the contour's ``{"nodes": n,
+    "kernel_panels": p}`` (0 panels for the complete kernel).  Equality and
+    hashing ignore it.
     """
 
     value: float
     method: str
     uncertainty: float
+    work: Mapping[str, object] | None = field(default=None, compare=False)
 
 
 def decoding_limits(rates: RateSchedule, scheme: str, quantity: str) -> tuple[float, ...]:

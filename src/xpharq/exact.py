@@ -119,9 +119,6 @@ _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _CLAMP_TOL = 1e-9
 # ``_log_gamma``'s error in ulps of max(1, |ln Gamma|), as the tests pin it
 _LOG_GAMMA_ULPS = 32.0
-# the last contour's nodes and its kernel's Gauss-Legendre panels (0 for the
-# complete kernel), which ``selftest`` prints
-_CONTOUR_WORK = {"nodes": 0, "panels": 0}
 
 
 def _log_l1_floor(re: np.ndarray, b1: float, width: float) -> np.ndarray:
@@ -330,7 +327,8 @@ def _mellin_contour(integrand, tail, strip, magnitude: float, scale: float = 1.0
     of the integrand's own error bounds, and the sum's rounding 4 eps
     trapezoid(|integrand|): a bound, not a gap between passes.  Where it
     exceeds 1e-8 * magnitude the contour raises a ``ConvergenceError``
-    carrying its estimate.  Value and error are scaled by ``scale``.
+    carrying its estimate.  Value and error are scaled by ``scale``; its
+    ``work`` counts the nodes, tau = 0 among them, and the kernel's panels.
     """
     head_vals, head_errs, _ = integrand(np.array([_CONTOUR_C + 0j]))
     head, head_err = float(head_vals.real[0]), float(np.max(head_errs))
@@ -345,7 +343,6 @@ def _mellin_contour(integrand, tail, strip, magnitude: float, scale: float = 1.0
                 _CONTOUR_MAX_NODES)
     h = span / nodes
     vals, errs, panels = integrand(_CONTOUR_C + 1j * h * np.arange(1, nodes + 1))
-    _CONTOUR_WORK.update(nodes=nodes + 1, panels=panels)
     vals = vals.real
     weight = h / math.pi
     strip_error = 2.0 * m / math.expm1(2.0 * math.pi * a / h)
@@ -353,7 +350,8 @@ def _mellin_contour(integrand, tail, strip, magnitude: float, scale: float = 1.0
     error = (strip_error + rest(span)
              + weight * (0.5 * head_err + float(np.sum(errs)))
              + _SUM_ROUNDING * weight * (0.5 * abs(head) + float(np.sum(np.abs(vals)))))
-    best = Estimate(scale * value, "mellin-barnes", scale * error)
+    best = Estimate(scale * value, "mellin-barnes", scale * error,
+                    {"nodes": nodes + 1, "kernel_panels": panels})
     if error <= 1e-8 * magnitude:
         return best
     raise ConvergenceError(
@@ -482,7 +480,7 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
     high SNR t23 and phi cancel; the uncertainty is the contour's error
     estimate plus the assembly's rounding, so it grows with the
     cancellation.  A contour that gives up raises with the outage assembled
-    from its best phi, unclamped.
+    from its best phi, unclamped.  Either carries phi's ``work``.
     """
     if rates.K != 2 or powers.K != 2:
         raise ValueError("the closed form covers exactly K = 2")
@@ -491,7 +489,7 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
 
     def assemble(phi: Estimate) -> Estimate:
         return Estimate(t1 + t23 - phi.value, "k2-foxh",
-                        phi.uncertainty + _ROUNDING * (abs(t1) + t23 + abs(phi.value)))
+                        phi.uncertainty + _ROUNDING * (abs(t1) + t23 + abs(phi.value)), phi.work)
 
     try:
         phi = phi_foxh(r1, r2, g1, g2)
@@ -501,4 +499,4 @@ def outage_k2_via_foxh(rates: RateSchedule, powers: PowerProfile) -> Estimate:
         raise ConvergenceError(str(err), assemble(err.estimate)) from err
     outage = assemble(phi)
     value = clamp_probability(outage.value, _CLAMP_TOL, "two-round outage (contour phi)")
-    return Estimate(value, outage.method, outage.uncertainty)
+    return Estimate(value, outage.method, outage.uncertainty, outage.work)

@@ -1,10 +1,13 @@
 """``tools/ab.py``'s summary of paired benchmark records, on synthetic records.
 
-No benchmark runs here: each record is the shape ``benchmarks/run.py``
-prints, ``{"metrics": {name: {"value": v}}}``, with chosen values.
+No real benchmark runs here: each record is the shape ``benchmarks/run.py``
+prints, ``{"metrics": {name: {"value": v}}}``, with chosen values, and the
+one series that runs does so on stub ``benchmarks/run.py`` scripts in
+temporary trees.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -77,3 +80,30 @@ def test_a_broken_run_makes_every_verdict_incorrect():
     assert {name: s["verdict"] for name, s in out.items()} == {
         "cpu_ms_p50": "incorrect", "rate": "incorrect"}
     assert out["cpu_ms_p50"]["favouring_change"] == 6
+
+
+def test_a_run_that_exits_non_zero_is_kept_as_a_failed_run(tmp_path, monkeypatch):
+    # the change tree's benchmark exits 3 before printing a record: each
+    # such run is kept with its exit code, the series runs to its end, the
+    # record is written, and every metric reads incorrect
+    good, bad = tmp_path / "base", tmp_path / "change"
+    record = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {"cpu_ms_p50": {"value": 1.0}, "rate": {"value": 2.0}}}
+    for tree, body in ((good, f"print('warming up')\nprint({json.dumps(record)!r})\n"),
+                       (bad, "import sys\nprint('starting')\nsys.exit(3)\n")):
+        (tree / "benchmarks").mkdir(parents=True)
+        (tree / "benchmarks" / "run.py").write_text(body)
+    assert ab.run_once(str(good), "w", 1, 0.1) == record
+    failed = ab.run_once(str(bad), "w", 1, 0.1)
+    assert (failed["correct"], failed["exit_code"]) == (False, 3)
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": _METRICS,
+                                                         "run_seconds": 0.1}))
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    assert ab.main([str(good), str(bad), "--workload", "w", "--pairs", "2", "--seed", "1",
+                    "--label", "t"]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["failed_runs"] == {"base": 0, "change": 2}
+    assert [r["exit_code"] for r in out["change"]] == [3, 3]
+    assert out["summary"] == {"cpu_ms_p50": {"verdict": "incorrect", "pairs": 0},
+                              "rate": {"verdict": "incorrect", "pairs": 0}}

@@ -1,6 +1,9 @@
 """Lower/upper outage bounds and the accumulated-information CDF."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +13,6 @@ from scipy.integrate import quad
 
 from xpharq import (
     ConvergenceError,
-    Estimate,
     PowerProfile,
     RateSchedule,
     SimConfig,
@@ -19,7 +21,6 @@ from xpharq import (
     outage_asymptotic_general,
     outage_lower,
     outage_upper_ir,
-    sum_info_cdf,
     throughput_recursion,
     xp_outage,
     xp_outage_quadrature,
@@ -93,24 +94,28 @@ def test_outage_lower_uncertainty_covers_its_rounding():
 # accumulated-information CDF
 
 
+# Pr(sum_{k<=K} I_k < r) is the HARQ-IR outage at rates summing to r; at
+# (r/2, r/2) both rounds' limits are r exactly.  The pinned values are the
+# recursion's at limits (r,) * K, to the bit
+
+
 def test_sum_info_cdf_single_round():
-    est = sum_info_cdf(1.5, PowerProfile((5.0,)))
+    est = outage_upper_ir(RateSchedule((1.5,)), PowerProfile((5.0,)))
     assert est.value == pytest.approx(-math.expm1(-(2.0**1.5 - 1.0) / 5.0), rel=1e-12)
     assert est.uncertainty >= 0.0
     assert est.method == "ir-recursion"
-
-
-def test_sum_info_cdf_nonpositive_threshold():
-    assert sum_info_cdf(0.0, PowerProfile((5.0, 5.0))) == Estimate(0.0, "ir-recursion", 0.0)
-    assert sum_info_cdf(-1.0, PowerProfile((5.0,))) == Estimate(0.0, "ir-recursion", 0.0)
+    assert (est.value, est.uncertainty) == (0.30627900579411305, 3.0627900579411304e-15)
 
 
 def test_sum_info_cdf_two_rounds_against_scipy():
+    pinned = {2.0: (0.0218644946039107, 2.1864494605266697e-16),
+              1.7: (0.021130469733123988, 2.1130469737088836e-16)}
     for r, g1, g2 in ((2.0, 10.0, 10.0), (1.7, 3.0, 20.0)):
-        est = sum_info_cdf(r, PowerProfile((g1, g2)))
+        est = outage_upper_ir(RateSchedule((r / 2, r / 2)), PowerProfile((g1, g2)))
         ref = _sum2_cdf_reference(r, g1, g2)
         assert est.value == pytest.approx(ref, rel=1e-8), (r, g1, g2)
         assert abs(est.value - ref) <= max(est.uncertainty, 1e-8 * ref)
+        assert (est.value, est.uncertainty) == pinned[r], (r, est)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +376,8 @@ def test_outage_ladder_stops_at_a_negative_pass(monkeypatch):
     with pytest.raises(ConvergenceError, match="below 0") as info:
         outage_upper_ir(RateSchedule((80.0,) * 5), PowerProfile((1e100,) * 5))
     assert passes == [(32, 16), (64, 16), (128, 32)]
-    assert bounds._RECURSION_WORK == {"passes": 3, "stop": "raised"}
     best = info.value.estimate
+    assert best.work == {"passes": 3, "stop": "raised"}
     assert best.method == "ir-recursion"
     assert type(best.value) is float and best.value < 0.0
     assert best.uncertainty >= -best.value
@@ -387,10 +392,36 @@ def test_recursion_work_records_the_passes_and_what_stopped_them():
         rates, powers = RateSchedule((1.0,) * k_rounds), PowerProfile((10.0,) * k_rounds)
         for solve in (xp_outage, outage_upper_ir, lambda r, p: throughput_recursion(r, p, "xp"),
                       lambda r, p: throughput_recursion(r, p, "inr")):
-            solve(rates, powers)
-            assert bounds._RECURSION_WORK == {"passes": 1, "stop": "estimate"}, k_rounds
-    outage_upper_ir(RateSchedule((2.0,) * 4), PowerProfile((1.0,) * 4))
-    assert bounds._RECURSION_WORK == {"passes": 2, "stop": "gap"}
+            assert solve(rates, powers).work == {"passes": 1, "stop": "estimate"}, k_rounds
+    est = outage_upper_ir(RateSchedule((2.0,) * 4), PowerProfile((1.0,) * 4))
+    assert est.work == {"passes": 2, "stop": "gap"}
+
+
+def test_concurrent_recursions_keep_their_own_work():
+    # each result carries its own record, so threads that run different
+    # ladders at once cannot read each other's: the IR bound at (2, 2, 2, 2)
+    # and 0 dB takes two passes, the XP outage at (1, 1, 1) and 10 dB one.
+    # A short switch interval makes the threads interleave within a ladder
+    ir = lambda: outage_upper_ir(RateSchedule((2.0,) * 4), PowerProfile((1.0,) * 4))
+    xp = lambda: xp_outage(RateSchedule((1.0,) * 3), PowerProfile((10.0,) * 3))
+    solvers = (ir, xp) * 2
+    start = threading.Barrier(len(solvers))
+
+    def run(solve):
+        start.wait(timeout=60)
+        return [solve() for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(solvers)) as pool:
+            runs = [f.result(timeout=60) for f in [pool.submit(run, s) for s in solvers]]
+    finally:
+        sys.setswitchinterval(interval)
+    for solve, results in zip(solvers, runs):
+        want = {"passes": 2, "stop": "gap"} if solve is ir else {"passes": 1, "stop": "estimate"}
+        assert [e.work for e in results] == [want] * 10
+        assert len({e.value for e in results}) == 1
 
 
 def test_outage_recursion_meets_the_asymptote_at_high_snr():
@@ -486,7 +517,8 @@ def test_interpolant_is_numpys_chebyshev_interpolate(n):
     stacked = lambda x: np.stack([row(x) for row in rows])
     rng = np.random.default_rng(n)
     for f, payoff in ((rows[0], rows[:1]), (stacked, rows)):
-        read, tail = bounds._interpolate(f, n, lo, hi)
+        read, tail, rest = bounds._interpolate(lambda x: (f(x), "rest"), n, lo, hi)
+        assert rest == "rest"
         coef = [Chebyshev.interpolate(row, n - 1, domain=[lo, hi]).coef for row in payoff]
         assert np.array_equal(tail, np.array([abs(c[-2]) + abs(c[-1]) for c in coef]).reshape(
             np.shape(tail))), (n, len(payoff))

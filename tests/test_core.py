@@ -2,8 +2,8 @@
 
 import pytest
 
-from xpharq import (ConsistencyError, PowerProfile, RateSchedule, SimConfig, clamp_probability,
-                    throughput_recursion)
+from xpharq import (ConsistencyError, Estimate, PowerProfile, RateSchedule, SimConfig,
+                    clamp_probability, throughput_recursion)
 from xpharq.core import decoding_limits
 
 
@@ -87,3 +87,11 @@ def test_decoding_limits_table():
                    lambda: throughput_recursion(rates, powers, "foo")):
         with pytest.raises(ValueError, match="scheme must be 'xp' or 'inr', got 'foo'"):
             reject()
+
+
+def test_estimate_equality_and_hash_ignore_work():
+    plain = Estimate(0.25, "xp-recursion", 1e-15)
+    worked = Estimate(0.25, "xp-recursion", 1e-15, {"passes": 2, "stop": "gap"})
+    assert plain.work is None
+    assert worked == plain and hash(worked) == hash(plain)
+    assert worked != Estimate(0.25, "xp-recursion", 2e-15, {"passes": 2, "stop": "gap"})

@@ -213,6 +213,8 @@ def test_foxh_degenerate_bessel_identity():
         want = 2.0 * math.sqrt(z) * float(kv(1, 2.0 * math.sqrt(z)))
         assert got.value == pytest.approx(want, rel=1e-6), z
         assert got.method == "mellin-barnes" and abs(got.value - want) <= got.uncertainty, z
+        # the complete kernel is one log-gamma per node, on no panel
+        assert got.work["kernel_panels"] == 0 and got.work["nodes"] > 1, (z, got.work)
 
 
 def test_foxh_large_argument_decays():
@@ -339,8 +341,10 @@ def test_outage_k2_exact_rejects_other_round_counts():
 def test_outage_k2_contour_path_agrees():
     for r, g in (((1.0, 1.0), (10.0, 10.0)), ((2.0, 1.0), (50.0, 5.0))):
         a = xp_outage(RateSchedule(r), PowerProfile(g)).value
-        b = outage_k2_via_foxh(RateSchedule(r), PowerProfile(g)).value
-        assert b == pytest.approx(a, rel=1e-6), (r, g)
+        b = outage_k2_via_foxh(RateSchedule(r), PowerProfile(g))
+        assert b.value == pytest.approx(a, rel=1e-6), (r, g)
+        # the outage carries the work record of the contour that gave phi
+        assert b.work == phi_foxh(*r, *g).work and b.work["nodes"] > 1, (r, g, b.work)
 
 
 def test_outage_k2_contour_uncertainty_calibrated():
@@ -368,6 +372,9 @@ def test_contour_gives_up_where_its_scale_swamps_the_sum():
             outage_k2_via_foxh(rates, powers)
         best = info.value.estimate
         assert best.method == "k2-foxh", (r1, db)
+        with pytest.raises(ConvergenceError) as phi_info:
+            phi_foxh(r1, r2, g, g)
+        assert best.work == phi_info.value.estimate.work and best.work["nodes"] > 1, (r1, db)
         want = xp_outage(rates, powers).value
         assert abs(best.value - want) <= best.uncertainty, (r1, db, best, want)
 
@@ -390,7 +397,7 @@ def test_contour_evaluates_each_node_once(monkeypatch):
     nodes = np.concatenate(seen)
     assert len(np.unique(nodes)) == len(nodes)
     assert np.allclose(nodes, np.linspace(0.0, 117 * 60.0 / 256, 340), rtol=1e-15, atol=0.0)
-    assert exact._CONTOUR_WORK == {"nodes": 340, "panels": 1}
+    assert res.work == {"nodes": 340, "kernel_panels": 1}
     # the value computed when every pass evaluated the whole line to 60
     assert abs(res.value - 0.1576149085553178) <= res.uncertainty
 

@@ -14,7 +14,9 @@ verdict: ``improved`` or ``worse`` where the interval excludes 0, else
 ``unresolved`` (Kalibera & Jones, "Rigorous benchmarking in reasonable
 time", ISMM 2013).  A run whose record says ``correct: false`` measured a
 broken program, so if either side has one, every verdict is
-``incorrect``; the record keeps each side's count of such runs.  Each run
+``incorrect``; the record keeps each side's count of such runs.  A run
+that exits non-zero or whose last line is no JSON record is kept as one
+such run, with its exit code, and the series goes on.  Each run
 lasts the ``run_seconds`` of
 ``BENCHMARK.json`` plus about 2 s of set-up probes: ten pairs at 20 s a run
 take about 8 minutes.
@@ -39,11 +41,20 @@ BOOTSTRAP_DRAWS = 10_000
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON record, the last line of standard output, of one benchmark run in ``tree``."""
+    """The JSON record, the last line of standard output, of one benchmark run
+    in ``tree``; for a run that exits non-zero or prints no record, ``{"correct":
+    false, "exit_code": ..., "stderr": its last 2000 characters}``."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        record = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        record = None
+    if proc.returncode != 0 or not isinstance(record, dict) or "metrics" not in record:
+        return {"correct": False, "exit_code": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return record
 
 
 def bootstrap_interval(ratios: list) -> tuple[float, float]:
@@ -62,13 +73,19 @@ def failed_runs(records: list) -> int:
 def summarise(base: list, change: list, metrics: list) -> dict:
     """Per metric: the median paired log-ratio change / base, its bootstrap
     95 % interval, the pairs favouring the change, and the verdict, which
-    is ``incorrect`` wherever a run of either side was."""
+    is ``incorrect`` wherever a run of either side was.  A pair with a run
+    that failed outright has no metrics and is left out of the figures;
+    where no pair is left, a metric has only its verdict and pair count."""
     broken = failed_runs(base) + failed_runs(change)
+    measured = [(b["metrics"], c["metrics"]) for b, c in zip(base, change)
+                if "metrics" in b and "metrics" in c]
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        ratios = [math.log(c["metrics"][name]["value"] / b["metrics"][name]["value"])
-                  for b, c in zip(base, change)]
+        ratios = [math.log(c[name]["value"] / b[name]["value"]) for b, c in measured]
+        if not ratios:
+            out[name] = {"verdict": "incorrect", "pairs": 0}
+            continue
         lo, hi = bootstrap_interval(ratios)
         if broken:
             verdict = "incorrect"
@@ -82,8 +99,8 @@ def summarise(base: list, change: list, metrics: list) -> dict:
             "verdict": verdict,
             "favouring_change": sum(sign * r < 0.0 for r in ratios),
             "pairs": len(ratios),
-            "base_median": statistics.median(b["metrics"][name]["value"] for b in base),
-            "change_median": statistics.median(c["metrics"][name]["value"] for c in change),
+            "base_median": statistics.median(b[name]["value"] for b, _ in measured),
+            "change_median": statistics.median(c[name]["value"] for _, c in measured),
         }
     return out
 
@@ -105,7 +122,10 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
             record = run_once(trees[side], args.workload, args.seed, seconds)
-            if not record["correct"]:
+            if "exit_code" in record:
+                print(f"pair {pair}: {side} run failed with exit code {record['exit_code']}",
+                      file=sys.stderr)
+            elif not record["correct"]:
                 print(f"pair {pair}: {side} run had {record['failed']} failed items",
                       file=sys.stderr)
             records[side].append(record)
@@ -124,6 +144,9 @@ def main(argv=None) -> int:
         json.dump(result, f, indent=1)
         f.write("\n")
     for name, s in summary.items():
+        if not s["pairs"]:
+            print(f"{name}: no pair measured: {s['verdict']}")
+            continue
         lo, hi = s["interval_95"]
         print(f"{name}: {s['base_median']:.4g} -> {s['change_median']:.4g}, median log-ratio "
               f"{s['median_log_ratio']:+.3f} [{lo:+.3f}, {hi:+.3f}], {s['favouring_change']} "
