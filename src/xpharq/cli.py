@@ -26,10 +26,9 @@ import time
 import numpy as np
 
 from .asymptotic import build_hbar_table, hbar_eval
-from .bounds import outage_lower, outage_upper_ir, xp_outage
+from .bounds import outage_lower
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
 from .exact import foxh_h11_incomplete, incomplete_gamma_difference, outage_k2_via_foxh
-from .simulate import SimConfig, estimate_outage
 from .sweep import (METHODS, ConfigError, _fmt, db_to_linear, emit_gnuplot, evaluate,
                     method_error, parse_config, run_sweep, write_csv)
 
@@ -100,12 +99,8 @@ def _cmd_point(parser, args) -> int:
         parser.error(error)
     seed = _resolve_seed(parser, args.seed)
     start = time.perf_counter()
-    try:
-        est = evaluate(args.command, args.scheme, args.method, rates, powers, trials=args.trials,
-                       seed=seed, workers=args.workers)
-    except XpharqError as exc:
-        print(f"xpharq {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+    est = evaluate(args.command, args.scheme, args.method, rates, powers, trials=args.trials,
+                   seed=seed, workers=args.workers)
     if args.command == "outage" and args.method == "mc":
         outages = round(est.value * args.trials)
         # the Wald interval fails where either outcome is rare
@@ -162,12 +157,7 @@ def _cmd_sweep(parser, args) -> int:
                 open(args.gnuplot, "w", encoding="utf-8"))
         except OSError as exc:
             parser.error(f"cannot write {exc.filename}: {exc.strerror}")
-        try:
-            rows = run_sweep(cfg, workers=args.workers, seed=args.seed)
-        except XpharqError as exc:
-            print(f"xpharq sweep: error: {exc}", file=sys.stderr)
-            return 1
-        write_csv(rows, out)
+        write_csv(run_sweep(cfg, workers=args.workers, seed=args.seed), out)
         if script is not None:
             script.write(emit_gnuplot(cfg, args.out))
     return 0
@@ -180,12 +170,8 @@ def _cmd_hbar(parser, args) -> int:
         parser.error(f"--rates: {exc}")
     if rates.K < 2:
         parser.error("the coefficient table needs K >= 2")
-    try:
-        coeffs = build_hbar_table(rates)
-        values = [hbar_eval(coeffs, k, args.x) for k in range(1, rates.K + 1)]
-    except XpharqError as exc:
-        print(f"xpharq hbar: error: {exc}", file=sys.stderr)
-        return 1
+    coeffs = build_hbar_table(rates)
+    values = [hbar_eval(coeffs, k, args.x) for k in range(1, rates.K + 1)]
     print(f"K = {rates.K}")
     for k, row in enumerate(coeffs, start=1):
         for i, c in enumerate(row):
@@ -242,9 +228,12 @@ def _cmd_selftest(parser, args) -> int:
         f"H(z=1, b=0) = {h.value!r} vs 2 sqrt(z) K1 = {bessel!r}; {work(h)}",
     )
 
+    def outage(method: str, rates, powers, **mc) -> Estimate:
+        return evaluate("outage", "xp", method, rates, powers, **mc)
+
     rates = RateSchedule([1.0, 1.0])
     powers = PowerProfile([10.0, 10.0])
-    p_rec = xp_outage(rates, powers).value
+    p_rec = outage("exact", rates, powers).value
     p_foxh = outage_k2_via_foxh(rates, powers)
     check(
         "two-round-triangulation",
@@ -257,7 +246,7 @@ def _cmd_selftest(parser, args) -> int:
     r3 = RateSchedule([1.0, 1.0, 1.0])
     rec = hbar_eval(build_hbar_table(r3), 1, 1.0)
     gbar = 1e12
-    limit = xp_outage(r3, PowerProfile([gbar] * 3)).value * gbar ** 3
+    limit = outage("exact", r3, PowerProfile([gbar] * 3)).value * gbar ** 3
     closed = 12.0 * math.log(2.0) ** 2 - 4.0 * math.log(2.0) + 1.0
     check(
         "hbar-recursion-vs-oracle",
@@ -266,19 +255,17 @@ def _cmd_selftest(parser, args) -> int:
     )
 
     g3 = PowerProfile([10.0, 10.0, 10.0])
-    low = outage_lower(r3, g3).value
-    mid = xp_outage(r3, g3)
-    up = outage_upper_ir(r3, g3)
+    low = outage("lower", r3, g3).value
+    mid = outage("exact", r3, g3)
+    up = outage("upper", r3, g3)
     check(
         "bound-sandwich",
         low <= mid.value <= up.value,
         f"lower={low!r} xp={mid.value!r} ({work(mid)}) upper={up.value!r} ({work(up)})",
     )
 
-    cfg1 = SimConfig(scheme="xp", rates=rates, powers=powers, trials=200_000, seed=7)
-    cfg4 = SimConfig(scheme="xp", rates=rates, powers=powers, trials=200_000, seed=7, workers=4)
-    e1 = estimate_outage(cfg1)
-    e4 = estimate_outage(cfg4)
+    e1 = outage("mc", rates, powers, trials=200_000, seed=7)
+    e4 = outage("mc", rates, powers, trials=200_000, seed=7, workers=4)
     check(
         "mc-worker-determinism",
         e1.value == e4.value,
@@ -338,13 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("outage", "throughput"):
-        return _cmd_point(parser, args)
-    if args.command == "sweep":
-        return _cmd_sweep(parser, args)
-    if args.command == "hbar":
-        return _cmd_hbar(parser, args)
-    return _cmd_selftest(parser, args)
+    command = {"outage": _cmd_point, "throughput": _cmd_point, "sweep": _cmd_sweep,
+               "hbar": _cmd_hbar, "selftest": _cmd_selftest}[args.command]
+    try:
+        return command(parser, args)
+    except XpharqError as exc:
+        # a failure of the package's own computation, where bad input exits 2
+        print(f"xpharq {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

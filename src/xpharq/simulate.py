@@ -58,8 +58,8 @@ The arithmetic of a trial is the same in both phases, so where the switch
 falls changes no count.  Each worker reuses one workspace (rows g, y and
 step, and the pending and hit masks) sized to its largest block; of W
 workers, worker w runs blocks w, w + W, ... and sums their counts.  A
-point query is a group of one whose shares run on threads; a sweep's group
-runs its shares on processes.
+point query is a group of one whose shares run on threads; a sweep maps its
+groups' shares on its process pool.
 
 Because round k of trial t sits at one stream position for every point, a
 group of points that share seed, trials and K (a sweep's Monte Carlo rows)
@@ -310,23 +310,19 @@ def _share_count(trials: int, workers: int) -> int:
     return min(workers, -(-trials // _BLOCK))
 
 
-def _finish(points, purpose: str, shares) -> list[Estimate]:
-    """Each point's ``purpose`` estimate from the sum of its group's share counts."""
-    counts = sum(shares)  # integers: exact in any order
+def _estimate_group(points, purpose: str, workers: int, map_shares=None) -> list[Estimate]:
+    """Each point's ``purpose`` estimate from its group's ``_share_count``
+    block shares, summed: mapped by ``map_shares`` (a pool's ``map``) where
+    given, else one thread per share, or inline as one share."""
+    parts = _share_count(points[0].trials, workers)
+    if map_shares is None and parts > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only where a pool is built
+
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            return _estimate_group(points, purpose, workers, pool.map)
+    run = functools.partial(_simulate_share, points, purpose, parts=parts)
+    counts = sum((map_shares or map)(run, range(parts)))  # integers: exact in any order
     return [_estimate(p, purpose, c) for p, c in zip(points, counts)]
-
-
-def _estimate_point(cfg: SimConfig, purpose: str) -> Estimate:
-    """One point as a group of one: its ``_share_count`` block shares on a
-    thread pool, one thread per share, or inline as one share."""
-    parts = _share_count(cfg.trials, cfg.workers)
-    run = functools.partial(_simulate_share, [cfg], purpose, parts=parts)
-    if parts == 1:
-        return _finish([cfg], purpose, [run(0)])[0]
-    from concurrent.futures import ThreadPoolExecutor  # only where a pool is built
-
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        return _finish([cfg], purpose, pool.map(run, range(parts)))[0]
 
 
 def estimate_outage(cfg: SimConfig) -> Estimate:
@@ -339,7 +335,7 @@ def estimate_outage(cfg: SimConfig) -> Estimate:
     short of R_K^sum — the XP upper bound — not the fixed-rate protocol
     event used for INR throughput.
     """
-    return _estimate_point(cfg, "outage")
+    return _estimate_group([cfg], "outage", cfg.workers)[0]
 
 
 def estimate_throughput(cfg: SimConfig) -> Estimate:
@@ -354,7 +350,7 @@ def estimate_throughput(cfg: SimConfig) -> Estimate:
     below how far eta moves when 3/n of the trials take the unseen outcome
     that moves it most.
     """
-    return _estimate_point(cfg, "throughput")
+    return _estimate_group([cfg], "throughput", cfg.workers)[0]
 
 
 def _estimate(cfg: SimConfig, purpose: str, counts: np.ndarray) -> Estimate:

@@ -18,22 +18,22 @@ Rows are emitted in axis-major order (axis value, then scheme, then
 method), each a pure function of the config, so output bytes do not depend
 on the worker count.  A deterministic row is one task; the ``mc`` rows of
 every axis value and scheme are one group on each block's shared draws,
-run as block-share tasks in the same process pool, and the parent sums
+whose block shares run first in the same process pool, and the parent sums
 each point's integer counts.  All SNR handling here is in dB; conversion
 to linear scale happens exactly once, at the row boundary.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, TextIO
 
 from .asymptotic import outage_asymptotic_general
 from .bounds import outage_lower, outage_upper_ir, throughput_recursion, xp_outage
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
-from .simulate import (SimConfig, _finish, _share_count, _simulate_share, estimate_outage,
+from .simulate import (SimConfig, _estimate_group, _share_count, estimate_outage,
                        estimate_throughput)
 
 __all__ = [
@@ -64,9 +64,9 @@ class Method:
     its function up per call, so a wrapper set on the module sees the call.
 
     ``purpose`` names the Monte Carlo entries' group form: points that share
-    seed, trials and K run together on each block's draws (block shares of
-    ``simulate._simulate_share``, summed and finished by ``simulate._finish``),
-    each point's value that of ``compute``, which runs a group of one.
+    seed, trials and K run together on each block's draws
+    (``simulate._estimate_group``), each point's value that of ``compute``,
+    which runs a group of one.
     The deterministic entries have none, and a group of their points is
     ``compute`` mapped over them.
     """
@@ -197,8 +197,6 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(f"quantity must be outage or throughput, got {cfg.quantity!r}")
     if cfg.axis not in ("snr_db", "r1"):
         raise ConfigError(f"axis must be snr_db or r1, got {cfg.axis!r}")
-    if not cfg.values:
-        raise ConfigError("values must be nonempty")
     if cfg.axis == "r1" and not cfg.snr_db:
         raise ConfigError("axis=r1 requires snr_db")
     if cfg.axis == "snr_db" and cfg.snr_db:
@@ -275,21 +273,17 @@ def _compute_row(args: tuple[str, float, SimConfig, str]) -> SweepRow:
     return _sweep_row(column_db, point, method, est)
 
 
-def _run_task(task: tuple):
-    fn, *args = task
-    return fn(*args)
-
-
 def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) -> list[SweepRow]:
     """Compute all rows in deterministic axis-major order.
 
-    Each deterministic row is one task.  The rows of a method with a group
-    form (``Method.purpose``: ``mc``) run as one group over every axis value
-    and scheme, split into min(workers, blocks) block-share tasks; the
-    parent sums each point's integer counts.  Every task is a pure
-    function of the config, so any worker count yields identical output.
-    The pool has at most one process per task, and a sweep of one task runs
-    in this process.  ``seed`` overrides the config seed.
+    The rows of a method with a group form (``Method.purpose``: ``mc``) run
+    as one group over every axis value and scheme, split into
+    min(workers, blocks) block shares whose integer counts are summed; each
+    deterministic row is one task.  Every share and row is a pure function
+    of the config, so any worker count yields identical output.  One process
+    pool, of at most one process per share and row, maps the groups' shares
+    first, as they are the longest, then the rows; a sweep of one share or
+    row runs in this process.  ``seed`` overrides the config seed.
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -297,27 +291,22 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     points = [point for _, point in cells]
     groups = {method: METHODS[cfg.quantity, method].purpose for method in cfg.methods}
     groups = {method: purpose for method, purpose in groups.items() if purpose is not None}
-    parts = _share_count(cfg.trials, workers)
-    # the block shares go first: they are the longest tasks
-    tasks = [(_simulate_share, points, purpose, part, parts)
-             for purpose in groups.values() for part in range(parts)]
     singles = [(i, method) for i in range(len(cells)) for method in cfg.methods
                if method not in groups]
-    tasks += [(_compute_row, (cfg.quantity, *cells[i], method)) for i, method in singles]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        results = [_run_task(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
+    size = min(workers, len(groups) * _share_count(cfg.trials, workers) + len(singles))
+    with contextlib.ExitStack() as stack:
+        map_tasks = None
+        if size > 1:
+            from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
-    results, rows = iter(results), {}
-    for method, purpose in groups.items():
-        estimates = _finish(points, purpose, itertools.islice(results, parts))
-        for i, est in enumerate(estimates):
-            rows[i, method] = _sweep_row(*cells[i], method, est)
-    rows.update(zip(singles, results))
+            map_tasks = stack.enter_context(ProcessPoolExecutor(max_workers=size)).map
+        rows = {}
+        for method, purpose in groups.items():
+            for i, est in enumerate(_estimate_group(points, purpose, workers, map_tasks)):
+                rows[i, method] = _sweep_row(*cells[i], method, est)
+        if singles:
+            tasks = [(cfg.quantity, *cells[i], method) for i, method in singles]
+            rows.update(zip(singles, (map_tasks or map)(_compute_row, tasks)))
     return [rows[i, method] for i in range(len(cells)) for method in cfg.methods]
 
 

@@ -57,6 +57,33 @@ def test_summary_leaves_noise_unresolved():
         assert out[name]["verdict"] == "unresolved", name
 
 
+def test_a_small_steady_rise_is_worse_by_sign_and_within_its_bound():
+    # peak RSS up 0.8 % in every pair: the sign test reads worse, but the
+    # change's median is well inside a 10 % bound; a 12 % rise is beyond it
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+               {"name": "rate", "better": "higher", "bound": 0.1}]
+    base_rss = [41.9, 42.0, 41.8, 42.1, 41.9, 42.0, 41.9, 42.2, 41.8, 42.0]
+
+    def records(rss, rate):
+        return [{"metrics": {"peak_rss_mb": {"value": m}, "rate": {"value": r}}}
+                for m, r in zip(rss, rate)]
+
+    base = records(base_rss, [5.0] * 10)
+    out = ab.summarise(base, records([1.008 * m for m in base_rss], [4.4] * 10), metrics)
+    rss, rate = out["peak_rss_mb"], out["rate"]
+    assert rss["verdict"] == "worse" and rss["bound_verdict"] == "within"
+    assert rss["bound"] == 0.1
+    assert rss["median_log_ratio"] == pytest.approx(math.log(1.008))
+    # the higher-is-better rate fell 12 %: worse by sign and beyond its bound
+    assert rate["verdict"] == "worse" and rate["bound_verdict"] == "beyond"
+    out = ab.summarise(base, records([1.12 * m for m in base_rss], [4.6] * 10), metrics)
+    assert out["peak_rss_mb"]["bound_verdict"] == "beyond"
+    assert out["rate"]["bound_verdict"] == "within"
+    # a broken run leaves nothing to judge against the bound either
+    base[0]["correct"] = False
+    assert ab.summarise(base, base, metrics)["rate"]["bound_verdict"] == "incorrect"
+
+
 def test_bootstrap_interval_is_reproducible_and_brackets_the_median():
     ratios = [0.1, -0.2, 0.05, 0.3, -0.1, 0.0, 0.2]
     lo, hi = ab.bootstrap_interval(ratios)

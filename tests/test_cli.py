@@ -220,6 +220,19 @@ def test_seed_env_fallback_and_flag_override(capsys, monkeypatch):
     assert overridden == _field(capsys.readouterr().out, "value")
 
 
+def test_bad_number_lists_and_hbar_rounds_are_usage_errors(capsys):
+    for argv, problem in (
+        (["outage", "--rates", "1,x", "--snr-db", "10"],
+         "argument --rates: expected comma-separated numbers, got '1,x'"),
+        (["hbar", "--rates", "1,-1"], "--rates: rates entries must be positive and finite, got -1.0"),
+        (["hbar", "--rates", "1"], "the coefficient table needs K >= 2"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().err.endswith(f"error: {problem}\n"), argv
+
+
 def test_seed_env_must_be_integer(monkeypatch):
     monkeypatch.setenv("XPHARQ_SEED", "abc")
     with pytest.raises(SystemExit):
@@ -369,6 +382,20 @@ def test_selftest_passes(capsys):
     # own error estimate
     sandwich = lines["PASS bound-sandwich"]
     assert sandwich.count("(passes=1 stop=estimate)") == 2, sandwich
+
+
+def test_selftest_failure_in_the_package_is_one_line_exit_one(monkeypatch, capsys):
+    # the checks that ran keep their lines; the failure ends the run as
+    # every subcommand's does, not in a traceback
+    def fail(z):
+        raise ConvergenceError("contour: no cut meets the tail bound")
+
+    monkeypatch.setattr(cli, "foxh_h11_incomplete", fail)
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("PASS incomplete-gamma-exponential: ")
+    assert captured.out.count("\n") == 1
+    assert captured.err == "xpharq selftest: error: contour: no cut meets the tail bound\n"
 
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -611,6 +638,35 @@ def test_config_rejects_incompatible_combinations():
             parse_config(bad)
 
 
+@pytest.mark.parametrize("old, new, problem", [
+    ("values = 0,5,10", "values = 0,x",
+     "line 4: bad value for 'values': could not convert string to float: 'x'"),
+    # an empty list is a bad value, as float('') fails
+    ("values = 0,5,10", "values =",
+     "line 4: bad value for 'values': could not convert string to float: ''"),
+    ("quantity = outage", "quantity = goodput",
+     "quantity must be outage or throughput, got 'goodput'"),
+    ("axis = snr_db", "axis = r2", "axis must be snr_db or r1, got 'r2'"),
+    ("axis = snr_db\nvalues = 0,5,10", "axis = r1\nvalues = 0.5\nsnr_db = 1,2,3",
+     "snr_db needs 1 or 2 entries"),
+])
+def test_config_value_errors_name_the_problem(old, new, problem):
+    text = _SWEEP_CONFIG.replace(old, new)
+    assert text != _SWEEP_CONFIG
+    with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+        parse_config(text)
+
+
+def test_evaluate_refuses_an_entry_that_cannot_run():
+    rates, powers = RateSchedule((1.0,)), PowerProfile((10.0,))
+    for quantity, scheme, method in (("outage", "xp", "bogus"), ("outage", "inr", "exact"),
+                                     ("outage", "xp", "asymptotic")):
+        problem = method_error(quantity, scheme, method, 1)
+        assert problem is not None
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            evaluate(quantity, scheme, method, rates, powers)
+
+
 @pytest.mark.parametrize("k_rounds", [5, 8])
 def test_recursion_methods_have_no_round_cap(capsys, k_rounds):
     rates, powers = RateSchedule((1.0,) * k_rounds), PowerProfile((1.0,) * k_rounds)
@@ -769,11 +825,11 @@ def test_sweep_pool_never_exceeds_row_count(serial_pool, values, workers, pools)
 
 
 @pytest.mark.parametrize("methods, blocks, workers, tasks", [
-    ("mc", 1, 16, None),        # one block: one task, run in this process
-    ("mc", 3, 16, (3, 3)),      # one share per block, not sixteen
-    ("mc", 3, 2, (2, 2)),       # more blocks than workers: one share per worker
-    ("upper,mc", 1, 2, (2, 7)), # one share, and a task per upper row
-    ("upper,mc", 3, 8, (8, 9)), # three shares and six upper rows
+    ("mc", 1, 16, None),                  # one block: one task, run in this process
+    ("mc", 3, 16, [(3, 3)]),              # one share per block, not sixteen
+    ("mc", 3, 2, [(2, 2)]),               # more blocks than workers: one share per worker
+    ("upper,mc", 1, 2, [(2, 1), (2, 6)]), # one share, then a task per upper row
+    ("upper,mc", 3, 8, [(8, 3), (8, 6)]), # three shares, then six upper rows
 ])
 def test_sweep_mc_rows_run_as_block_shares(serial_pool, methods, blocks, workers, tasks):
     # every axis value and scheme of the mc rows shares each block's draws
@@ -784,7 +840,8 @@ def test_sweep_mc_rows_run_as_block_shares(serial_pool, methods, blocks, workers
     )
     serial = sweep.run_sweep(cfg)
     assert sweep.run_sweep(cfg, workers=workers) == serial
-    assert serial_pool == ([] if tasks is None else [tasks])
+    # one pool, sized for every share and row, maps the shares and then the rows
+    assert serial_pool == ([] if tasks is None else tasks)
 
 
 @pytest.mark.parametrize("quantity", ["outage", "throughput"])
@@ -887,6 +944,19 @@ def test_sweep_gnuplot_script(tmp_path):
         main(["sweep", "--config", str(cfg_path), "--out", "-",
               "--gnuplot", str(plot)])
     assert info.value.code == 2
+
+
+def test_gnuplot_script_on_the_r1_axis_for_throughput():
+    # the x column is the swept first-round rate, the leading element of the
+    # quoted R_csv field, and throughput plots on a linear axis
+    cfg = parse_config("quantity = throughput\naxis = r1\nvalues = 0.5,2\nrates = 1,1\n"
+                       "methods = analytical,mc\nschemes = xp,inr\nsnr_db = 10\n")
+    script = sweep.emit_gnuplot(cfg, "eta.csv")
+    assert "set xlabel 'first-round rate (bits/channel use)'" in script
+    assert "set ylabel 'throughput (bits/channel use)'" in script
+    assert "logscale" not in script
+    assert script.count("'eta.csv' every ::1 using (real(strcol(3))):") == 4
+    assert "title 'inr mc'" in script
 
 
 def test_sweep_malformed_config_is_usage_error(tmp_path):

@@ -9,17 +9,19 @@ a drift of the host over time favours neither side.  The record goes to
 ``BENCH_<label>.json`` at the repository root holding this script: both
 sides' raw JSON records, and for each end-to-end metric of
 ``BENCHMARK.json`` the median over pairs of log(change / base), a bootstrap
-95 % interval of that median, how many pairs favour the change, and a
-verdict: ``improved`` or ``worse`` where the interval excludes 0, else
-``unresolved`` (Kalibera & Jones, "Rigorous benchmarking in reasonable
-time", ISMM 2013).  A run whose record says ``correct: false`` measured a
-broken program, so if either side has one, every verdict is
-``incorrect``; the record keeps each side's count of such runs.  A run
-that exits non-zero or whose last line is no JSON record is kept as one
-such run, with its exit code, and the series goes on.  Each run
-lasts the ``run_seconds`` of
-``BENCHMARK.json`` plus about 2 s of set-up probes: ten pairs at 20 s a run
-take about 8 minutes.
+95 % interval of that median, how many pairs favour the change, and two
+verdicts.  The sign test's ``verdict`` is ``improved`` or ``worse`` where
+the interval excludes 0, else ``unresolved`` (Kalibera & Jones, "Rigorous
+benchmarking in reasonable time", ISMM 2013); it reads a move of any size.
+The ``bound_verdict`` is ``within`` where the change's median is no worse
+than the base's by more than the metric's ``bound``, a fraction of the
+base's median, else ``beyond``.  A run whose record says ``correct:
+false`` measured a broken program, so if either side has one, both
+verdicts are ``incorrect``; the record keeps each side's count of such
+runs.  A run that exits non-zero or whose last line is no JSON record is
+kept as one such run, with its exit code, and the series goes on.  Each
+run lasts the ``run_seconds`` of ``BENCHMARK.json`` plus about 2 s of
+set-up probes: ten pairs at 20 s a run take about 8 minutes.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def failed_runs(records: list) -> int:
 
 def summarise(base: list, change: list, metrics: list) -> dict:
     """Per metric: the median paired log-ratio change / base, its bootstrap
-    95 % interval, the pairs favouring the change, and the verdict, which
-    is ``incorrect`` wherever a run of either side was.  A pair with a run
+    95 % interval, the pairs favouring the change, the sign test's verdict
+    and, for a metric with a ``bound``, the bound verdict; each verdict is
+    ``incorrect`` wherever a run of either side was.  A pair with a run
     that failed outright has no metrics and is left out of the figures;
     where no pair is left, a metric has only its verdict and pair count."""
     broken = failed_runs(base) + failed_runs(change)
@@ -93,15 +96,22 @@ def summarise(base: list, change: list, metrics: list) -> dict:
             verdict = "unresolved"
         else:
             verdict = "improved" if sign * hi < 0.0 else "worse"
+        base_median = statistics.median(b[name]["value"] for b, _ in measured)
+        change_median = statistics.median(c[name]["value"] for _, c in measured)
         out[name] = {
             "median_log_ratio": statistics.median(ratios),
             "interval_95": [lo, hi],
             "verdict": verdict,
             "favouring_change": sum(sign * r < 0.0 for r in ratios),
             "pairs": len(ratios),
-            "base_median": statistics.median(b[name]["value"] for b, _ in measured),
-            "change_median": statistics.median(c[name]["value"] for _, c in measured),
+            "base_median": base_median,
+            "change_median": change_median,
         }
+        if "bound" in metric:
+            worse_by = sign * (change_median - base_median) / base_median
+            out[name]["bound"] = metric["bound"]
+            out[name]["bound_verdict"] = ("incorrect" if broken else
+                                          "within" if worse_by <= metric["bound"] else "beyond")
     return out
 
 
@@ -148,9 +158,10 @@ def main(argv=None) -> int:
             print(f"{name}: no pair measured: {s['verdict']}")
             continue
         lo, hi = s["interval_95"]
+        bound = f"; bound {s['bound']:.0%}: {s['bound_verdict']}" if "bound" in s else ""
         print(f"{name}: {s['base_median']:.4g} -> {s['change_median']:.4g}, median log-ratio "
               f"{s['median_log_ratio']:+.3f} [{lo:+.3f}, {hi:+.3f}], {s['favouring_change']} "
-              f"of {s['pairs']} pairs favour the change: {s['verdict']}")
+              f"of {s['pairs']} pairs favour the change; sign test: {s['verdict']}{bound}")
     return 0
 
 
