@@ -6,8 +6,9 @@ coefficient table, and ``selftest`` to run the oracle cross-checks.
 
 All SNR arguments are in dB and converted once at this boundary
 (gbar = 10^{dB/10}); the library APIs underneath are strictly linear.
-The default Monte Carlo seed comes from the ``XPHARQ_SEED`` environment
-variable, read on every call; an explicit ``--seed`` flag overrides it.
+A point query's Monte Carlo seed is its ``--seed`` (default 0); a sweep's
+is its config's ``seed =``.  The package's types check every value the
+parser reads, and their ``ValueError`` is the usage error (exit 2).
 
 ``main(argv)`` can be called any number of times in one process.  The
 first call builds the argument parser and later calls reuse it.
@@ -19,7 +20,6 @@ import argparse
 import contextlib
 import functools
 import math
-import os
 import sys
 import time
 
@@ -29,8 +29,9 @@ from .asymptotic import build_hbar_table, hbar_eval
 from .bounds import outage_lower
 from .core import Estimate, PowerProfile, RateSchedule, XpharqError
 from .exact import foxh_h11_incomplete, incomplete_gamma_difference, outage_k2_via_foxh
-from .sweep import (METHODS, ConfigError, _fmt, db_to_linear, emit_gnuplot, evaluate,
-                    method_error, parse_config, run_sweep, write_csv)
+from .simulate import SimConfig
+from .sweep import (METHODS, ConfigError, _fmt, _round_snrs, db_to_linear, emit_gnuplot,
+                    evaluate, method_error, parse_config, run_sweep, write_csv)
 
 _RARE_EVENT_FLOOR = 100
 
@@ -42,65 +43,25 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _bounded(convert, ok, requirement: str):
-    """An argparse type: convert the text and require ok(value)."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
-
-    return parse
-
-
-_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
-_seed = _bounded(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2**64)")
-_positive_float = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
-
-
-def _resolve_seed(parser: argparse.ArgumentParser, flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("XPHARQ_SEED")
-    if env is None:
-        return 0
-    try:
-        return _seed(env)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"XPHARQ_SEED {exc}")
-
-
-def _point(parser: argparse.ArgumentParser,
-           args) -> tuple[RateSchedule, PowerProfile, tuple[float, ...]]:
-    """The schedule, the profile and the per-round SNRs in dB of a point query."""
+def _cmd_point(parser, args) -> int:
     try:
         rates = RateSchedule(args.rates)
     except ValueError as exc:
         parser.error(f"--rates: {exc}")
-    snr_db = args.snr_db
-    if len(snr_db) == 1:
-        snr_db = snr_db * rates.K
-    if len(snr_db) != rates.K:
-        parser.error(f"--snr-db needs 1 or {rates.K} entries, got {len(snr_db)}")
     try:
-        return rates, PowerProfile([db_to_linear(v) for v in snr_db]), snr_db
+        snr_db = _round_snrs(args.snr_db, rates.K)
+        powers = PowerProfile([db_to_linear(v) for v in snr_db])
     except ValueError as exc:
         parser.error(f"--snr-db: {exc}")
-
-
-def _cmd_point(parser, args) -> int:
-    rates, powers, snr_db = _point(parser, args)
     error = method_error(args.command, args.scheme, args.method, rates.K)
     if error is not None:
         parser.error(error)
-    seed = _resolve_seed(parser, args.seed)
+    try:
+        point = SimConfig(args.scheme, rates, powers, args.trials, args.seed, args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     start = time.perf_counter()
-    est = evaluate(args.command, args.scheme, args.method, rates, powers, trials=args.trials,
-                   seed=seed, workers=args.workers)
+    est = METHODS[args.command, args.method].compute(point)
     if args.command == "outage" and args.method == "mc":
         outages = round(est.value * args.trials)
         # the Wald interval fails where either outcome is rare
@@ -157,7 +118,11 @@ def _cmd_sweep(parser, args) -> int:
                 open(args.gnuplot, "w", encoding="utf-8"))
         except OSError as exc:
             parser.error(f"cannot write {exc.filename}: {exc.strerror}")
-        write_csv(run_sweep(cfg, workers=args.workers, seed=args.seed), out)
+        try:
+            rows = run_sweep(cfg, workers=args.workers)
+        except ValueError as exc:
+            parser.error(str(exc))
+        write_csv(rows, out)
         if script is not None:
             script.write(emit_gnuplot(cfg, args.out))
     return 0
@@ -170,6 +135,10 @@ def _cmd_hbar(parser, args) -> int:
         parser.error(f"--rates: {exc}")
     if rates.K < 2:
         parser.error("the coefficient table needs K >= 2")
+    # hbar_{K,k} holds for x <= 2^{R_k^sum}, and the dump reads every k at one x
+    if not 0.0 < args.x <= 2.0 ** rates.rates[0]:
+        parser.error(f"--x must be in (0, 2^R_1] = (0, {_fmt(2.0 ** rates.rates[0])}], "
+                     f"got {args.x!r}")
     coeffs = build_hbar_table(rates)
     values = [hbar_eval(coeffs, k, args.x) for k in range(1, rates.K + 1)]
     print(f"K = {rates.K}")
@@ -297,10 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-round rates, comma-separated (bits/channel-use)")
         p.add_argument("--snr-db", type=_float_list, required=True,
                        help="per-round average SNR in dB (single value broadcasts)")
-        p.add_argument("--trials", type=_positive_int, default=100_000)
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="Monte Carlo seed (default: $XPHARQ_SEED, else 0)")
-        p.add_argument("--workers", type=_positive_int, default=1)
+        p.add_argument("--trials", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+        p.add_argument("--workers", type=int, default=1)
         return p
 
     add_point_args("outage", "single-point outage probability")
@@ -309,14 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="config-driven CSV sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    p_sweep.add_argument("--workers", type=_positive_int, default=1)
-    p_sweep.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--gnuplot", default=None, metavar="PATH",
                          help="also write a gnuplot script that plots the CSV")
 
     p_hbar = sub.add_parser("hbar", help="dump the high-SNR coefficient table")
     p_hbar.add_argument("--rates", type=_float_list, required=True)
-    p_hbar.add_argument("--x", type=_positive_float, default=1.0)
+    p_hbar.add_argument("--x", type=float, default=1.0)
 
     sub.add_parser("selftest", help="run oracle cross-checks")
     return parser

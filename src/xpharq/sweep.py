@@ -7,10 +7,11 @@ least round count it needs and the function that computes it.
 cannot run; the CLI point queries, the sweep rows and the config checks
 all read these rules.
 
-Configs are flat UTF-8 ``key = value`` lines; ``#`` lines are comments and
-lists are comma-separated.  Two sweep axes exist: ``snr_db`` (every round's
-average SNR set to the axis value, rates fixed) and ``r1`` (first-round
-rate replaced by the axis value, SNRs fixed from ``snr_db``).  The
+Configs are flat UTF-8 ``key = value`` lines; ``#`` starts a comment that
+runs to the end of its line, and lists are comma-separated.  Two sweep
+axes exist: ``snr_db`` (every round's average SNR set to the axis value,
+rates fixed) and ``r1`` (first-round rate replaced by the axis value, SNRs
+fixed from ``snr_db``, one value for every round or one per round).  The
 ``snr_db`` key is required on the ``r1`` axis and rejected on the
 ``snr_db`` axis, which sets every SNR itself.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
 from .asymptotic import outage_asymptotic_general
@@ -160,8 +161,8 @@ def parse_config(text: str) -> SweepConfig:
     """Parse a flat key=value config, reporting errors with line numbers."""
     seen: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -201,8 +202,6 @@ def _validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("axis=r1 requires snr_db")
     if cfg.axis == "snr_db" and cfg.snr_db:
         raise ConfigError("axis=snr_db sets every round's SNR; remove the snr_db key")
-    if cfg.snr_db and len(cfg.snr_db) not in (1, k_rounds):
-        raise ConfigError(f"snr_db needs 1 or {k_rounds} entries")
     for key in ("methods", "schemes"):
         entries = getattr(cfg, key)
         for i, entry in enumerate(entries):
@@ -228,27 +227,40 @@ class SweepRow:
     seed: int
 
 
+def _round_snrs(snr_db: tuple[float, ...], k_rounds: int) -> tuple[float, ...]:
+    """Each round's SNR in dB: one value broadcast to all K rounds, or K values."""
+    if len(snr_db) == 1:
+        return snr_db * k_rounds
+    if len(snr_db) != k_rounds:
+        raise ValueError(f"needs 1 or {k_rounds} entries, got {len(snr_db)}")
+    return snr_db
+
+
 def _cells(cfg: SweepConfig) -> list[tuple[float, SimConfig]]:
     """The (snr_db column, point) of every row cell, axis value then scheme.
 
     The point types check every value.  A bad axis value or SNR raises
-    ConfigError naming its axis value; a bad fixed rate, trials or seed
-    one naming no axis value.
+    ConfigError naming its axis value; a bad fixed rate, SNR count, trials
+    or seed one naming no axis value.
     """
+    k_rounds = len(cfg.rates)
     fixed = cfg.rates if cfg.axis == "snr_db" else cfg.rates[1:]
     try:
         if fixed:
             RateSchedule(fixed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.axis == "r1":
+        try:
+            fixed_db = _round_snrs(cfg.snr_db, k_rounds)
+        except ValueError as exc:
+            raise ConfigError(f"snr_db {exc}") from None
     columns = []
     for axis_value in cfg.values:
         if cfg.axis == "snr_db":
-            rates, snr_db, column_db = cfg.rates, (axis_value,) * len(cfg.rates), axis_value
+            rates, snr_db, column_db = cfg.rates, _round_snrs((axis_value,), k_rounds), axis_value
         else:
-            rates = (axis_value,) + cfg.rates[1:]
-            snr_db = cfg.snr_db if len(cfg.snr_db) > 1 else cfg.snr_db * len(rates)
-            column_db = cfg.snr_db[0]
+            rates, snr_db, column_db = (axis_value,) + cfg.rates[1:], fixed_db, cfg.snr_db[0]
         try:
             rates, powers = RateSchedule(rates), PowerProfile([db_to_linear(v) for v in snr_db])
         except ValueError as exc:
@@ -273,7 +285,7 @@ def _compute_row(args: tuple[str, float, SimConfig, str]) -> SweepRow:
     return _sweep_row(column_db, point, method, est)
 
 
-def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) -> list[SweepRow]:
+def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """Compute all rows in deterministic axis-major order.
 
     The rows of a method with a group form (``Method.purpose``: ``mc``) run
@@ -283,10 +295,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, seed: Optional[int] = None) ->
     of the config, so any worker count yields identical output.  One process
     pool, of at most one process per share and row, maps the groups' shares
     first, as they are the longest, then the rows; a sweep of one share or
-    row runs in this process.  ``seed`` overrides the config seed.
+    row runs in this process.  Raises ValueError for ``workers`` below 1.
     """
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     cells = _cells(cfg)
     points = [point for _, point in cells]
     groups = {method: METHODS[cfg.quantity, method].purpose for method in cfg.methods}

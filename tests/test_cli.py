@@ -118,7 +118,7 @@ def test_outage_at_rates_near_zero(capsys):
     assert 0.0 < float(_field(out, "uncertainty")) <= 1e-9 * float(_field(out, "value"))
 
 
-def test_usage_errors_exit_two(monkeypatch):
+def test_usage_errors_exit_two():
     for argv in (
         ["outage", "--rates", "1,1", "--snr-db", "10", "--scheme", "inr", "--method", "exact"],
         ["outage", "--rates", "1,-1", "--snr-db", "10"],
@@ -130,20 +130,19 @@ def test_usage_errors_exit_two(monkeypatch):
         ["outage", "--rates", "1,1", "--snr-db", "10", "--tol", "1e-10"],  # no such option
         ["outage", "--rates", "1,1", "--snr-db", "nan"],
         ["outage", "--rates", "1,1", "--snr-db", "inf"],
-        ["sweep", "--config", "unused.cfg", "--seed", "-1"],
+        ["sweep", "--config", "unused.cfg", "--seed", "-1"],  # a sweep's seed is its config's
         ["outage", "--rates", "5000,1", "--snr-db", "10", "--method", "lower"],
         ["outage", "--rates", "1100,1", "--snr-db", "10", "--method", "oracle"],
         ["outage", "--rates", "1", "--snr-db", "10", "--method", "asymptotic"],
         ["hbar", "--rates", "1,1", "--x", "-1"],
         ["hbar", "--rates", "1,1", "--x", "nan"],
+        # hbar_{2,1}(x) is defined only for x <= 2^{R_1} = 2
+        ["hbar", "--rates", "1,1", "--x", "3"],
+        ["hbar", "--rates", "1,1", "--x", "1e300"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
-    monkeypatch.setenv("XPHARQ_SEED", "-3")
-    with pytest.raises(SystemExit) as info:
-        main(["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc"])
-    assert info.value.code == 2
 
 
 def test_outage_mc_rare_event_warning(capsys):
@@ -202,22 +201,21 @@ def test_outage_asymptote_warning_outside_high_snr(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_seed_env_fallback_and_flag_override(capsys, monkeypatch):
+def test_seed_defaults_to_zero_and_ignores_the_environment(capsys, monkeypatch):
     argv = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
             "--trials", "20000"]
-    monkeypatch.setenv("XPHARQ_SEED", "123")
-    main(argv)
-    from_env = _field(capsys.readouterr().out, "value")
-    monkeypatch.delenv("XPHARQ_SEED")
-    main(argv + ["--seed", "123"])
-    from_flag = _field(capsys.readouterr().out, "value")
-    assert from_env == from_flag
-    monkeypatch.setenv("XPHARQ_SEED", "123")
-    main(argv + ["--seed", "5"])
-    overridden = _field(capsys.readouterr().out, "value")
-    monkeypatch.delenv("XPHARQ_SEED")
-    main(argv + ["--seed", "5"])
-    assert overridden == _field(capsys.readouterr().out, "value")
+    monkeypatch.delenv("XPHARQ_SEED", raising=False)
+    assert main(argv + ["--seed", "0"]) == 0
+    zero = _field(capsys.readouterr().out, "value")
+    assert main(argv + ["--seed", "5"]) == 0
+    five = _field(capsys.readouterr().out, "value")
+    assert five != zero
+    for env in ("5", "abc"):
+        monkeypatch.setenv("XPHARQ_SEED", env)
+        assert main(argv) == 0
+        assert _field(capsys.readouterr().out, "value") == zero, env
+        assert main(argv + ["--seed", "5"]) == 0
+        assert _field(capsys.readouterr().out, "value") == five, env
 
 
 def test_bad_number_lists_and_hbar_rounds_are_usage_errors(capsys):
@@ -231,13 +229,6 @@ def test_bad_number_lists_and_hbar_rounds_are_usage_errors(capsys):
             main(argv)
         assert info.value.code == 2, argv
         assert capsys.readouterr().err.endswith(f"error: {problem}\n"), argv
-
-
-def test_seed_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("XPHARQ_SEED", "abc")
-    with pytest.raises(SystemExit):
-        main(["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
-              "--trials", "1000"])
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
@@ -257,20 +248,6 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     assert main(argv) == 0
     assert built == []
     assert capsys.readouterr().out.count("value=") == 2
-
-
-def test_seed_env_read_on_every_call(capsys, monkeypatch):
-    argv = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
-            "--trials", "20000"]
-    values = []
-    for seed in ("5", "6"):
-        monkeypatch.setenv("XPHARQ_SEED", seed)
-        assert main(argv) == 0
-        values.append(_field(capsys.readouterr().out, "value"))
-    monkeypatch.delenv("XPHARQ_SEED")
-    assert main(argv + ["--seed", "6"]) == 0
-    assert values[1] == _field(capsys.readouterr().out, "value")
-    assert values[0] != values[1]
 
 
 def test_usage_error_after_a_successful_call(capsys):
@@ -312,6 +289,16 @@ def test_readme_cli_examples_are_current(capsys):
         assert main(shlex.split(command)) == 0, command
         out = capsys.readouterr().out.splitlines()
         assert [untimed(l) for l in out] == [untimed(l) for l in printed], command
+
+
+def test_readme_configs_parse():
+    # a '#' starts a comment that runs to the end of its line
+    text = (_REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        cfg = parse_config(block)
+        assert not any("#" in str(value) for value in vars(cfg).values()), cfg
 
 
 def test_throughput_analytical_chain_provenance(capsys):
@@ -364,6 +351,17 @@ def test_hbar_dump(capsys):
     assert m is not None
     ln2 = math.log(2.0)
     assert float(m.group(1)) == pytest.approx(12 * ln2**2 - 4 * ln2 + 1, rel=1e-12)
+
+
+def test_hbar_reads_up_to_two_to_the_first_rate(capsys):
+    assert main(["hbar", "--rates", "1,1", "--x", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "hbar[K=2,k=1](2) = " in out and "hbar[K=2,k=2](2) = " in out
+    with pytest.raises(SystemExit) as info:
+        main(["hbar", "--rates", "1,1", "--x", "2.0000001"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --x must be in (0, 2^R_1] = (0, 2], got 2.0000001\n")
 
 
 def test_selftest_passes(capsys):
@@ -648,7 +646,7 @@ def test_config_rejects_incompatible_combinations():
      "quantity must be outage or throughput, got 'goodput'"),
     ("axis = snr_db", "axis = r2", "axis must be snr_db or r1, got 'r2'"),
     ("axis = snr_db\nvalues = 0,5,10", "axis = r1\nvalues = 0.5\nsnr_db = 1,2,3",
-     "snr_db needs 1 or 2 entries"),
+     "snr_db needs 1 or 2 entries, got 3"),
 ])
 def test_config_value_errors_name_the_problem(old, new, problem):
     text = _SWEEP_CONFIG.replace(old, new)
@@ -883,23 +881,18 @@ def test_sweep_rows_match_direct_evaluation(tmp_path):
         assert row["K"] == "2"
 
 
-def test_sweep_seed_override_changes_only_mc_rows(tmp_path):
+def test_sweep_needs_a_worker(tmp_path, capsys):
+    for methods in ("exact,mc", "exact"):
+        cfg = parse_config(_SWEEP_CONFIG.replace("exact,mc", methods))
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="^workers must be at least 1$"):
+                sweep.run_sweep(cfg, workers=workers)
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(_SWEEP_CONFIG)
-    base, reseeded = tmp_path / "base.csv", tmp_path / "reseeded.csv"
-    main(["sweep", "--config", str(cfg_path), "--out", str(base)])
-    main(["sweep", "--config", str(cfg_path), "--out", str(reseeded), "--seed", "99"])
-
-    def rows_of(path):
-        with open(path, newline="") as fh:
-            return list(csv.DictReader(fh))
-
-    for a, b in zip(rows_of(base), rows_of(reseeded)):
-        if a["method"] == "exact":
-            assert a["value"] == b["value"]
-        else:
-            assert a["value"] != b["value"]
-            assert b["seed"] == "99"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(cfg_path), "--workers", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("xpharq: error: workers must be at least 1\n")
 
 
 def test_sweep_r1_axis(tmp_path):

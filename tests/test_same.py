@@ -68,12 +68,19 @@ def test_a_moved_value_an_exit_code_or_a_raise_is_a_diff(tmp_path, capsys):
 
 def test_the_query_set_covers_every_entry_scheme_and_sweep():
     argvs = same.queries("ref.cfg")
-    points = [a for a in argvs if a[0] in ("outage", "throughput")]
-    # 8 entries x 2 schemes x K = 2, 3, 4, the two mc entries at 1 and 2 workers
-    assert len(points) == (8 * 2 + 2 * 2) * 3
-    assert {tuple(a[1:5]) for a in points} == {
+    points = [a for a in argvs if a[0] in ("outage", "throughput") and a[1] == "--scheme"]
+    grid = [a for a in points if a[a.index("--snr-db") + 1] == "10"]
+    # 8 entries x 2 schemes x K = 2, 3, 4, the two mc entries at 1 and 2
+    # workers, then the two mc entries x 2 schemes at 5 and 65,535 trials
+    assert len(grid) == (8 * 2 + 2 * 2) * 3 + 2 * 2 * 2
+    assert {tuple(a[1:5]) for a in grid} == {
         ("--scheme", s, "--method", m) for _, m in same.ENTRIES for s in same.SCHEMES}
-    mc = [a for a in points if a[4] == "mc"]
-    assert all(a[a.index("--trials") + 1] == "65537" for a in mc)
+    mc = [a for a in grid if a[4] == "mc"]
+    assert sorted({a[a.index("--trials") + 1] for a in mc}) == ["5", "65535", "65537"]
+    # the 6 deterministic entries x 2 schemes at each corner
+    for rates, snr_db in same.CORNERS:
+        corner = [a for a in points if a[-4:] == ["--rates", rates, "--snr-db", snr_db]]
+        assert len(corner) == 6 * 2 and all(a[4] != "mc" for a in corner), rates
+    assert all(a in argvs for a in same.HIGH_SNR)
     assert ["selftest"] in argvs
     assert [a[-1] for a in argvs if a[0] == "sweep"] == ["1", "2", "3"]

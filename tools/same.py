@@ -4,15 +4,17 @@
 
 BASE and CHANGE are two checkouts of the repository (``git archive`` or
 ``git worktree``).  In each tree one fresh interpreter, with that tree's
-``src`` on ``PYTHONPATH`` and no ``XPHARQ_SEED``, runs every query of
-``queries`` through ``xpharq.cli.main`` and records its standard output,
-standard error and exit code.  The set is one point query per method-table
-entry and scheme at K = 2, 3 and 4 (1 bit a round, 10 dB), the Monte Carlo
-entries at 65,537 trials (two blocks) on 1 and 2 workers, the ``hbar``
-dump at the same K, ``selftest``, and the reference sweep (K = 3, 0-30 dB,
-1e6 trials) at 1, 2 and 3 workers.  A point query's ``seconds=`` field
-reads a clock, so it is dropped; the rest compares as text, and nothing
-else depends on the host.  The script prints ``identical`` and exits 0,
+``src`` on ``PYTHONPATH``, runs every query of ``queries`` through
+``xpharq.cli.main`` and records its standard output, standard error and
+exit code.  The set is one point query per method-table entry and scheme
+at K = 2, 3 and 4 (1 bit a round, 10 dB), the Monte Carlo entries at
+65,537 trials (two blocks) on 1 and 2 workers, the ``hbar`` dump at the
+same K, the corner points of ``CORNERS`` for every deterministic entry and
+scheme, the high-SNR points of ``HIGH_SNR``, the Monte Carlo entries at
+5 and 65,535 trials (part of one block) at K = 2, ``selftest``, and the
+reference sweep (K = 3, 0-30 dB, 1e6 trials) at 1, 2 and 3 workers.  A
+point query's ``seconds=`` field reads a clock, so it is dropped; the rest
+compares as text, and nothing else depends on the host.  The script prints ``identical`` and exits 0,
 or prints a unified diff of the two records and exits 1.
 """
 
@@ -36,6 +38,16 @@ ENTRIES = (
 SCHEMES = ("xp", "inr")
 ROUNDS = (2, 3, 4)
 MC_TRIALS = 65_537
+# Rates and SNR in dB where 2^R - 1 nears its rounding and where the SNR
+# nears a double's range.
+CORNERS = (("1e-12,1e-12", "-100"), ("60,60", "300"))
+# Recursions at high SNR whose ladders stop by the gap between passes; the
+# last raises ConvergenceError, so its error line and exit 1 compare too.
+HIGH_SNR = (
+    ["outage", "--method", "upper", "--rates", "8,8,8", "--snr-db", "40"],
+    ["outage", "--method", "oracle", "--rates", "15,15,15,15", "--snr-db", "300"],
+    ["outage", "--method", "upper", "--rates", "8,8,8,8", "--snr-db", "60"],
+)
 
 # The reference sweep of the benchmark's sweep-ref workload at seed 1.
 SWEEP_CONFIG = """\
@@ -85,6 +97,17 @@ def queries(config_path: str) -> list[list[str]]:
                     out.append(argv + ["--trials", str(MC_TRIALS), "--seed", "1",
                                        "--workers", workers])
         out.append(["hbar", "--rates", ",".join(["1"] * k)])
+    for rates, snr_db in CORNERS:
+        for quantity, method in ENTRIES:
+            if method != "mc":
+                out += [[quantity, "--scheme", scheme, "--method", method, "--rates", rates,
+                         "--snr-db", snr_db] for scheme in SCHEMES]
+    out += HIGH_SNR
+    for quantity, method in ENTRIES:
+        if method == "mc":
+            out += [[quantity, "--scheme", scheme, "--method", "mc", "--rates", "1,1",
+                     "--snr-db", "10", "--trials", trials, "--seed", "1"]
+                    for scheme in SCHEMES for trials in ("5", "65535")]
     out.append(["selftest"])
     out += [["sweep", "--config", config_path, "--workers", w] for w in ("1", "2", "3")]
     return out
@@ -93,8 +116,7 @@ def queries(config_path: str) -> list[list[str]]:
 def record(tree: str, argvs: list[list[str]]) -> list[str]:
     """The lines that ``argvs`` print in ``tree``: per query its command, exit
     code, standard output without ``seconds=`` and standard error."""
-    env = {k: v for k, v in os.environ.items() if k != "XPHARQ_SEED"}
-    env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-c", DRIVER], input=json.dumps(argvs),
                           capture_output=True, text=True, cwd=tree, env=env)
     if proc.returncode != 0:
