@@ -201,21 +201,43 @@ def test_outage_asymptote_warning_outside_high_snr(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_seed_defaults_to_zero_and_ignores_the_environment(capsys, monkeypatch):
-    argv = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
-            "--trials", "20000"]
+_SEED_ARGV = ["outage", "--rates", "1,1", "--snr-db", "10", "--method", "mc",
+              "--trials", "20000"]
+
+
+def _mc_value(capsys, argv):
+    assert main(argv) == 0
+    return _field(capsys.readouterr().out, "value")
+
+
+def test_seed_env_fallback_and_flag_override(capsys, monkeypatch):
+    # XPHARQ_SEED is no fallback: the default seed is 0 and only --seed moves it.
     monkeypatch.delenv("XPHARQ_SEED", raising=False)
-    assert main(argv + ["--seed", "0"]) == 0
-    zero = _field(capsys.readouterr().out, "value")
-    assert main(argv + ["--seed", "5"]) == 0
-    five = _field(capsys.readouterr().out, "value")
+    zero = _mc_value(capsys, _SEED_ARGV + ["--seed", "0"])
+    five = _mc_value(capsys, _SEED_ARGV + ["--seed", "5"])
     assert five != zero
-    for env in ("5", "abc"):
+    assert _mc_value(capsys, _SEED_ARGV) == zero
+    monkeypatch.setenv("XPHARQ_SEED", "5")
+    assert _mc_value(capsys, _SEED_ARGV) == zero
+    assert _mc_value(capsys, _SEED_ARGV + ["--seed", "5"]) == five
+
+
+def test_seed_env_must_be_integer(capsys, monkeypatch):
+    # A non-integer XPHARQ_SEED is no usage error: the variable is not read.
+    monkeypatch.delenv("XPHARQ_SEED", raising=False)
+    zero = _mc_value(capsys, _SEED_ARGV)
+    monkeypatch.setenv("XPHARQ_SEED", "abc")
+    assert _mc_value(capsys, _SEED_ARGV) == zero
+    assert capsys.readouterr().err == ""
+
+
+def test_seed_env_read_on_every_call(capsys, monkeypatch):
+    # Changing XPHARQ_SEED between calls in one process moves no value.
+    monkeypatch.delenv("XPHARQ_SEED", raising=False)
+    zero = _mc_value(capsys, _SEED_ARGV)
+    for env in ("5", "7", "abc"):
         monkeypatch.setenv("XPHARQ_SEED", env)
-        assert main(argv) == 0
-        assert _field(capsys.readouterr().out, "value") == zero, env
-        assert main(argv + ["--seed", "5"]) == 0
-        assert _field(capsys.readouterr().out, "value") == five, env
+        assert _mc_value(capsys, _SEED_ARGV) == zero, env
 
 
 def test_bad_number_lists_and_hbar_rounds_are_usage_errors(capsys):
